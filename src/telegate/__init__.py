@@ -11,7 +11,7 @@ from .pauli import (PauliOperator, commutes, format_literal, parse_literal,
                     pauli_from_matrix, pauli_mul, pauli_to_matrix)
 from .clifford import (CliffordTableau, clifford_from_matrix, compose,
                        conjugate_pauli, tableau_from_gate)
-from .hierarchy import HierarchyVerdict, hierarchy_level, is_diagonal_F
+from .hierarchy import HierarchyVerdict, hierarchy_level
 from .circuit import (Circuit, CircuitBuilder, deserialize, render, serialize,
                       validate)
 from .simulator import (Branch, EquivalenceReport, StateVector, apply_gate,
@@ -35,7 +35,7 @@ __all__ = [
     "pauli_from_matrix", "pauli_mul", "pauli_to_matrix",
     "CliffordTableau", "clifford_from_matrix", "compose", "conjugate_pauli",
     "tableau_from_gate",
-    "HierarchyVerdict", "hierarchy_level", "is_diagonal_F",
+    "HierarchyVerdict", "hierarchy_level",
     "Circuit", "CircuitBuilder", "deserialize", "render", "serialize", "validate",
     "Branch", "EquivalenceReport", "StateVector", "apply_gate",
     "equivalent_up_to_phase", "run_all_branches", "verify_gate_equivalence",

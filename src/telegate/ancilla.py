@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, hierarchy, pauli
+from .circuit import matrix_doc, state_doc
 from .errors import InternalConsistencyError, ValidationError
 from .simulator import Branch, StateVector, zero_state
 
@@ -257,17 +258,11 @@ def verify_script(script: PreparationScript, tol: float = DEFAULT_TOL) -> tuple[
 
 
 def script_to_json(script: PreparationScript) -> str:
-    def mat_doc(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-    def state_doc(s: StateVector):
-        return [[float(z.real), float(z.imag)] for z in s.amplitudes]
-
     doc = {
-        "initial": state_doc(script.initial_state),
-        "steps": [{"measure": {"matrix": mat_doc(m)}, "correct": {"matrix": mat_doc(q)}}
+        "initial": state_doc(script.initial_state.amplitudes),
+        "steps": [{"measure": {"matrix": matrix_doc(m)}, "correct": {"matrix": matrix_doc(q)}}
                   for m, q in script.steps],
-        "target": state_doc(script.expected_final),
+        "target": state_doc(script.expected_final.amplitudes),
     }
     if script.shortcut_index is not None:
         doc["shortcut_index"] = script.shortcut_index

@@ -30,6 +30,8 @@ STATE_LABELS: dict[str, np.ndarray] = {
     "CS-ancilla": np.array([0.5, 0.5, 0.5, 0.5j], dtype=complex),
     "TOFFOLI-ancilla": np.array([0.5, 0, 0.5, 0, 0.5, 0, 0, 0.5], dtype=complex),
 }
+for _amps in STATE_LABELS.values():
+    _amps.flags.writeable = False
 
 
 def _as_state(amplitudes) -> np.ndarray:
@@ -164,6 +166,19 @@ class CircuitBuilder:
         self.ops.append(InjectOp(tuple(targets), _as_state(amplitudes), label=label, role=role))
         return self
 
+    def alloc_qubits(self, count: int, tag: str) -> list[int]:
+        """Append `count` qubits with input tag `tag`; returns their indices."""
+        base = self.n_qubits
+        self.n_qubits += count
+        self.inputs.extend([tag] * count)
+        return list(range(base, base + count))
+
+    def alloc_cbits(self, count: int) -> list[int]:
+        """Append `count` classical bits; returns their indices."""
+        base = self.n_cbits
+        self.n_cbits += count
+        return list(range(base, base + count))
+
     def build(self) -> Circuit:
         c = Circuit(self.n_qubits, self.n_cbits, tuple(self.inputs), tuple(self.ops))
         violations = validate(c)
@@ -182,14 +197,19 @@ def _split_gate(name_or_matrix):
 
 def validate(c: Circuit) -> list[str]:
     """Return all invariant violations; empty means well-formed."""
+    return _validate(c)[0]
+
+
+def _validate(c: Circuit) -> tuple[list[str], list[str]]:
+    """The violations, and each qubit's status after the last op."""
     out: list[str] = []
     if len(c.inputs) != c.n_qubits:
         out.append("inputs: one tag per qubit is required")
-        return out
+        return out, []
     for q, tag in enumerate(c.inputs):
         if tag not in INPUT_TAGS:
             out.append(f"inputs: unknown tag {tag!r} on qubit {q}")
-            return out
+            return out, []
 
     # Per-qubit status: 'fresh', 'pending' (awaiting Inject), 'active', 'measured'.
     status = ["pending" if tag == "inject" else "fresh" for tag in c.inputs]
@@ -288,22 +308,20 @@ def validate(c: Circuit) -> list[str]:
                 status[q] = "active"
         else:
             out.append(f"op {k}: unknown op variant {type(op).__name__}")
-    return out
+    return out, status
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: every complex number in a JSON output is an [re, im] pair
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_doc(m: np.ndarray) -> list:
-    return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+def state_doc(v) -> list:
+    """A vector (a scalar counts as length one) as a list of [re, im] pairs."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).ravel()]
 
 
-def _state_doc(v: np.ndarray) -> list:
-    return [_complex_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
+def matrix_doc(m) -> list:
+    """A matrix as rows of [re, im] pairs."""
+    return [state_doc(row) for row in np.asarray(m, dtype=complex)]
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -327,7 +345,7 @@ def _op_doc(op: CircuitOp) -> dict:
         if op.name is not None:
             doc["name"] = op.name
         else:
-            doc["matrix"] = _matrix_doc(op.matrix)
+            doc["matrix"] = matrix_doc(op.matrix)
         doc["targets"] = list(op.targets)
     elif isinstance(op, MeasureOp):
         doc["op"] = "measure"
@@ -339,14 +357,14 @@ def _op_doc(op: CircuitOp) -> dict:
         if op.name is not None:
             doc["name"] = op.name
         else:
-            doc["matrix"] = _matrix_doc(op.matrix)
+            doc["matrix"] = matrix_doc(op.matrix)
         doc["targets"] = list(op.targets)
     elif isinstance(op, InjectOp):
         doc["op"] = "inject"
         if op.label is not None:
             doc["state"] = {"label": op.label}
         else:
-            doc["state"] = {"amplitudes": _state_doc(op.amplitudes)}
+            doc["state"] = {"amplitudes": state_doc(op.amplitudes)}
         doc["targets"] = list(op.targets)
     if op.role is not None:
         doc["role"] = op.role

@@ -21,8 +21,8 @@ from . import circuit as circuit_mod
 from . import gates, hierarchy, recursive, remote, teleport
 from .errors import SynthesisRefusal, TelegateError
 from .pauli import format_literal, pauli_from_matrix
-from .simulator import (StateVector, random_state, run_all_branches,
-                        sample_branches, verify_gate_equivalence)
+from .simulator import (StateVector, extract_register_state, random_state,
+                        run_all_branches, sample_branches, verify_gate_equivalence)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,7 +31,10 @@ EXIT_USAGE = 2
 
 def _default_tol() -> float:
     raw = os.environ.get("TELEGATE_TOL")
-    return float(raw) if raw else 1e-9
+    try:
+        return float(raw) if raw else 1e-9
+    except ValueError:
+        raise TelegateError(f"TELEGATE_TOL={raw!r} is not a number") from None
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
@@ -243,7 +246,6 @@ def cmd_remote(args) -> int:
         for br in run_all_branches(protocol.circuit, psi):
             if br.state is None:
                 continue
-            from .simulator import extract_register_state
             got = extract_register_state(br, protocol.out_map)
             worst = min(worst, float(abs(np.vdot(want, got.amplitudes))))
     ok = trace.report.passed and worst >= 1.0 - args.tol * 10
@@ -326,11 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except TelegateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except SynthesisRefusal as exc:

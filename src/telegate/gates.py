@@ -88,6 +88,9 @@ _GATES: dict[str, np.ndarray] = {
     "CH": CH,
     "TOFFOLI": TOFFOLI,
 }
+# Shared by every caller of matrix_of, so nobody may write into them.
+for _m in _GATES.values():
+    _m.flags.writeable = False
 
 # ASCII-friendly spellings accepted on input; canonical names are the keys above.
 _ALIASES = {
@@ -121,7 +124,7 @@ def canonical_name(name: str) -> str:
 
 
 def matrix_of(name: str) -> np.ndarray:
-    """Matrix of a named gate (copy-safe: callers must not mutate)."""
+    """Matrix of a named gate; the array is read-only."""
     return _GATES[canonical_name(name)]
 
 

@@ -11,7 +11,6 @@ phase never changes the verdict.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +53,6 @@ class HierarchyVerdict:
         return ", ".join(parts)
 
 
-class _MemoTable:
-    """Atomic get-or-insert map from (fingerprint, k) to membership booleans."""
-
-    def __init__(self):
-        self._data: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            self._data.setdefault(key, value)
-            return self._data[key]
-
-
 def _fingerprint(m: np.ndarray) -> bytes:
     """Canonical phase-fixed, rounded encoding of a matrix.
 
@@ -103,8 +85,9 @@ def _check_input(u: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     return u, n
 
 
-def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: _MemoTable) -> bool:
-    """Is u in level k?  depth tracks recursion for the tolerance schedule."""
+def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: dict) -> bool:
+    """Is u in level k?  depth tracks recursion for the tolerance schedule;
+    memo maps (fingerprint, k) to membership within one classification."""
     tol = tol_top if depth <= 1 else DEEP_TOL
     if k <= 1:
         return pauli.pauli_from_matrix(u, tol=tol) is not None
@@ -114,7 +97,7 @@ def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: _MemoTable)
         return cached
     if k == 2:
         result = clifford.clifford_from_matrix(u, tol=tol) is not None
-        return memo.put(key, result)
+        return memo.setdefault(key, result)
     n = int(round(np.log2(u.shape[0])))
     u_dag = u.conj().T
     result = True
@@ -127,7 +110,7 @@ def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: _MemoTable)
                 break
         if not result:
             break
-    return memo.put(key, result)
+    return memo.setdefault(key, result)
 
 
 def hierarchy_level(
@@ -138,7 +121,7 @@ def hierarchy_level(
         raise ValidationError("k_max must be at least 1")
     u, _ = _check_input(u, tol)
     diagonal = is_diagonal_matrix(u, tol=tol)
-    memo = _MemoTable()
+    memo: dict = {}
     refuted_below = False
     for k in range(1, k_max + 1):
         if _member(u, k, tol, 1, memo):
@@ -146,12 +129,3 @@ def hierarchy_level(
                                     strict=refuted_below or k == 1)
         refuted_below = True
     return HierarchyVerdict(level=None, k_max=k_max, diagonal=diagonal, strict=False)
-
-
-def is_diagonal_F(
-    u: np.ndarray, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_TOL
-) -> HierarchyVerdict:
-    """Level verdict with the diagonal flag gating membership in the
-    diagonal subset: the gate belongs iff level is certified and every
-    off-diagonal entry is below tol."""
-    return hierarchy_level(u, k_max=k_max, tol=tol)

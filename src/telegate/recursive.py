@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, hierarchy, pauli
-from .circuit import Circuit, CircuitBuilder, to_document
+from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .simulator import (StateVector, apply_matrix, extract_register_state,
-                        run_all_branches, verify_gate_equivalence)
-from .teleport import classify_correction
+from .simulator import (MAX_QUBITS, StateVector, apply_matrix, extract_register_state,
+                        run_all_branches)
+from .teleport import classify_correction, verify_or_refuse
 
 MAX_LEVEL = 5
 MAX_WIDTH = 3
@@ -171,14 +171,6 @@ def _level_of(m: np.ndarray, what: str) -> int:
     return verdict.level
 
 
-def _klass_level(corr) -> int:
-    if corr.klass == "pauli":
-        return 1
-    if corr.klass == "clifford":
-        return 2
-    return 2 + (corr.residue_level or 0)
-
-
 def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
     """Gadget applying a diagonal in place: magic D|+..+>, CNOT coupling,
     magic measurement, per-pattern diagonal repairs one level down."""
@@ -248,26 +240,15 @@ def _build_teleport_root(gate_matrix: np.ndarray, level: int) -> RecursiveNode:
                          tuple(repairs))
 
 
-def _count_nodes(node: RecursiveNode) -> int:
-    return 1 + sum(_count_nodes(c) for c in node.children)
-
-
 def _flatten(root: RecursiveNode) -> Circuit:
     n = root.n
-    total_cbits = n * _count_nodes(root)
-    b = CircuitBuilder(2 * n, total_cbits, ["input"] * n + ["inject"] * n)
+    b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
     data = list(range(n))
     anc = list(range(n, 2 * n))
-    next_cbit = [0]
-
-    def alloc() -> list[int]:
-        base = next_cbit[0]
-        next_cbit[0] += n
-        return list(range(base, base + n))
 
     def emit(node: RecursiveNode, is_root: bool,
              cond_bits: tuple[int, ...], cond_vals: tuple[int, ...]):
-        cbits = alloc()
+        cbits = b.alloc_cbits(n)
         if is_root:
             b.inject(node.magic.amplitudes, anc, role="ancilla-prep")
             for i in range(n):
@@ -320,11 +301,7 @@ def synth_recursive(spec: GateSpec, flatten: bool = True,
     rc = RecursiveCircuit(spec.label, m, level, n, root, flattened,
                           tuple(range(n)), tuple(range(n, 2 * n)))
     if flattened is not None:
-        report = verify_gate_equivalence(flattened, m, rc.in_map, rc.out_map, tol=tol)
-        if not report.passed:
-            raise SynthesisRefusal(
-                f"flattened recursion failed verification (worst fidelity"
-                f" {report.worst_fidelity:.3e} on branch {report.failing_branch})")
+        verify_or_refuse(flattened, m, rc.in_map, rc.out_map, tol=tol)
     return rc
 
 
@@ -452,46 +429,7 @@ class RecursivePreparation:
     register: tuple[int, ...]
 
 
-class _GrowingCircuit:
-    """Op buffer with qubit/cbit allocation, replayed into a builder."""
-
-    def __init__(self, n_initial: int):
-        self.tags = ["zero"] * n_initial
-        self.n_cbits = 0
-        self.ops: list[tuple] = []
-
-    def alloc_qubits(self, count: int, tag: str) -> list[int]:
-        base = len(self.tags)
-        self.tags.extend([tag] * count)
-        return list(range(base, base + count))
-
-    def alloc_cbits(self, count: int) -> list[int]:
-        base = self.n_cbits
-        self.n_cbits += count
-        return list(range(base, base + count))
-
-    def build(self) -> Circuit:
-        if len(self.tags) > 12:
-            raise WidthOverflow(f"{len(self.tags)} qubits exceeds the simulator limit")
-        b = CircuitBuilder(len(self.tags), self.n_cbits, self.tags)
-        for op in self.ops:
-            getattr(b, op[0])(*op[1:])
-        return b.build()
-
-    def gate(self, g, targets, role=None):
-        self.ops.append(("gate", g, list(targets), role))
-
-    def cgate(self, bits, vals, g, targets, role=None):
-        self.ops.append(("cgate", list(bits), list(vals), g, list(targets), role))
-
-    def measure(self, q, cb):
-        self.ops.append(("measure", q, cb))
-
-    def inject(self, amps, targets, role=None):
-        self.ops.append(("inject", amps, list(targets), role))
-
-
-def _realize_controlled(buf: _GrowingCircuit, kappa: int, register: list[int],
+def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
                         payload: np.ndarray, cond_bits: tuple[int, ...],
                         cond_vals: tuple[int, ...]) -> ControlledRealization:
     """Emit ops applying the payload to the register when qubit kappa is
@@ -556,7 +494,7 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
         raise WidthOverflow(f"level {level} exceeds the depth limit {MAX_LEVEL}")
 
     target = StateVector(n, u @ _plus_state(n))
-    buf = _GrowingCircuit(n)
+    buf = CircuitBuilder(n, 0, ["zero"] * n)
     register = list(range(n))
     u_dag = u.conj().T
     steps = []
@@ -575,6 +513,8 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
         buf.cgate([mbit], [1], "Z", [register[i]], role="D")
         steps.append(PreparationStep(m_i, pauli.pauli_to_matrix(
             pauli.single(n, i, "Z")), u_x, u_x_level, realization))
+    if buf.n_qubits > MAX_QUBITS:
+        raise WidthOverflow(f"{buf.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
     circuit = buf.build()
     return RecursivePreparation(u, target, tuple(steps), circuit, tuple(register))
 
@@ -593,9 +533,6 @@ def verify_preparation(prep: RecursivePreparation,
 
 
 def preparation_to_json(prep: RecursivePreparation) -> str:
-    def mat_doc(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
     def real_doc(r: ControlledRealization) -> dict:
         return {
             "level": r.level,
@@ -604,9 +541,9 @@ def preparation_to_json(prep: RecursivePreparation) -> str:
         }
 
     doc = {
-        "target": [[float(z.real), float(z.imag)] for z in prep.target.amplitudes],
+        "target": state_doc(prep.target.amplitudes),
         "steps": [
-            {"measure": {"matrix": mat_doc(s.m)}, "correct": {"matrix": mat_doc(s.q)},
+            {"measure": {"matrix": matrix_doc(s.m)}, "correct": {"matrix": matrix_doc(s.q)},
              "payload_level": s.u_x_level, "realization": real_doc(s.realization)}
             for s in prep.steps
         ],

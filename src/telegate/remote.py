@@ -100,9 +100,11 @@ def locality_audit(c: Circuit, layout: PartyLayout) -> list[str]:
     return out
 
 
-def _cbit_flows(c: Circuit, layout: PartyLayout) -> tuple[int, int, dict[int, str]]:
+def _cbit_flows(c: Circuit,
+                layout: PartyLayout) -> tuple[int, int, set[tuple[int, str]]]:
     """Count classical messages: each measured bit read by the other party
-    is one message, regardless of how many conditionals consume it."""
+    is one message, regardless of how many conditionals consume it.  Also
+    returns the messages as (cbit, reading party) pairs."""
     writer: dict[int, str] = {}
     for op in c.ops:
         if isinstance(op, MeasureOp):
@@ -116,7 +118,7 @@ def _cbit_flows(c: Circuit, layout: PartyLayout) -> tuple[int, int, dict[int, st
                     sent.add((cb, reader))
     a_to_b = sum(1 for cb, reader in sent if reader == BOB)
     b_to_a = sum(1 for cb, reader in sent if reader == ALICE)
-    return a_to_b, b_to_a, writer
+    return a_to_b, b_to_a, sent
 
 
 def _ebits(layout: PartyLayout) -> int:
@@ -277,16 +279,9 @@ def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
         raise ValidationError("locality audit failed: " + "; ".join(audit))
     report = verify_gate_equivalence(protocol.circuit, protocol.target,
                                      protocol.in_map, protocol.out_map, tol=tol)
-    a_to_b, b_to_a, writer = _cbit_flows(protocol.circuit, protocol.layout)
+    a_to_b, b_to_a, sent = _cbit_flows(protocol.circuit, protocol.layout)
 
     steps: list[TraceStep] = []
-    consumed_by: dict[int, set[str]] = {}
-    for op in protocol.circuit.ops:
-        if isinstance(op, CGateOp):
-            reader = protocol.layout.party_of(op.targets)
-            for cb in op.cond_cbits:
-                if reader is not None and writer.get(cb) not in (None, reader):
-                    consumed_by.setdefault(cb, set()).add(reader)
     for op in protocol.circuit.ops:
         if isinstance(op, GateOp):
             party = protocol.layout.party_of(op.targets)
@@ -297,9 +292,8 @@ def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
                                           f" on {list(op.targets)}"))
         elif isinstance(op, MeasureOp):
             party = protocol.layout.parties[op.qubit]
-            message = None
-            for reader in sorted(consumed_by.get(op.cbit, ())):
-                message = f"send bit c{op.cbit} to {reader}"
+            readers = sorted(reader for cb, reader in sent if cb == op.cbit)
+            message = f"send bit c{op.cbit} to {readers[-1]}" if readers else None
             steps.append(TraceStep(party, f"measure q{op.qubit} -> c{op.cbit}", message))
         elif isinstance(op, CGateOp):
             party = protocol.layout.party_of(op.targets)

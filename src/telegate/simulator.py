@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CGateOp, Circuit, GateOp, InjectOp, MeasureOp, validate
+from .circuit import (CGateOp, Circuit, GateOp, InjectOp, MeasureOp, _validate,
+                      state_doc)
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 
@@ -212,6 +213,27 @@ def _enumerate(c: Circuit, cols: np.ndarray) -> list[_RawBranch]:
     return out
 
 
+def register_offsets(n: int, register) -> np.ndarray:
+    """Basis indices of the 2**k states of a k-qubit register within n
+    qubits, every other qubit at 0; register[0] is the most significant."""
+    offsets = [0]
+    for q in register:
+        bit = 1 << (n - 1 - q)
+        offsets = [o + b for o in offsets for b in (0, bit)]
+    return np.array(offsets)
+
+
+def _engine_statuses(c: Circuit) -> list[str]:
+    """The branch engine's entry guard: the circuit must be valid and fit
+    the width limit.  Returns each qubit's status after the last op."""
+    violations, statuses = _validate(c)
+    if violations:
+        raise InvalidCircuitError(violations)
+    if c.n_qubits > MAX_QUBITS:
+        raise WidthOverflow(f"{c.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    return statuses
+
+
 def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
     symbolic = c.symbolic_qubits
     k = len(symbolic)
@@ -224,19 +246,14 @@ def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
     if input_state is None or input_state.n != k:
         raise DimensionMismatch(
             f"input must cover the {k} symbolic-input qubits")
-    full = np.zeros([2] * c.n_qubits, dtype=complex)
-    idx = tuple(slice(None) if q in symbolic else 0 for q in range(c.n_qubits))
-    full[idx] = input_state.amplitudes.reshape([2] * k)
-    return full.reshape(-1, 1)
+    cols = np.zeros((2**c.n_qubits, 1), dtype=complex)
+    cols[register_offsets(c.n_qubits, symbolic), 0] = input_state.amplitudes
+    return cols
 
 
 def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list[Branch]:
     """Enumerate every measurement path of a valid circuit."""
-    violations = validate(c)
-    if violations:
-        raise InvalidCircuitError(violations)
-    if c.n_qubits > MAX_QUBITS:
-        raise WidthOverflow(f"{c.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    _engine_statuses(c)
     cols = _initial_columns(c, input_state)
     branches = []
     for raw in _enumerate(c, cols):
@@ -265,15 +282,8 @@ def extract_register_state(branch: Branch, register) -> StateVector:
             raise DimensionMismatch(
                 f"qubit {q} is neither in the register nor measured")
         base |= branch.measured_values[q] << (n - 1 - q)
-    k = len(register)
-    amps = np.empty(2**k, dtype=complex)
-    for s in range(2**k):
-        idx = base
-        for j, q in enumerate(register):
-            if (s >> (k - 1 - j)) & 1:
-                idx |= 1 << (n - 1 - q)
-        amps[s] = branch.state.amplitudes[idx]
-    return StateVector(k, amps)
+    amps = branch.state.amplitudes[base + register_offsets(n, register)]
+    return StateVector(len(register), amps)
 
 
 def equivalent_up_to_phase(a: StateVector, b: StateVector,
@@ -283,20 +293,6 @@ def equivalent_up_to_phase(a: StateVector, b: StateVector,
         raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
     fidelity = float(abs(np.vdot(a.amplitudes, b.amplitudes)))
     return fidelity >= 1.0 - tol, fidelity
-
-
-def _final_statuses(c: Circuit) -> list[str]:
-    status = ["pending" if t == "inject" else "fresh" for t in c.inputs]
-    for op in c.ops:
-        if isinstance(op, (GateOp, CGateOp)):
-            for q in op.targets:
-                status[q] = "active"
-        elif isinstance(op, MeasureOp):
-            status[op.qubit] = "measured"
-        elif isinstance(op, InjectOp):
-            for q in op.targets:
-                status[q] = "active"
-    return status
 
 
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
@@ -309,9 +305,7 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     amplitude block where every non-output qubit sits at its measured
     value.
     """
-    violations = validate(c)
-    if violations:
-        raise InvalidCircuitError(violations)
+    statuses = _engine_statuses(c)
     in_map = tuple(in_map)
     out_map = tuple(out_map)
     u = np.asarray(u, dtype=complex)
@@ -326,7 +320,6 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
         raise DimensionMismatch("matrix width does not match in_map")
     if set(in_map) != set(c.symbolic_qubits):
         raise DimensionMismatch("in_map must cover exactly the symbolic-input qubits")
-    statuses = _final_statuses(c)
     for q in range(c.n_qubits):
         if q not in out_map and statuses[q] != "measured":
             raise DimensionMismatch(
@@ -336,12 +329,9 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     n = c.n_qubits
     dim = 2**k
     cols = np.zeros((2**n, dim), dtype=complex)
-    for b in range(dim):
-        idx = 0
-        for j, q in enumerate(in_map):
-            if (b >> (k - 1 - j)) & 1:
-                idx |= 1 << (n - 1 - q)
-        cols[idx, b] = 1.0
+    cols[register_offsets(n, in_map), np.arange(dim)] = 1.0
+    out_offsets = register_offsets(n, out_map)
+    measured_shifts = [(q, n - 1 - q) for q in range(n) if q not in out_map]
 
     scalars: dict[str, complex] = {}
     weights: dict[str, float] = {}
@@ -358,17 +348,9 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
             weights[bits] = 0.0
             continue
         base = 0
-        for q in range(n):
-            if q not in out_map:
-                base |= raw.measured_values[q] << (n - 1 - q)
-        flat = np.empty(dim, dtype=int)
-        for s in range(dim):
-            idx = base
-            for j, q in enumerate(out_map):
-                if (s >> (k - 1 - j)) & 1:
-                    idx |= 1 << (n - 1 - q)
-            flat[s] = idx
-        block = raw.cols[flat, :]  # effective operator times sqrt(branch prob)
+        for q, shift in measured_shifts:
+            base |= raw.measured_values[q] << shift
+        block = raw.cols[base + out_offsets, :]  # effective operator times sqrt(branch prob)
         coeff = complex(np.trace(u.conj().T @ block) / dim)
         fidelity = abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass))
         weights[bits] = float(abs(coeff) ** 2)
@@ -403,8 +385,7 @@ def branches_to_json(branches: list[Branch]) -> str:
         {
             "bits": b.bitstring,
             "p": b.probability,
-            "state": None if b.state is None else
-                     [[float(z.real), float(z.imag)] for z in b.state.amplitudes],
+            "state": None if b.state is None else state_doc(b.state.amplitudes),
         }
         for b in branches
     ]}

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import clifford as clifford_mod
 from . import gates, hierarchy, pauli
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
 from .errors import SynthesisRefusal, ValidationError
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
@@ -82,20 +82,29 @@ class SynthesisResult:
 
     def sidecar(self) -> dict:
         return {
-            "ancilla": [[float(z.real), float(z.imag)]
-                        for z in self.ancilla_state.amplitudes],
+            "ancilla": state_doc(self.ancilla_state.amplitudes),
             "corrections": [
                 {
                     "qubit": c.qubit,
                     "class": c.klass,
-                    "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                               for row in c.canonical],
-                    "phase": [float(c.phase.real), float(c.phase.imag)],
+                    "matrix": matrix_doc(c.canonical),
+                    "phase": state_doc(c.phase)[0],
                     **({"pauli": c.pauli_literal} if c.pauli_literal else {}),
                 }
                 for c in self.corrections
             ],
         }
+
+
+def verify_or_refuse(circuit: Circuit, u: np.ndarray, in_map, out_map,
+                     tol: float) -> EquivalenceReport:
+    """Check every branch against u; refuse the synthesis unless all pass."""
+    report = verify_gate_equivalence(circuit, u, in_map, out_map, tol=tol)
+    if not report.passed:
+        raise SynthesisRefusal(
+            f"branch verification failed (worst fidelity {report.worst_fidelity:.3e}"
+            f" on branch {report.failing_branch})")
+    return report
 
 
 def _width_of(u: np.ndarray) -> int:
@@ -323,11 +332,7 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
         b.cgate([i], [1], corr.canonical, anc, role="D")
     circuit = b.build()
 
-    report = verify_gate_equivalence(circuit, u, list(range(n)), anc, tol=1e-10)
-    if not report.passed:
-        raise SynthesisRefusal(
-            f"branch verification failed (worst fidelity {report.worst_fidelity:.3e}"
-            f" on branch {report.failing_branch})")
+    report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=1e-10)
     return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
 
 
@@ -373,9 +378,5 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
         b.cgate([i], [1], corr.canonical, anc, role="D")
     circuit = b.build()
 
-    report = verify_gate_equivalence(circuit, u, data, anc, tol=1e-10)
-    if not report.passed:
-        raise SynthesisRefusal(
-            f"branch verification failed (worst fidelity {report.worst_fidelity:.3e}"
-            f" on branch {report.failing_branch})")
+    report = verify_or_refuse(circuit, u, data, anc, tol=1e-10)
     return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)

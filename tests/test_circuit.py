@@ -8,7 +8,8 @@ import pytest
 from telegate import gates
 from telegate.circuit import (CGateOp, Circuit, CircuitBuilder, GateOp,
                               InjectOp, MeasureOp, STATE_LABELS, deserialize,
-                              render, serialize, validate)
+                              matrix_doc, matrix_from_doc, render, serialize,
+                              state_doc, validate)
 from telegate.errors import CircuitFormatError, InvalidCircuitError
 from telegate.teleport import build_one_bit_teleport
 
@@ -191,3 +192,49 @@ def test_render_mentions_every_wire():
     lines = art.splitlines()
     assert len(lines) == 3  # two wires plus one classical lane
     assert "[M->c0]" in art and "[Z]" in art
+
+
+def _pair_encoder(values):
+    # the hand-rolled encoder the shared codec replaced
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def test_complex_codec_matches_hand_rolled_encoder(rng):
+    m = random_unitary(rng, 4)
+    m[0, 1] = complex(-0.0, 0.0)
+    m[2, 3] = complex(0.0, -0.0)
+    m[3, 0] = complex(-0.0, -0.0)
+    text = json.dumps(matrix_doc(m))
+    assert text == json.dumps([_pair_encoder(row) for row in m])
+    assert "-0.0" in text
+    v = m[:, 0]
+    assert json.dumps(state_doc(v)) == json.dumps(_pair_encoder(v))
+    assert state_doc(complex(-0.0, 1.5)) == [[-0.0, 1.5]]
+
+
+def test_matrix_codec_round_trip_is_exact(rng):
+    m = random_unitary(rng, 8)
+    m[1, 1] = complex(-0.0, -0.0)
+    back = matrix_from_doc(json.loads(json.dumps(matrix_doc(m))))
+    assert np.array_equal(back, m)
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+
+
+def test_shared_arrays_are_read_only():
+    with pytest.raises(ValueError):
+        gates.matrix_of("X")[0, 0] = 1.0
+    for name in gates.GATE_NAMES:
+        assert not gates.matrix_of(name).flags.writeable, name
+    for label, amps in STATE_LABELS.items():
+        assert not amps.flags.writeable, label
+    assert np.array_equal(gates.matrix_of("X"), [[0, 1], [1, 0]])
+
+
+def test_builder_allocates_qubits_and_cbits():
+    b = CircuitBuilder(1, 0, ["input"])
+    assert b.alloc_qubits(2, "zero") == [1, 2]
+    assert b.alloc_cbits(2) == [0, 1]
+    b.gate("CNOT", [0, 1]).measure(1, 0).measure(2, 1)
+    c = b.build()
+    assert (c.n_qubits, c.n_cbits, c.inputs) == (3, 2, ("input", "zero", "zero"))

@@ -210,6 +210,27 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 0 and "level 3" in out
 
 
+def test_malformed_tolerance_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TELEGATE_TOL", "abc")
+    code, _, err = run(capsys, "hierarchy", "T")
+    assert code == 2
+    assert err.startswith("error:") and "TELEGATE_TOL" in err
+
+
+def test_verify_refuses_circuit_above_width_limit(capsys, tmp_path):
+    from telegate.circuit import CircuitBuilder, serialize
+    from telegate.simulator import MAX_QUBITS
+    n = MAX_QUBITS + 1
+    b = CircuitBuilder(n, n - 1, ["input"] + ["zero"] * (n - 1))
+    for q in range(1, n):
+        b.measure(q, q - 1)
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(b.build()))
+    code, out, err = run(capsys, "verify", str(path), "--against", "I")
+    assert code == 2 and "PASS" not in out
+    assert f"{n} qubits exceeds" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["hierarchy"]) == 2
     assert main(["nonsense"]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from telegate import gates
 from telegate.errors import ValidationError
-from telegate.hierarchy import hierarchy_level, is_diagonal_F, is_diagonal_matrix
+from telegate.hierarchy import hierarchy_level, is_diagonal_matrix
 from telegate.pauli import pauli_to_matrix, single
 
 
@@ -119,11 +119,11 @@ def test_doubly_controlled_s_level_4():
 
 
 def test_diagonal_subset_flags():
-    cs = is_diagonal_F(gates.CS)
+    cs = hierarchy_level(gates.CS)
     assert cs.level == 3 and cs.diagonal
-    ch = is_diagonal_F(gates.CH)
+    ch = hierarchy_level(gates.CH)
     assert ch.level == 3 and not ch.diagonal
-    z = is_diagonal_F(gates.Z)
+    z = hierarchy_level(gates.Z)
     assert z.level == 1 and z.diagonal
 
 

@@ -271,6 +271,15 @@ def test_cs_preparation_two_base_level_steps():
         assert step.realization.mode == "direct"
 
 
+def test_preparation_circuit_round_trips():
+    from telegate.circuit import InjectOp, deserialize, serialize
+    prep = recursive_ancilla_prep(controlled_rotation_spec(1, 4))
+    injects = [op for op in prep.circuit.ops if isinstance(op, InjectOp)]
+    assert injects
+    assert all(op.role == "ancilla-prep" and op.label is None for op in injects)
+    assert deserialize(serialize(prep.circuit)) == prep.circuit
+
+
 def test_preparation_branch_probabilities_sum(rng):
     prep = recursive_ancilla_prep(rotation_spec(4))
     total = sum(b.probability for b in run_all_branches(prep.circuit, None))

@@ -155,8 +155,9 @@ def test_cbit_counted_once_per_consumer():
     b.cgate([0], [1], "Z", [1])
     layout = PartyLayout({0: "alice", 1: "bob"})
     from telegate.remote import _cbit_flows
-    a2b, b2a, _ = _cbit_flows(b.build(), layout)
+    a2b, b2a, sent = _cbit_flows(b.build(), layout)
     assert a2b == 1 and b2a == 0
+    assert sent == {(0, "bob")}
 
 
 def test_run_protocol_aborts_on_audit_failure():

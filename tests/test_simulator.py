@@ -7,11 +7,13 @@ import pytest
 
 from telegate import gates
 from telegate.circuit import CircuitBuilder
-from telegate.errors import DimensionMismatch
-from telegate.simulator import (apply_gate, basis_state, branches_to_json,
-                                equivalent_up_to_phase, extract_register_state,
-                                kron_states, random_state, run_all_branches,
-                                state_from, verify_gate_equivalence, zero_state)
+from telegate.errors import DimensionMismatch, WidthOverflow
+from telegate.simulator import (MAX_QUBITS, apply_gate, basis_state,
+                                branches_to_json, equivalent_up_to_phase,
+                                extract_register_state, kron_states,
+                                random_state, register_offsets,
+                                run_all_branches, state_from,
+                                verify_gate_equivalence, zero_state)
 from telegate.teleport import build_one_bit_teleport
 
 SQ2 = 1 / np.sqrt(2)
@@ -199,6 +201,47 @@ def test_branch_report_serialization(rng):
     doc = json.loads(branches_to_json(run_all_branches(c, random_state(1, rng))))
     assert [b["bits"] for b in doc["branches"]] == ["0", "1"]
     assert all(abs(b["p"] - 0.5) < 1e-12 for b in doc["branches"])
+
+
+def wide_circuit(n=MAX_QUBITS + 1):
+    """Qubit 0 passes through; every other qubit is |0> and measured."""
+    b = CircuitBuilder(n, n - 1, ["input"] + ["zero"] * (n - 1))
+    for q in range(1, n):
+        b.measure(q, q - 1)
+    return b.build()
+
+
+def test_branch_engine_entry_points_share_width_limit():
+    c = wide_circuit()
+    with pytest.raises(WidthOverflow):
+        run_all_branches(c, zero_state(1))
+    with pytest.raises(WidthOverflow):
+        verify_gate_equivalence(c, np.eye(2, dtype=complex), [0], [0])
+    at_limit = verify_gate_equivalence(wide_circuit(MAX_QUBITS),
+                                       np.eye(2, dtype=complex), [0], [0])
+    assert at_limit.passed
+
+
+def _offsets_by_bit_loop(n, register):
+    # the per-bit loop register_offsets replaced
+    k = len(register)
+    out = []
+    for s in range(2**k):
+        idx = 0
+        for j, q in enumerate(register):
+            if (s >> (k - 1 - j)) & 1:
+                idx |= 1 << (n - 1 - q)
+        out.append(idx)
+    return out
+
+
+def test_register_offsets_match_bit_loop():
+    import itertools
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for register in itertools.permutations(range(n), k):
+                assert register_offsets(n, register).tolist() \
+                    == _offsets_by_bit_loop(n, register), (n, register)
 
 
 def test_kron_states():
