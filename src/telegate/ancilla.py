@@ -23,9 +23,8 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import matrix_doc, state_doc
 from .errors import InternalConsistencyError, ValidationError
+from .limits import TOL, VERIFY_TOL, ZERO
 from .simulator import Branch, StateVector, zero_state
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def _norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def check_spec(target: StateVector, pairs, tol: float = DEFAULT_TOL) -> None:
+def check_spec(target: StateVector, pairs) -> None:
     """Numeric verification of the involution/stabilization/commutation
     conditions; raises on any violation."""
     dim = 2**target.n
@@ -70,24 +69,23 @@ def check_spec(target: StateVector, pairs, tol: float = DEFAULT_TOL) -> None:
     for i, pair in enumerate(pairs):
         if pair.m.shape != (dim, dim) or pair.q.shape != (dim, dim):
             raise InternalConsistencyError(f"pair {i}: operator width mismatch")
-        if _norm(pair.m @ pair.m - eye) > tol:
+        if _norm(pair.m @ pair.m - eye) > VERIFY_TOL:
             raise InternalConsistencyError(f"pair {i}: M is not an involution")
-        if _norm(pair.m @ t - t) > tol:
+        if _norm(pair.m @ t - t) > VERIFY_TOL:
             raise InternalConsistencyError(f"pair {i}: M does not stabilize the target")
-        if _norm(pair.m @ pair.q + pair.q @ pair.m) > tol:
+        if _norm(pair.m @ pair.q + pair.q @ pair.m) > VERIFY_TOL:
             raise InternalConsistencyError(f"pair {i}: M and Q do not anticommute")
     for i, a in enumerate(pairs):
         for j, b in enumerate(pairs):
             if i == j:
                 continue
-            if _norm(a.m @ b.q - b.q @ a.m) > tol:
+            if _norm(a.m @ b.q - b.q @ a.m) > VERIFY_TOL:
                 raise InternalConsistencyError(f"pairs {i},{j}: [M_i, Q_j] != 0")
-            if i < j and _norm(a.m @ b.m - b.m @ a.m) > tol:
+            if i < j and _norm(a.m @ b.m - b.m @ a.m) > VERIFY_TOL:
                 raise InternalConsistencyError(f"pairs {i},{j}: [M_i, M_j] != 0")
 
 
-def make_stabilizer_spec(target: StateVector, ms, qs,
-                         tol: float = DEFAULT_TOL) -> StabilizerSpec:
+def make_stabilizer_spec(target: StateVector, ms, qs) -> StabilizerSpec:
     """Validate and tag a full set of n pairs for a width-n target."""
     warnings: list[str] = []
     pairs = []
@@ -99,7 +97,7 @@ def make_stabilizer_spec(target: StateVector, ms, qs,
                             f" (level {m_level})")
         pairs.append(StabilizerPair(np.asarray(m, complex), np.asarray(q, complex),
                                     m_level, q_level))
-    check_spec(target, pairs, tol=tol)
+    check_spec(target, pairs)
     if len(pairs) != target.n:
         raise InternalConsistencyError(
             f"width-{target.n} target needs exactly {target.n} pairs")
@@ -128,8 +126,7 @@ def derive_stabilizers(u: np.ndarray, a_ops) -> StabilizerSpec:
     return make_stabilizer_spec(target, ms, qs)
 
 
-def measure_operator(s: StateVector, m: np.ndarray,
-                     tol: float = 1e-9) -> tuple[Branch, Branch]:
+def measure_operator(s: StateVector, m: np.ndarray) -> tuple[Branch, Branch]:
     """Project onto the ±1 eigenspaces of an involution.
 
     Outcome 0 is the +1 eigenspace; a vanishing branch is flagged with
@@ -138,13 +135,13 @@ def measure_operator(s: StateVector, m: np.ndarray,
     dim = 2**s.n
     if m.shape != (dim, dim):
         raise ValidationError("operator width does not match the state")
-    if _norm(m @ m - np.eye(dim)) > tol:
+    if _norm(m @ m - np.eye(dim)) > TOL:
         raise ValidationError("measured operator must square to the identity")
     branches = []
     for outcome, sign in ((0, 1.0), (1, -1.0)):
         vec = (s.amplitudes + sign * (m @ s.amplitudes)) / 2.0
         p = float(np.linalg.norm(vec) ** 2)
-        if p < 1e-12:
+        if p < ZERO:
             branches.append(Branch((outcome,), 0.0, None, {0: outcome}, {}))
         else:
             branches.append(Branch((outcome,), p, StateVector(s.n, vec),
@@ -163,18 +160,17 @@ def build_preparation(spec: StabilizerSpec,
     return PreparationScript(initial, steps, spec.target, warnings=spec.warnings)
 
 
-def is_product_state(s: StateVector, tol: float = DEFAULT_TOL) -> bool:
+def is_product_state(s: StateVector) -> bool:
     """Sequential Schmidt-rank-1 tests across every prefix bipartition."""
     for cut in range(1, s.n):
         m = s.amplitudes.reshape(2**cut, 2 ** (s.n - cut))
         svals = np.linalg.svd(m, compute_uv=False)
-        if len(svals) > 1 and svals[1] > tol:
+        if len(svals) > 1 and svals[1] > VERIFY_TOL:
             return False
     return True
 
 
-def product_factor_stabilizers(s: StateVector,
-                               tol: float = 1e-9) -> list[str | None]:
+def product_factor_stabilizers(s: StateVector) -> list[str | None]:
     """Per-qubit single-qubit stabilizer letters for a product state.
 
     Returns e.g. ['+Z', '+X'] when each factor is a Pauli eigenstate, None
@@ -188,10 +184,10 @@ def product_factor_stabilizers(s: StateVector,
         found = None
         for letter, op in (("Z", gates.Z), ("X", gates.X), ("Y", gates.Y)):
             expectation = complex(np.vdot(factor, op @ factor))
-            if abs(expectation - 1.0) <= tol:
+            if abs(expectation - 1.0) <= TOL:
                 found = "+" + letter
                 break
-            if abs(expectation + 1.0) <= tol:
+            if abs(expectation + 1.0) <= TOL:
                 found = "-" + letter
                 break
         out.append(found)
@@ -206,7 +202,7 @@ def shortcut_preparation(spec: StabilizerSpec, i: int) -> PreparationScript:
     pair = spec.pairs[i]
     vec = spec.target.amplitudes + pair.q @ spec.target.amplitudes
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-9:
+    if norm < TOL:
         raise InternalConsistencyError("(I+Q_i)·target vanished; Q_i does not"
                                        " flip the stabilizer as expected")
     intermediate = StateVector(spec.target.n, vec)
@@ -227,14 +223,14 @@ def run_script(script: PreparationScript) -> list[Branch]:
     def walk(step: int, vec: np.ndarray, bits: tuple[int, ...]):
         if step == len(script.steps):
             p = float(np.linalg.norm(vec) ** 2)
-            state = StateVector(script.initial_state.n, vec) if p >= 1e-12 else None
+            state = StateVector(script.initial_state.n, vec) if p >= ZERO else None
             results.append(Branch(bits, p if state else 0.0, state,
                                   {k: b for k, b in enumerate(bits)}, {}))
             return
         m, q = script.steps[step]
         for outcome, sign in ((0, 1.0), (1, -1.0)):
             child = (vec + sign * (m @ vec)) / 2.0
-            if float(np.linalg.norm(child) ** 2) < 1e-12:
+            if float(np.linalg.norm(child) ** 2) < ZERO:
                 results.append(Branch(bits + (outcome,), 0.0, None,
                                       {k: b for k, b in enumerate(bits + (outcome,))}, {}))
                 continue
@@ -246,7 +242,7 @@ def run_script(script: PreparationScript) -> list[Branch]:
     return results
 
 
-def verify_script(script: PreparationScript, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def verify_script(script: PreparationScript) -> tuple[bool, float]:
     """Worst-case fidelity of all nonzero branches against the target."""
     worst = 1.0
     for branch in run_script(script):
@@ -254,7 +250,7 @@ def verify_script(script: PreparationScript, tol: float = DEFAULT_TOL) -> tuple[
             continue
         fid = abs(np.vdot(script.expected_final.amplitudes, branch.state.amplitudes))
         worst = min(worst, float(fid))
-    return worst >= 1.0 - tol, worst
+    return worst >= 1.0 - VERIFY_TOL, worst
 
 
 def script_to_json(script: PreparationScript) -> str:

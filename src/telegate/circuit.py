@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gates
 from .errors import CircuitFormatError, InvalidCircuitError
+from .limits import ZERO
 
 ROLE_TAGS = ("A", "B", "D", "E", "U", "ancilla-prep")
 INPUT_TAGS = ("input", "zero", "inject")
@@ -37,9 +38,9 @@ for _amps in STATE_LABELS.values():
 def _as_state(amplitudes) -> np.ndarray:
     arr = np.asarray(amplitudes, dtype=complex).ravel()
     norm = np.linalg.norm(arr)
-    if norm < 1e-12:
+    if norm < ZERO:
         raise InvalidCircuitError(["injected state has zero norm"])
-    if abs(norm - 1.0) > 1e-12:  # keep already-normalized vectors bit-stable
+    if abs(norm - 1.0) > ZERO:  # keep already-normalized vectors bit-stable
         arr = arr / norm
     arr = arr.copy()
     arr.flags.writeable = False

@@ -3,8 +3,9 @@
 Exit codes: 0 when every requested verification passed, 1 when a
 verification or synthesis failed, 2 for usage or input-format errors.
 Verification always runs before any file is emitted; there is no way to
-force out an unverified artifact.  TELEGATE_TOL overrides the default
-tolerance.
+force out an unverified artifact.  TELEGATE_TOL, when set, replaces the
+--tol default of every subcommand; a tolerance outside (0, 1) is a usage
+error.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from . import ancilla as ancilla_mod
 from . import circuit as circuit_mod
 from . import gates, hierarchy, recursive, remote, teleport
 from .errors import SynthesisRefusal, TelegateError
+from .limits import FLOOR, TOL, VERIFY_TOL
 from .pauli import format_literal, pauli_from_matrix
 from .simulator import (StateVector, extract_register_state, random_state,
                         run_all_branches, sample_branches, verify_gate_equivalence)
@@ -29,12 +31,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("TELEGATE_TOL")
-    try:
-        return float(raw) if raw else 1e-9
-    except ValueError:
-        raise TelegateError(f"TELEGATE_TOL={raw!r} is not a number") from None
+def tolerance(text: str) -> float:
+    """The argparse type of every --tol and of TELEGATE_TOL: a number in (0, 1)."""
+    if not 0 < float(text) < 1:
+        raise ValueError(f"tolerance {text!r} is not in (0, 1)")
+    return float(text)
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
@@ -156,7 +157,7 @@ def cmd_ancilla(args) -> int:
     print(f"target: {_fmt_amplitudes(spec.target)}")
     for i, pair in enumerate(spec.pairs):
         line = f"  M_{i + 1}: level {pair.m_level}   Q_{i + 1}: level {pair.q_level}"
-        hit = pauli_from_matrix(pair.q, tol=1e-8)
+        hit = pauli_from_matrix(pair.q, tol=FLOOR)
         if hit is not None:
             line += f" ({format_literal(hit[1])})"
         print(line)
@@ -236,7 +237,7 @@ def cmd_remote(args) -> int:
         "remote-cnot-4step": lambda: remote.build_remote_cnot("four_step"),
     }
     protocol = builders[args.protocol]()
-    trace = remote.run_protocol(protocol)
+    trace = remote.run_protocol(protocol, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     k = len(protocol.in_map)
     worst = 1.0
@@ -248,7 +249,7 @@ def cmd_remote(args) -> int:
                 continue
             got = extract_register_state(br, protocol.out_map)
             worst = min(worst, float(abs(np.vdot(want, got.amplitudes))))
-    ok = trace.report.passed and worst >= 1.0 - args.tol * 10
+    ok = trace.report.passed and worst >= 1.0 - args.tol
     print(f"{protocol.name}: {trace.ebits} ebit(s), {trace.cbits_total} cbit(s)"
           f" (alice->bob {trace.cbits_alice_to_bob},"
           f" bob->alice {trace.cbits_bob_to_alice})")
@@ -260,7 +261,12 @@ def cmd_remote(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol = _default_tol()
+    # TELEGATE_TOL replaces both defaults: recognition (TOL) and verification.
+    raw = os.environ.get("TELEGATE_TOL")
+    try:
+        tol, verify_tol = (tolerance(raw),) * 2 if raw else (TOL, VERIFY_TOL)
+    except ValueError:
+        raise TelegateError(f"TELEGATE_TOL={raw!r} is not a number in (0, 1)") from None
     parser = argparse.ArgumentParser(
         prog="telegate",
         description="gate synthesis and verification by one-bit teleportation")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hierarchy", help="classify a gate's hierarchy level")
     p.add_argument("gate")
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=tolerance, default=tol)
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("synth", help="rewrite a gate into teleported form")
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hint", type=int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--diagram", action="store_true")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=tolerance, default=tol)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="check a circuit file against a gate")
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=0, metavar="SHOTS",
                    help="also print sampled outcome counts (demo only)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=verify_tol)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ancilla", help="derive stabilizers and preparation scripts")
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based stabilizer index for the shortcut route")
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=tolerance, default=tol)
     p.set_defaults(func=cmd_ancilla)
 
     p = sub.add_parser("recursive", help="recursively expand a diagonal gate")
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--diagram", action="store_true")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=tolerance, default=verify_tol)
     p.set_defaults(func=cmd_recursive)
 
     p = sub.add_parser("remote", help="run a two-party protocol demo")
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=verify_tol)
     p.set_defaults(func=cmd_remote)
     return parser
 

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import gates, pauli
 from .errors import ClassificationError, DimensionMismatch, ValidationError
+from .limits import FLOOR, TOL, width_of
 from .pauli import PauliOperator
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,23 @@ def identity_tableau(n: int) -> CliffordTableau:
     return CliffordTableau(n, xs, zs, matrix=np.eye(2**n, dtype=complex), name="I" * n)
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
-def clifford_from_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> CliffordTableau | None:
+def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordTableau | None:
     """Assemble a tableau iff every conjugated generator is a strict Pauli.
 
     Returns None when some image U·P·U† is not i^k times a Pauli, i.e. when
     m is outside the Clifford group.  Raises for non-unitary input.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, tol=max(tol, 1e-8)):
+    if not is_unitary(m, tol=max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
-    dim = m.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValidationError(f"dimension {dim} is not a power of two")
+    n = width_of(m.shape[0])
     m_dag = m.conj().T
 
     def image(p: PauliOperator) -> PauliOperator | None:

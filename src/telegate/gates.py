@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClassificationError
+from .errors import ClassificationError, DimensionMismatch
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -46,17 +46,30 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
+                     n: int) -> np.ndarray:
+    """Apply a k-qubit gate on the listed targets to every column of an
+    n-qubit (2**n, m) block, identity elsewhere."""
+    k = len(targets)
+    if matrix.shape != (2**k, 2**k):
+        raise DimensionMismatch("gate matrix does not match target count")
+    if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
+        raise DimensionMismatch(f"bad targets {targets} for width {n}")
+    m = cols.shape[1]
+    tensor = cols.reshape([2] * n + [m])
+    moved = np.moveaxis(tensor, targets, range(k))
+    rest_shape = moved.shape[k:]
+    flat = moved.reshape(2**k, -1)
+    flat = matrix @ flat
+    moved = flat.reshape([2] * k + list(rest_shape))
+    tensor = np.moveaxis(moved, range(k), targets)
+    return tensor.reshape(2**n, m)
+
+
 def embed(matrix: np.ndarray, targets, n: int) -> np.ndarray:
     """Extend a k-qubit gate to n qubits, acting on the listed targets."""
-    targets = tuple(targets)
-    k = len(targets)
-    dim = 2**n
-    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    moved = np.moveaxis(tensor, targets, range(k))
-    rest = moved.shape[k:]
-    flat = np.asarray(matrix, dtype=complex) @ moved.reshape(2**k, -1)
-    moved = flat.reshape([2] * k + list(rest))
-    return np.moveaxis(moved, range(k), targets).reshape(dim, dim)
+    return apply_to_columns(np.eye(2**n, dtype=complex), np.asarray(matrix, dtype=complex),
+                            tuple(targets), n)
 
 
 CNOT = controlled(X)

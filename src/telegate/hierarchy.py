@@ -3,8 +3,9 @@
 Level 1 is the Pauli group (recognized projectively: any unit-modulus
 scalar is ignored), level 2 the Clifford group, and level k membership is
 tested recursively by conjugating the 2n Pauli generators and classifying
-every image at level k-1.  Recognition tolerances loosen one decade below
-the top level because conjugation compounds rounding.
+every image at level k-1.  Every level is recognized at the caller's one
+tolerance: a looser tolerance deep in the recursion would let a near-miss
+that fails at its own level pass one level up.
 
 Classification is projective throughout: multiplying the input by a global
 phase never changes the verdict.
@@ -16,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, pauli
-from .errors import ValidationError, WidthOverflow
-from .pauli import MAX_QUBITS
+from .errors import ValidationError
+from .limits import FLOOR, TOL, width_of
 
 DEFAULT_K_MAX = 6
-DEFAULT_TOL = 1e-9
-DEEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,39 +55,25 @@ class HierarchyVerdict:
 def _fingerprint(m: np.ndarray) -> bytes:
     """Canonical phase-fixed, rounded encoding of a matrix.
 
-    The phase anchor is the first entry within 1e-9 of the peak magnitude,
+    The phase anchor is the first entry within TOL of the peak magnitude,
     so rounding noise cannot flip which entry gets picked."""
     flat = m.ravel()
     peak = float(np.max(np.abs(flat)))
-    idx = int(np.argmax(np.abs(flat) > peak - 1e-9))
+    idx = int(np.argmax(np.abs(flat) > peak - TOL))
     anchor = flat[idx]
     canon = m * (abs(anchor) / anchor)
     rounded = np.round(canon, 6) + 0.0  # normalize -0.0
     return rounded.tobytes()
 
 
-def is_diagonal_matrix(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_diagonal_matrix(m: np.ndarray, tol: float = TOL) -> bool:
     off = m - np.diag(np.diag(m))
     return bool(np.max(np.abs(off)) <= tol)
 
 
-def _check_input(u: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    u = np.asarray(u, dtype=complex)
-    if not clifford.is_unitary(u, tol=max(tol * 10, 1e-8)):
-        raise ValidationError("input matrix is not unitary within tolerance")
-    dim = u.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValidationError(f"dimension {dim} is not a power of two")
-    if n > MAX_QUBITS:
-        raise WidthOverflow(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    return u, n
-
-
-def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: dict) -> bool:
-    """Is u in level k?  depth tracks recursion for the tolerance schedule;
-    memo maps (fingerprint, k) to membership within one classification."""
-    tol = tol_top if depth <= 1 else DEEP_TOL
+def _member(u: np.ndarray, k: int, tol: float, memo: dict) -> bool:
+    """Is u in level k?  memo maps (fingerprint, k) to membership within one
+    classification."""
     if k <= 1:
         return pauli.pauli_from_matrix(u, tol=tol) is not None
     key = (_fingerprint(u), k)
@@ -105,7 +90,7 @@ def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: dict) -> bo
         for letter in ("X", "Z"):
             gen = pauli.pauli_to_matrix(pauli.single(n, qubit, letter))
             image = u @ gen @ u_dag
-            if not _member(image, k - 1, tol_top, depth + 1, memo):
+            if not _member(image, k - 1, tol, memo):
                 result = False
                 break
         if not result:
@@ -114,17 +99,20 @@ def _member(u: np.ndarray, k: int, tol_top: float, depth: int, memo: dict) -> bo
 
 
 def hierarchy_level(
-    u: np.ndarray, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_TOL
+    u: np.ndarray, k_max: int = DEFAULT_K_MAX, tol: float = TOL
 ) -> HierarchyVerdict:
     """Smallest k <= k_max containing u, searched from k = 1 upward."""
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    u, _ = _check_input(u, tol)
+    u = np.asarray(u, dtype=complex)
+    if not clifford.is_unitary(u, tol=max(tol, FLOOR)):
+        raise ValidationError("input matrix is not unitary within tolerance")
+    width_of(u.shape[0])
     diagonal = is_diagonal_matrix(u, tol=tol)
     memo: dict = {}
     refuted_below = False
     for k in range(1, k_max + 1):
-        if _member(u, k, tol, 1, memo):
+        if _member(u, k, tol, memo):
             return HierarchyVerdict(level=k, k_max=k_max, diagonal=diagonal,
                                     strict=refuted_below or k == 1)
         refuted_below = True

@@ -1,0 +1,33 @@
+"""The numeric policy: every tolerance and size limit of the package, once.
+
+ZERO              a norm or branch probability below this counts as zero.
+VERIFY_TOL        the fidelity margin every branch verification must clear.
+TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
+                  and commuting-plan checks.
+FLOOR             recognition and unitarity input checks are never tighter.
+MAX_QUBITS        the widest register the dense engine simulates.
+MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
+"""
+from .errors import ValidationError, WidthOverflow
+
+ZERO = 1e-12
+VERIFY_TOL = 1e-10
+TOL = 1e-9
+FLOOR = 1e-8
+MAX_QUBITS = 12
+MAX_MEASUREMENTS = 20
+
+
+def check_width(n: int) -> int:
+    """Return n, or raise WidthOverflow when it exceeds MAX_QUBITS."""
+    if n > MAX_QUBITS:
+        raise WidthOverflow(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    return n
+
+
+def width_of(dim: int) -> int:
+    """Qubit count of a 2**n dimension, within MAX_QUBITS."""
+    n = int(dim).bit_length() - 1
+    if 2**n != dim:
+        raise ValidationError(f"dimension {dim} is not a power of two")
+    return check_width(n)

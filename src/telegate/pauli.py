@@ -17,10 +17,8 @@ from functools import reduce
 import numpy as np
 
 from . import gates
-from .errors import DimensionMismatch, ValidationError, WidthOverflow
-
-MAX_QUBITS = 12
-DEFAULT_TOL = 1e-9
+from .errors import DimensionMismatch, ValidationError
+from .limits import TOL, check_width, width_of
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -104,8 +102,7 @@ def projectively_equal(p: PauliOperator, q: PauliOperator) -> bool:
 
 def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
     """Exact dense matrix, qubit 0 as the leftmost tensor factor."""
-    if p.n > MAX_QUBITS:
-        raise WidthOverflow(f"{p.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    check_width(p.n)
     factors = []
     for x, z in zip(p.x_bits, p.z_bits):
         f = np.eye(2, dtype=complex)
@@ -119,7 +116,7 @@ def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
 
 
 def pauli_from_matrix(
-    m: np.ndarray, tol: float = DEFAULT_TOL
+    m: np.ndarray, tol: float = TOL
 ) -> tuple[complex, PauliOperator, bool] | None:
     """Recognize m = c·P for a unit-modulus scalar c and phase-free Pauli P.
 
@@ -130,10 +127,7 @@ def pauli_from_matrix(
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    dim = m.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValidationError(f"dimension {dim} is not a power of two")
+    n = width_of(m.shape[0])
 
     # Column 0 of a scaled Pauli has its single nonzero at the row index given
     # by the X bit-vector; signs on the weight-one columns give the Z bits.

@@ -30,8 +30,8 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .simulator import (MAX_QUBITS, StateVector, apply_matrix, extract_register_state,
-                        run_all_branches)
+from .limits import FLOOR, TOL, VERIFY_TOL, check_width
+from .simulator import StateVector, apply_matrix, extract_register_state, run_all_branches
 from .teleport import classify_correction, verify_or_refuse
 
 MAX_LEVEL = 5
@@ -171,6 +171,20 @@ def _level_of(m: np.ndarray, what: str) -> int:
     return verdict.level
 
 
+def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
+    """The spec's matrix, width and level, refused outside the recursion's
+    width and depth limits."""
+    m = np.asarray(spec.matrix, dtype=complex)
+    if not hierarchy.is_diagonal_matrix(m):
+        raise ValidationError(f"{spec.label} is not diagonal")
+    if spec.n > MAX_WIDTH:
+        raise WidthOverflow(f"{what} is limited to {MAX_WIDTH} qubits")
+    level = _level_of(m, spec.label)
+    if level > MAX_LEVEL:
+        raise WidthOverflow(f"level {level} exceeds the depth limit {MAX_LEVEL}")
+    return m, spec.n, level
+
+
 def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
     """Gadget applying a diagonal in place: magic D|+..+>, CNOT coupling,
     magic measurement, per-pattern diagonal repairs one level down."""
@@ -188,7 +202,7 @@ def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
     for pattern in range(1, 2**n):
         x_c = _x_matrix(n, pattern)
         w = diag_gate @ x_c @ d_dag @ x_c
-        if np.max(np.abs(w - np.eye(2**n))) <= 1e-11:
+        if np.max(np.abs(w - np.eye(2**n))) <= TOL:
             continue
         vals = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
         w_level = _level_of(w, "pattern repair")
@@ -220,9 +234,9 @@ def _build_teleport_root(gate_matrix: np.ndarray, level: int) -> RecursiveNode:
         x_i = _x_matrix(n, 1 << (n - 1 - i))
         c_i = gate_matrix @ x_i @ g_dag
         residue = c_i @ x_i
-        if not hierarchy.is_diagonal_matrix(residue, tol=1e-8):
+        if not hierarchy.is_diagonal_matrix(residue, tol=FLOOR):
             raise SynthesisRefusal(f"repair residue on qubit {i} is not diagonal")
-        r_level = 1 if np.max(np.abs(residue - np.eye(2**n))) <= 1e-11 \
+        r_level = 1 if np.max(np.abs(residue - np.eye(2**n))) <= TOL \
             else _level_of(residue, f"residue on qubit {i}")
         if r_level <= 2:
             corr = classify_correction(c_i, max(level, 3), i)
@@ -276,20 +290,11 @@ def _flatten(root: RecursiveNode) -> Circuit:
 
 
 def synth_recursive(spec: GateSpec, flatten: bool = True,
-                    tol: float = 1e-9) -> RecursiveCircuit:
+                    tol: float = VERIFY_TOL) -> RecursiveCircuit:
     """Expand a diagonal gate into nested teleportations bottoming out in
     directly-applied Clifford repairs; the flattened form is verified
     against the gate on every branch before returning."""
-    m = np.asarray(spec.matrix, dtype=complex)
-    if not hierarchy.is_diagonal_matrix(m, tol=1e-9):
-        raise ValidationError(f"{spec.label} is not diagonal")
-    n = spec.n
-    if n > MAX_WIDTH:
-        raise WidthOverflow(f"recursive synthesis is limited to {MAX_WIDTH} qubits")
-    level = _level_of(m, spec.label)
-    if level > MAX_LEVEL:
-        raise WidthOverflow(f"level {level} exceeds the depth limit {MAX_LEVEL}")
-
+    m, n, level = _checked_spec(spec, "recursive synthesis")
     if level <= 2:
         b = CircuitBuilder(n, 0, ["input"] * n)
         b.gate(m, list(range(n)), role="U")
@@ -463,7 +468,7 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
         u_c = complex(payload[pattern, pattern])
         x_c = _x_matrix(n, pattern) if pattern else np.eye(2**n, dtype=complex)
         w = u_c * (payload @ x_c @ p_dag @ x_c)
-        if np.max(np.abs(w - np.eye(2**n))) <= 1e-11:
+        if np.max(np.abs(w - np.eye(2**n))) <= TOL:
             continue
         vals = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
         sub_bits = cond_bits + tuple(cbits)
@@ -483,15 +488,7 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
 def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
     """Prepare U|+...+> from |0...0> by measuring each stabilizer
     U_x·X_i through a control qubit, with Z_i repairs on -1 outcomes."""
-    u = np.asarray(spec.matrix, dtype=complex)
-    if not hierarchy.is_diagonal_matrix(u, tol=1e-9):
-        raise ValidationError(f"{spec.label} is not diagonal")
-    n = spec.n
-    if n > MAX_WIDTH:
-        raise WidthOverflow(f"preparation is limited to {MAX_WIDTH} qubits")
-    level = _level_of(u, spec.label)
-    if level > MAX_LEVEL:
-        raise WidthOverflow(f"level {level} exceeds the depth limit {MAX_LEVEL}")
+    u, n, _ = _checked_spec(spec, "preparation")
 
     target = StateVector(n, u @ _plus_state(n))
     buf = CircuitBuilder(n, 0, ["zero"] * n)
@@ -513,14 +510,13 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
         buf.cgate([mbit], [1], "Z", [register[i]], role="D")
         steps.append(PreparationStep(m_i, pauli.pauli_to_matrix(
             pauli.single(n, i, "Z")), u_x, u_x_level, realization))
-    if buf.n_qubits > MAX_QUBITS:
-        raise WidthOverflow(f"{buf.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    check_width(buf.n_qubits)
     circuit = buf.build()
     return RecursivePreparation(u, target, tuple(steps), circuit, tuple(register))
 
 
 def verify_preparation(prep: RecursivePreparation,
-                       tol: float = 1e-9) -> tuple[bool, float]:
+                       tol: float = VERIFY_TOL) -> tuple[bool, float]:
     """Run every branch and score register fidelity against the target."""
     worst = 1.0
     for br in run_all_branches(prep.circuit, None):

@@ -22,6 +22,7 @@ from . import gates
 from .circuit import (CGateOp, Circuit, CircuitBuilder, GateOp, InjectOp,
                       MeasureOp, STATE_LABELS)
 from .errors import ValidationError
+from .limits import VERIFY_TOL
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence)
 
@@ -271,7 +272,7 @@ def build_remote_cnot(variant: str) -> Protocol:
 
 
 def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
-                 tol: float = 1e-10) -> ProtocolTrace:
+                 tol: float = VERIFY_TOL) -> ProtocolTrace:
     """Audit locality, verify every branch against the target operation,
     and produce the per-step trace with resource totals."""
     audit = locality_audit(protocol.circuit, protocol.layout)

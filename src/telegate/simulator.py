@@ -22,9 +22,9 @@ from .circuit import (CGateOp, Circuit, GateOp, InjectOp, MeasureOp, _validate,
                       state_doc)
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
-
-MAX_QUBITS = 12
-DEAD_BRANCH_THRESHOLD = 1e-12
+from .gates import apply_to_columns, matrix_of
+# MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
+from .limits import MAX_MEASUREMENTS, MAX_QUBITS, TOL, VERIFY_TOL, ZERO, check_width
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n > MAX_QUBITS:
-            raise WidthOverflow(f"{self.n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+        check_width(self.n)
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amps.shape != (2**self.n,):
             raise DimensionMismatch("amplitude count must be 2**n")
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if norm < ZERO:
             raise ValidationError("state has zero norm")
         amps = amps / norm
         amps.flags.writeable = False
@@ -106,8 +105,8 @@ class EquivalenceReport:
 def apply_matrix(state: StateVector, matrix: np.ndarray, targets) -> StateVector:
     """Exact linear action on the target qubits, identity elsewhere."""
     cols = state.amplitudes.reshape(-1, 1)
-    out = _apply_to_columns(cols, np.asarray(matrix, dtype=complex),
-                            tuple(targets), state.n)
+    out = apply_to_columns(cols, np.asarray(matrix, dtype=complex),
+                           tuple(targets), state.n)
     return StateVector(state.n, out.ravel())
 
 
@@ -116,27 +115,8 @@ def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
     if isinstance(gate, GateOp):
         return apply_matrix(state, gate.resolved_matrix(), gate.targets)
     if isinstance(gate, str):
-        from . import gates
-        return apply_matrix(state, gates.matrix_of(gate), targets)
+        return apply_matrix(state, matrix_of(gate), targets)
     return apply_matrix(state, gate, targets)
-
-
-def _apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
-                      n: int) -> np.ndarray:
-    k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise DimensionMismatch("gate matrix does not match target count")
-    if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
-        raise DimensionMismatch(f"bad targets {targets} for width {n}")
-    m = cols.shape[1]
-    tensor = cols.reshape([2] * n + [m])
-    moved = np.moveaxis(tensor, targets, range(k))
-    rest_shape = moved.shape[k:]
-    flat = moved.reshape(2**k, -1)
-    flat = matrix @ flat
-    moved = flat.reshape([2] * k + list(rest_shape))
-    tensor = np.moveaxis(moved, range(k), targets)
-    return tensor.reshape(2**n, m)
 
 
 def _project_columns(cols: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
@@ -156,11 +136,11 @@ def _inject_columns(cols: np.ndarray, targets: tuple[int, ...], amplitudes: np.n
     moved = np.moveaxis(tensor, targets, range(k)).reshape(2**k, -1)
     mass = np.sum(np.abs(moved) ** 2, axis=1)
     total = float(np.sum(mass))
-    if total < DEAD_BRANCH_THRESHOLD:
+    if total < ZERO:
         live = np.zeros_like(moved)
     else:
         s_star = int(np.argmax(mass))
-        if total - mass[s_star] > 1e-9 * max(total, 1.0):
+        if total - mass[s_star] > TOL * max(total, 1.0):
             raise ValidationError(
                 "inject targets are not in a definite basis state at this point")
         live = np.outer(amplitudes, moved[s_star])
@@ -187,10 +167,10 @@ def _enumerate(c: Circuit, cols: np.ndarray) -> list[_RawBranch]:
         for k in range(op_index, len(c.ops)):
             op = c.ops[k]
             if isinstance(op, GateOp):
-                cols = _apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+                cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
             elif isinstance(op, CGateOp):
                 if all(cbits.get(b) == v for b, v in zip(op.cond_cbits, op.cond_values)):
-                    cols = _apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+                    cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
             elif isinstance(op, InjectOp):
                 cols = _inject_columns(cols, op.targets, op.amplitudes, n)
             elif isinstance(op, MeasureOp):
@@ -202,7 +182,7 @@ def _enumerate(c: Circuit, cols: np.ndarray) -> list[_RawBranch]:
                     new_cbits[op.cbit] = outcome
                     new_measured = dict(measured)
                     new_measured[op.qubit] = outcome
-                    if total < DEAD_BRANCH_THRESHOLD:
+                    if total < ZERO:
                         out.append(_RawBranch(new_bits, new_cbits, new_measured, None))
                     else:
                         walk(k + 1, child, new_bits, new_cbits, new_measured)
@@ -225,12 +205,16 @@ def register_offsets(n: int, register) -> np.ndarray:
 
 def _engine_statuses(c: Circuit) -> list[str]:
     """The branch engine's entry guard: the circuit must be valid and fit
-    the width limit.  Returns each qubit's status after the last op."""
+    the width and measurement limits.  Returns each qubit's status after
+    the last op."""
     violations, statuses = _validate(c)
     if violations:
         raise InvalidCircuitError(violations)
-    if c.n_qubits > MAX_QUBITS:
-        raise WidthOverflow(f"{c.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    check_width(c.n_qubits)
+    measurements = sum(isinstance(op, MeasureOp) for op in c.ops)
+    if measurements > MAX_MEASUREMENTS:
+        raise WidthOverflow(f"{measurements} measurements (2^{measurements} branches)"
+                            f" exceed the {MAX_MEASUREMENTS}-measurement limit")
     return statuses
 
 
@@ -286,17 +270,16 @@ def extract_register_state(branch: Branch, register) -> StateVector:
     return StateVector(len(register), amps)
 
 
-def equivalent_up_to_phase(a: StateVector, b: StateVector,
-                           tol: float = 1e-10) -> tuple[bool, float]:
-    """Fidelity |<a|b>| and whether it clears 1 - tol."""
+def equivalent_up_to_phase(a: StateVector, b: StateVector) -> tuple[bool, float]:
+    """Fidelity |<a|b>| and whether it clears 1 - VERIFY_TOL."""
     if a.n != b.n:
         raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
     fidelity = float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-    return fidelity >= 1.0 - tol, fidelity
+    return fidelity >= 1.0 - VERIFY_TOL, fidelity
 
 
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
-                            tol: float = 1e-10) -> EquivalenceReport:
+                            tol: float = VERIFY_TOL) -> EquivalenceReport:
     """Check that every nonzero branch implements u up to a unit scalar.
 
     The effective operator of each branch is assembled by evolving all
@@ -340,11 +323,8 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     sqrt_dim = np.sqrt(dim)
     for raw in _enumerate(c, cols):
         bits = "".join(str(b) for b in raw.bits)
-        if raw.cols is None:
-            weights[bits] = 0.0
-            continue
-        total_mass = float(np.sum(np.abs(raw.cols) ** 2))
-        if total_mass / dim < DEAD_BRANCH_THRESHOLD:
+        total_mass = 0.0 if raw.cols is None else float(np.sum(np.abs(raw.cols) ** 2))
+        if total_mass / dim < ZERO:
             weights[bits] = 0.0
             continue
         base = 0

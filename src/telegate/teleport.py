@@ -20,10 +20,9 @@ from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
 from .errors import SynthesisRefusal, ValidationError
+from .limits import FLOOR, TOL, VERIFY_TOL, width_of
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence, zero_state)
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,27 +106,20 @@ def verify_or_refuse(circuit: Circuit, u: np.ndarray, in_map, out_map,
     return report
 
 
-def _width_of(u: np.ndarray) -> int:
-    n = int(round(np.log2(u.shape[0])))
-    if 2**n != u.shape[0]:
-        raise ValidationError("matrix dimension is not a power of two")
-    return n
-
-
-def split_phase(m: np.ndarray, tol: float = 1e-8) -> tuple[complex, np.ndarray]:
+def split_phase(m: np.ndarray) -> tuple[complex, np.ndarray]:
     """Split m into (phase, canonical) with the first nonzero entry made
     real positive; phase * canonical reproduces m."""
     flat = m.ravel()
     for entry in flat:
-        if abs(entry) > tol:
+        if abs(entry) > FLOOR:
             phase = complex(entry / abs(entry))
             return phase, m / phase
     raise ValidationError("zero matrix has no phase convention")
 
 
-def peel_x_pattern(m: np.ndarray, tol: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray] | None:
+def peel_x_pattern(m: np.ndarray, tol: float = TOL) -> tuple[tuple[int, ...], np.ndarray] | None:
     """Factor m = D · X^x with D diagonal, if the support pattern allows it."""
-    n = _width_of(m)
+    n = width_of(m.shape[0])
     x_int = None
     for col in range(m.shape[1]):
         rows = np.nonzero(np.abs(m[:, col]) > tol)[0]
@@ -147,20 +139,20 @@ def peel_x_pattern(m: np.ndarray, tol: float = 1e-9) -> tuple[tuple[int, ...], n
 
 
 def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
-                        tol: float = DEFAULT_TOL) -> Correction:
+                        tol: float = TOL) -> Correction:
     """Certify a correction on the Pauli / Clifford / diagonal·X ladder."""
     phase, canonical = split_phase(m)
-    hit = pauli.pauli_from_matrix(m, tol=max(tol, 1e-8))
+    hit = pauli.pauli_from_matrix(m, tol=max(tol, FLOOR))
     if hit is not None:
         c, bare, _ = hit
         return Correction(qubit, m, "pauli", c, pauli.pauli_to_matrix(bare),
                           pauli_literal=pauli.format_literal(bare))
-    if clifford_mod.clifford_from_matrix(m, tol=max(tol, 1e-8)) is not None:
+    if clifford_mod.clifford_from_matrix(m, tol=max(tol, FLOOR)) is not None:
         return Correction(qubit, m, "clifford", phase, canonical)
-    peeled = peel_x_pattern(m, tol=max(tol, 1e-8))
+    peeled = peel_x_pattern(m, tol=max(tol, FLOOR))
     if peeled is not None:
         _, diag = peeled
-        if hierarchy.is_diagonal_matrix(diag, tol=1e-7):
+        if hierarchy.is_diagonal_matrix(diag, tol=max(tol, FLOOR)):
             verdict = hierarchy.hierarchy_level(diag, k_max=max(k_hint, 2))
             if verdict.level is not None and verdict.level <= k_hint - 1:
                 return Correction(qubit, m, "diagonal-pauli", phase, canonical,
@@ -237,9 +229,9 @@ def _e_layer(kinds: tuple[str, ...]) -> np.ndarray:
     return total
 
 
-def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = DEFAULT_TOL) -> bool:
+def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = TOL) -> bool:
     """Entrywise test that the extended gate commutes with the CNOT layer."""
-    n = _width_of(u)
+    n = width_of(u.shape[0])
     if len(kinds) != n:
         raise ValidationError("plan width mismatch")
     e = _e_layer(kinds)
@@ -247,12 +239,12 @@ def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = DEFAULT_TO
     return bool(np.max(np.abs(u_ext @ e - e @ u_ext)) < tol)
 
 
-def plan_teleportation(u: np.ndarray, tol: float = DEFAULT_TOL) -> TeleportPlan | None:
+def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
     """Search all X/Z assignments, preferring all-X then fewer Z qubits."""
     u = np.asarray(u, dtype=complex)
-    if not clifford_mod.is_unitary(u, tol=1e-8):
+    if not clifford_mod.is_unitary(u, tol=FLOOR):
         raise ValidationError("input matrix is not unitary within tolerance")
-    n = _width_of(u)
+    n = width_of(u.shape[0])
     if n > 4:
         raise ValidationError("plan search is exhaustive and limited to width 4")
     assignments = sorted(itertools.product("XZ", repeat=n),
@@ -278,14 +270,14 @@ def _ancilla_by_simulation(u: np.ndarray, a_ops: tuple[str, ...]) -> StateVector
 
 def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
                                k_hint: int = 3,
-                               tol: float = DEFAULT_TOL) -> SynthesisResult:
+                               tol: float = TOL) -> SynthesisResult:
     """Rewrite u into teleported form and verify every branch.
 
     The emitted circuit injects the derived ancilla, runs the CNOT layer
     and measurements, and repairs with the classified conjugated
     corrections (canonical phases dropped at emission)."""
     u = np.asarray(u, dtype=complex)
-    n = _width_of(u)
+    n = width_of(u.shape[0])
     if plan is None:
         plan = plan_teleportation(u, tol=tol)
         if plan is None:
@@ -293,7 +285,7 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
                 "no X/Z assignment commutes with the CNOT layer for this gate")
     if plan.n != n:
         raise SynthesisRefusal("plan width does not match the gate")
-    if not plan_commutes(u, plan.kinds, tol=max(tol, 1e-8)):
+    if not plan_commutes(u, plan.kinds, tol=max(tol, FLOOR)):
         raise SynthesisRefusal(
             f"plan {plan.describe()} does not commute with the CNOT layer")
     verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, 2))
@@ -305,7 +297,7 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
     ancilla_vec = u @ a_matrix @ zero_state(n).amplitudes
     ancilla = StateVector(n, ancilla_vec)
     by_sim = _ancilla_by_simulation(u, plan.a_ops)
-    if np.max(np.abs(ancilla.amplitudes - by_sim.amplitudes)) > 1e-10:
+    if np.max(np.abs(ancilla.amplitudes - by_sim.amplitudes)) > VERIFY_TOL:
         raise SynthesisRefusal("ancilla state disagrees between matrix action"
                                " and gate-by-gate simulation")
 
@@ -332,24 +324,24 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
         b.cgate([i], [1], corr.canonical, anc, role="D")
     circuit = b.build()
 
-    report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=1e-10)
+    report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=VERIFY_TOL)
     return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
 
 
 def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
                           g_b: CliffordTableau,
-                          tol: float = DEFAULT_TOL) -> SynthesisResult:
+                          tol: float = TOL) -> SynthesisResult:
     """Teleport u = G_b·V·G_a through the frame: G_a before the CNOT layer,
     the ancilla injected as V|+...+>, G_b ahead of the classified
     corrections G_b·V·X_i·V†·G_b†."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    n = _width_of(u)
+    n = width_of(u.shape[0])
     if g_a.matrix is None or g_b.matrix is None:
         raise ValidationError("frame tableaus must carry matrices")
-    if np.max(np.abs(u - g_b.matrix @ v @ g_a.matrix)) > max(tol, 1e-8):
+    if np.max(np.abs(u - g_b.matrix @ v @ g_a.matrix)) > max(tol, FLOOR):
         raise SynthesisRefusal("decomposition mismatch: u != G_b·V·G_a")
-    if not hierarchy.is_diagonal_matrix(v, tol=max(tol, 1e-8)):
+    if not hierarchy.is_diagonal_matrix(v, tol=max(tol, FLOOR)):
         raise SynthesisRefusal("the sandwiched factor V must be diagonal")
     plan = TeleportPlan(("X",) * n, generalized_g=g_a)
 
@@ -378,5 +370,5 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
         b.cgate([i], [1], corr.canonical, anc, role="D")
     circuit = b.build()
 
-    report = verify_or_refuse(circuit, u, data, anc, tol=1e-10)
+    report = verify_or_refuse(circuit, u, data, anc, tol=VERIFY_TOL)
     return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)

@@ -234,3 +234,55 @@ def test_verify_refuses_circuit_above_width_limit(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert main(["hierarchy"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def _near_t_circuit(tmp_path):
+    """A 1-qubit circuit for diag(1, e^{i(pi/4 + 1e-3)}): its fidelity
+    against T is cos(5e-4) = 0.999999875."""
+    from telegate.circuit import CircuitBuilder, serialize
+    b = CircuitBuilder(1, 0, ["input"])
+    b.gate(np.diag([1.0, np.exp(1j * (np.pi / 4 + 1e-3))]), [0], role="U")
+    path = tmp_path / "near_t.json"
+    path.write_text(serialize(b.build()))
+    return str(path)
+
+
+def test_verify_honours_tolerance_env(capsys, monkeypatch, tmp_path):
+    path = _near_t_circuit(tmp_path)
+    monkeypatch.delenv("TELEGATE_TOL", raising=False)
+    code, out, _ = run(capsys, "verify", path, "--against", "T")
+    assert code == 1 and "FAIL" in out
+    monkeypatch.setenv("TELEGATE_TOL", "1e-3")
+    code, out, _ = run(capsys, "verify", path, "--against", "T")
+    assert code == 0 and out.rstrip().endswith("PASS")
+
+
+def test_remote_passes_tolerance_to_run_protocol(capsys, monkeypatch):
+    from telegate import remote
+    seen = []
+    real = remote.run_protocol
+
+    def spy(protocol, *args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(protocol, *args, **kwargs)
+
+    monkeypatch.setattr(remote, "run_protocol", spy)
+    code, out, _ = run(capsys, "remote", "--protocol", "teleport2-xz",
+                       "--trials", "2", "--tol", "1e-3")
+    assert code == 0 and "all branches pass" in out
+    assert seen == [1e-3]
+
+
+@pytest.mark.parametrize("value,argv", [("-1", ["hierarchy", "T"]), ("0", ["synth", "T"])])
+def test_out_of_range_tolerance_env_is_usage_error(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("TELEGATE_TOL", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "TELEGATE_TOL" in err
+
+
+def test_nan_tolerance_flag_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", _near_t_circuit(tmp_path), "--against", "T",
+                         "--tol", "nan")
+    assert code == 2 and out == ""
+    assert "error: argument --tol" in err

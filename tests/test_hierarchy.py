@@ -178,3 +178,25 @@ def test_diagonal_correction_structure():
 def test_non_unitary_rejected():
     with pytest.raises(ValidationError):
         hierarchy_level(np.array([[1, 0], [0, 2]], dtype=complex))
+
+
+# --- near misses --------------------------------------------------------------
+# Each gate at its known level, with its last diagonal entry nudged by
+# e^{i eps}.  The classifier may certify the gate's own level or give up, but
+# it must never certify a higher one: every depth of the recursion uses the
+# same tolerance, so a perturbation that fails at level L cannot pass at L+1.
+
+NEAR_MISS_GATES = {
+    "Z": (gates.Z, 1), "S": (gates.S, 2), "CZ": (gates.CZ, 2), "T": (gates.T, 3),
+    "CS": (gates.CS, 3), "V4": (np.diag([1.0, np.exp(1j * np.pi / 8)]), 4),
+    "CCS": (gates.controlled(gates.S, n_controls=2), 4),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-10, 5e-10, 1e-9, 1.5e-9, 2e-9, 5e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("name", NEAR_MISS_GATES)
+def test_near_miss_never_classifies_above_its_level(name, eps):
+    matrix, level = NEAR_MISS_GATES[name]
+    u = np.array(matrix, dtype=complex)
+    u[-1, -1] *= np.exp(1j * eps)
+    assert hierarchy_level(u, k_max=6).level in (level, None)

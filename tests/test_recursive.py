@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from telegate import gates
-from telegate.errors import ValidationError
+from telegate.errors import ValidationError, WidthOverflow
 from telegate.hierarchy import hierarchy_level
 from telegate.recursive import (controlled_rotation_spec, execute_tree,
                                 matrix_spec, product_spec,
@@ -284,3 +284,10 @@ def test_preparation_branch_probabilities_sum(rng):
     prep = recursive_ancilla_prep(rotation_spec(4))
     total = sum(b.probability for b in run_all_branches(prep.circuit, None))
     assert abs(total - 1.0) < 1e-10
+
+
+def test_recursion_too_large_to_enumerate_is_refused():
+    """CCV at level 5 flattens to 75 measurements: refused with the count
+    instead of starting a 2^75-branch walk."""
+    with pytest.raises(WidthOverflow, match="75 measurements"):
+        synth_recursive(controlled_rotation_spec(2, 5))

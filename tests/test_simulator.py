@@ -247,3 +247,53 @@ def test_register_offsets_match_bit_loop():
 def test_kron_states():
     s = kron_states(basis_state(1, 1), zero_state(1))
     assert np.allclose(s.amplitudes, [0, 0, 1, 0])
+
+
+def test_engine_refuses_more_measurements_than_the_limit():
+    """2^m branches: a circuit over the limit is refused up front by both
+    engine entry points, with the count; one at the limit runs."""
+    from telegate.limits import MAX_MEASUREMENTS
+
+    def remeasured(count):
+        # qubit 1 is measured, re-prepared as |0> and measured again
+        b = CircuitBuilder(2, count, ["input", "zero"])
+        b.measure(1, 0)
+        for cbit in range(1, count):
+            b.inject([1.0, 0.0], [1])
+            b.measure(1, cbit)
+        return b.build()
+
+    over = remeasured(MAX_MEASUREMENTS + 1)
+    message = f"{MAX_MEASUREMENTS + 1} measurements"
+    with pytest.raises(WidthOverflow, match=message):
+        run_all_branches(over, zero_state(1))
+    with pytest.raises(WidthOverflow, match=message):
+        verify_gate_equivalence(over, np.eye(2, dtype=complex), [0], [0])
+    assert verify_gate_equivalence(remeasured(MAX_MEASUREMENTS),
+                                   np.eye(2, dtype=complex), [0], [0]).passed
+
+
+def _embed_by_former_body(matrix, targets, n):
+    # gates.embed before it shared the simulator's apply kernel
+    targets = tuple(targets)
+    k = len(targets)
+    dim = 2**n
+    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    moved = np.moveaxis(tensor, targets, range(k))
+    rest = moved.shape[k:]
+    flat = np.asarray(matrix, dtype=complex) @ moved.reshape(2**k, -1)
+    moved = flat.reshape([2] * k + list(rest))
+    return np.moveaxis(moved, range(k), targets).reshape(dim, dim)
+
+
+def test_embed_on_shared_kernel_matches_former_body():
+    import itertools
+    from telegate import simulator
+    assert simulator.apply_to_columns is gates.apply_to_columns
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        for k in range(1, min(n, 3) + 1):
+            m = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+            for targets in itertools.permutations(range(n), k):
+                assert np.array_equal(gates.embed(m, targets, n),
+                                      _embed_by_former_body(m, targets, n)), (n, targets)
