@@ -242,10 +242,12 @@ def run_script(script: PreparationScript) -> list[Branch]:
     return results
 
 
-def verify_script(script: PreparationScript) -> tuple[bool, float]:
-    """Worst-case fidelity of all nonzero branches against the target."""
+def verify_script(script: PreparationScript,
+                  branches: list[Branch] | None = None) -> tuple[bool, float]:
+    """Worst-case fidelity of all nonzero branches against the target;
+    branches are run_script(script)'s, run here unless given."""
     worst = 1.0
-    for branch in run_script(script):
+    for branch in run_script(script) if branches is None else branches:
         if branch.state is None:
             continue
         fid = abs(np.vdot(script.expected_final.amplitudes, branch.state.amplitudes))

@@ -173,8 +173,9 @@ def cmd_ancilla(args) -> int:
         script = ancilla_mod.build_preparation(spec)
     code = EXIT_OK
     if args.simulate:
-        passed, worst = ancilla_mod.verify_script(script)
-        for br in ancilla_mod.run_script(script):
+        branches = ancilla_mod.run_script(script)
+        passed, worst = ancilla_mod.verify_script(script, branches)
+        for br in branches:
             if br.state is None:
                 print(f"branch {br.bitstring}: p=0 (dead)")
                 continue

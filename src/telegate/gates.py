@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClassificationError, DimensionMismatch
+from .limits import width_of
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -142,7 +143,7 @@ def matrix_of(name: str) -> np.ndarray:
 
 
 def arity_of(name: str) -> int:
-    return int(round(np.log2(matrix_of(name).shape[0])))
+    return width_of(matrix_of(name).shape[0])
 
 
 def is_clifford_name(name: str) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clifford, pauli
 from .errors import ValidationError
-from .limits import FLOOR, TOL, width_of
+from .limits import FLOOR, MAX_HIERARCHY_LEVEL, TOL, width_of
 
 DEFAULT_K_MAX = 6
 
@@ -29,7 +29,8 @@ class HierarchyVerdict:
 
     level is None when membership could not be certified for any k <= k_max
     (a normal result, not an error); strict records that membership one
-    level down was actually refuted.
+    level down was refuted, which the upward search from k = 1 does for
+    every found level.
     """
 
     level: int | None
@@ -83,7 +84,7 @@ def _member(u: np.ndarray, k: int, tol: float, memo: dict) -> bool:
     if k == 2:
         result = clifford.clifford_from_matrix(u, tol=tol) is not None
         return memo.setdefault(key, result)
-    n = int(round(np.log2(u.shape[0])))
+    n = width_of(u.shape[0])
     u_dag = u.conj().T
     result = True
     for qubit in range(n):
@@ -102,18 +103,16 @@ def hierarchy_level(
     u: np.ndarray, k_max: int = DEFAULT_K_MAX, tol: float = TOL
 ) -> HierarchyVerdict:
     """Smallest k <= k_max containing u, searched from k = 1 upward."""
-    if k_max < 1:
-        raise ValidationError("k_max must be at least 1")
+    if not 1 <= k_max <= MAX_HIERARCHY_LEVEL:
+        raise ValidationError(f"k_max must be between 1 and the level limit"
+                              f" {MAX_HIERARCHY_LEVEL}, got {k_max}")
     u = np.asarray(u, dtype=complex)
     if not clifford.is_unitary(u, tol=max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
     width_of(u.shape[0])
     diagonal = is_diagonal_matrix(u, tol=tol)
     memo: dict = {}
-    refuted_below = False
     for k in range(1, k_max + 1):
         if _member(u, k, tol, memo):
-            return HierarchyVerdict(level=k, k_max=k_max, diagonal=diagonal,
-                                    strict=refuted_below or k == 1)
-        refuted_below = True
+            return HierarchyVerdict(level=k, k_max=k_max, diagonal=diagonal, strict=True)
     return HierarchyVerdict(level=None, k_max=k_max, diagonal=diagonal, strict=False)

@@ -7,6 +7,8 @@ TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
 FLOOR             recognition and unitarity input checks are never tighter.
 MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
+MAX_HIERARCHY_LEVEL  the highest level a classification searches; each level
+                  conjugates once more and compounds the rounding error.
 """
 from .errors import ValidationError, WidthOverflow
 
@@ -16,6 +18,7 @@ TOL = 1e-9
 FLOOR = 1e-8
 MAX_QUBITS = 12
 MAX_MEASUREMENTS = 20
+MAX_HIERARCHY_LEVEL = 20
 
 
 def check_width(n: int) -> int:

@@ -30,9 +30,9 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import FLOOR, TOL, VERIFY_TOL, check_width
+from .limits import FLOOR, TOL, VERIFY_TOL, check_width, width_of
 from .simulator import StateVector, apply_matrix, extract_register_state, run_all_branches
-from .teleport import classify_correction, verify_or_refuse
+from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
 MAX_LEVEL = 5
 MAX_WIDTH = 3
@@ -54,7 +54,7 @@ class GateSpec:
 
     @property
     def n(self) -> int:
-        return int(round(np.log2(self.matrix.shape[0])))
+        return width_of(self.matrix.shape[0])
 
 
 def rotation_spec(level: int) -> GateSpec:
@@ -188,7 +188,7 @@ def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
 def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
     """Gadget applying a diagonal in place: magic D|+..+>, CNOT coupling,
     magic measurement, per-pattern diagonal repairs one level down."""
-    n = int(round(np.log2(diag_gate.shape[0])))
+    n = width_of(diag_gate.shape[0])
     magic = StateVector(n, diag_gate @ _plus_state(n))
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
     b.inject(magic.amplitudes, list(range(n, 2 * n)), role="ancilla-prep")
@@ -219,15 +219,12 @@ def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
 
 
 def _build_teleport_root(gate_matrix: np.ndarray, level: int) -> RecursiveNode:
-    n = int(round(np.log2(gate_matrix.shape[0])))
+    n = width_of(gate_matrix.shape[0])
     magic = StateVector(n, gate_matrix @ _plus_state(n))
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
     anc = list(range(n, 2 * n))
-    b.inject(magic.amplitudes, anc, role="ancilla-prep")
-    for i in range(n):
-        b.gate("CNOT", [n + i, i], role="E")
-    for i in range(n):
-        b.measure(i, i)
+    emit_teleport(b, TeleportPlan(("X",) * n), range(n), anc, range(n),
+                  ancilla=magic.amplitudes)
     repairs: list[Repair] = []
     g_dag = gate_matrix.conj().T
     for i in range(n):
@@ -264,17 +261,16 @@ def _flatten(root: RecursiveNode) -> Circuit:
              cond_bits: tuple[int, ...], cond_vals: tuple[int, ...]):
         cbits = b.alloc_cbits(n)
         if is_root:
-            b.inject(node.magic.amplitudes, anc, role="ancilla-prep")
-            for i in range(n):
-                b.gate("CNOT", [anc[i], data[i]], role="E")
+            emit_teleport(b, TeleportPlan(("X",) * n), data, anc, cbits,
+                          ancilla=node.magic.amplitudes)
         else:
             # Magic recycles the measured data qubits; the coupling fires
             # only when every ancestor condition bit is set.
             b.inject(node.magic.amplitudes, data, role="ancilla-prep")
             for j in range(n):
                 b.cgate(cond_bits, cond_vals, "CNOT", [anc[j], data[j]], role="E")
-        for j in range(n):
-            b.measure(data[j], cbits[j])
+            for j in range(n):
+                b.measure(data[j], cbits[j])
         for rep in node.repairs:
             g_bits = cond_bits + tuple(cbits[lb] for lb in rep.cond_cbits_local)
             g_vals = cond_vals + rep.cond_values

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .limits import VERIFY_TOL
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence)
+from .teleport import TeleportPlan, emit_teleport
 
 ALICE = "alice"
 BOB = "bob"
@@ -144,18 +145,14 @@ def build_two_bit_teleportation(variant: str,
 
     post = CircuitBuilder(3, 2, ["input", "inject", "inject"])
     pre = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+    # X- (or Z-) teleport q0 -> q1, then Z- (or X-) teleport q1 -> q2; the
+    # second coupling (the asterisked CNOT) spans the parties.
+    for i, kind in enumerate(variant):
+        plan = TeleportPlan((kind,))
+        emit_teleport(pre, plan, [i], [i + 1], [i])
+        pre.cgate([i], [1], plan.d_ops[0], [i + 1], role="D")
+    post.inject(EPR, [1, 2], label="epr", role="ancilla-prep")
     if variant == "XZ":
-        # X-teleport q0 -> q1, then Z-teleport q1 -> q2 (CNOT q1->q2 prohibited).
-        pre.gate("H", [1], role="A")
-        pre.gate("CNOT", [1, 0], role="E")
-        pre.measure(0, 0)
-        pre.cgate([0], [1], "X", [1], role="D")
-        pre.gate("CNOT", [1, 2], role="E")  # the asterisked CNOT
-        pre.gate("H", [1], role="B")
-        pre.measure(1, 1)
-        pre.cgate([1], [1], "Z", [2], role="D")
-
-        post.inject(EPR, [1, 2], label="epr", role="ancilla-prep")
         post.gate("CNOT", [1, 0], role="E")
         post.measure(0, 0)
         if retain_irrelevant:
@@ -165,17 +162,6 @@ def build_two_bit_teleportation(variant: str,
         post.measure(1, 1)
         post.cgate([1], [1], "Z", [2], role="D")
     else:
-        # Z-teleport q0 -> q1, then X-teleport q1 -> q2 (CNOT q2->q1 prohibited).
-        pre.gate("CNOT", [0, 1], role="E")
-        pre.gate("H", [0], role="B")
-        pre.measure(0, 0)
-        pre.cgate([0], [1], "Z", [1], role="D")
-        pre.gate("H", [2], role="A")
-        pre.gate("CNOT", [2, 1], role="E")  # the asterisked CNOT
-        pre.measure(1, 1)
-        pre.cgate([1], [1], "X", [2], role="D")
-
-        post.inject(EPR, [1, 2], label="epr", role="ancilla-prep")
         post.gate("CNOT", [0, 1], role="E")
         post.gate("H", [0], role="B")
         post.measure(0, 0)
@@ -202,12 +188,7 @@ def build_remote_cnot(variant: str) -> Protocol:
         pre_layout = PartyLayout(parties, ())
 
         pre = CircuitBuilder(4, 2, ["input", "zero", "zero", "input"])
-        pre.gate("H", [1], role="A")
-        pre.gate("CNOT", [1, 0], role="E")
-        pre.gate("CNOT", [3, 2], role="E")
-        pre.gate("H", [3], role="B")
-        pre.measure(0, 0)
-        pre.measure(3, 1)
+        emit_teleport(pre, TeleportPlan(("X", "Z")), [0, 3], [1, 2], [0, 1])
         pre.cgate([0], [1], "X", [1], role="D")
         pre.cgate([1], [1], "Z", [2], role="D")
         pre.gate("CNOT", [1, 2], role="U")  # the asterisked CNOT

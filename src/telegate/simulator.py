@@ -24,7 +24,8 @@ from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
-from .limits import MAX_MEASUREMENTS, MAX_QUBITS, TOL, VERIFY_TOL, ZERO, check_width
+from .limits import (MAX_MEASUREMENTS, MAX_QUBITS, TOL, VERIFY_TOL, ZERO, check_width,
+                     width_of)
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,7 @@ class StateVector:
 
 def state_from(amplitudes) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex).ravel()
-    n = int(round(np.log2(len(amps))))
-    if 2**n != len(amps):
-        raise DimensionMismatch("amplitude count must be a power of two")
-    return StateVector(n, amps)
+    return StateVector(width_of(len(amps)), amps)
 
 
 def basis_state(n: int, index: int) -> StateVector:

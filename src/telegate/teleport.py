@@ -1,12 +1,17 @@
 """One-bit teleportation primitives and gate rewriting.
 
 The X and Z primitives move a register through one CNOT, one Z-basis
-measurement, and one classically-controlled Pauli.  A gate U that commutes
-with the CNOT layer is rewritten into the same skeleton with the ancilla
-injected as U·A|0...0> and each classically-controlled Pauli replaced by
-its conjugate U·D_i·U†, whose class (Pauli / Clifford / diagonal-times-X)
-is certified before the circuit is emitted.  Every synthesis verifies all
-measurement branches against the target before returning.
+measurement, and one classically-controlled Pauli.  `emit_teleport` is the
+one emitter of that skeleton (receiver preparation, optional Clifford frame,
+CNOT coupling, basis change, measurement); the bare and generalized
+teleports, both syntheses below, the recursion root and the remote
+protocols' pre-rewrite circuits are built on it and add only their repairs.
+A gate U that commutes with the CNOT layer is rewritten into the same
+skeleton with the ancilla injected as U·A|0...0> and each
+classically-controlled Pauli replaced by its conjugate U·D_i·U†, whose class
+(Pauli / Clifford / diagonal-times-X) is certified before the circuit is
+emitted.  Every synthesis verifies all measurement branches against the
+target before returning.
 """
 from __future__ import annotations
 
@@ -162,6 +167,36 @@ def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
         f" diagonal-times-X within level {k_hint - 1}")
 
 
+def _coupling(kind: str, data: int, receiver: int) -> tuple[int, int]:
+    """(control, target) of one qubit's coupling CNOT: an X teleport controls
+    on the receiver, a Z teleport on the data."""
+    return (receiver, data) if kind == "X" else (data, receiver)
+
+
+def emit_teleport(b: CircuitBuilder, plan: TeleportPlan, data, receiver, cbits,
+                  ancilla=None) -> None:
+    """Append plan's teleport skeleton from data onto receiver: the A layer
+    on |0> (or the injected ancilla), plan.generalized_g on the data, the
+    CNOT coupling, the B layer, and data[i] measured into cbits[i].  The
+    repairs are the caller's."""
+    if ancilla is None:
+        for q, name in zip(receiver, plan.a_ops, strict=True):
+            if name != "I":
+                b.gate(name, [q], role="A")
+    else:
+        b.inject(ancilla, receiver, role="ancilla-prep")
+    g = plan.generalized_g
+    if g is not None:
+        b.gate(g.name if g.name in gates.GATE_NAMES else g.matrix, data, role="A")
+    for kind, d, r in zip(plan.kinds, data, receiver, strict=True):
+        b.gate("CNOT", _coupling(kind, d, r), role="E")
+    for q, name in zip(data, plan.b_ops, strict=True):
+        if name != "I":
+            b.gate(name, [q], role="B")
+    for q, c in zip(data, cbits, strict=True):
+        b.measure(q, c)
+
+
 def build_one_bit_teleport(kind: str, n: int = 1) -> Circuit:
     """The bare X- or Z-teleportation of an n-qubit register.
 
@@ -172,21 +207,11 @@ def build_one_bit_teleport(kind: str, n: int = 1) -> Circuit:
         raise ValidationError(f"teleport kind must be 'X' or 'Z', got {kind!r}")
     if n < 1:
         raise ValidationError("need at least one qubit")
+    plan = TeleportPlan((kind,) * n)
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
-    if kind == "X":
-        for i in range(n):
-            b.gate("H", [n + i], role="A")
-        for i in range(n):
-            b.gate("CNOT", [n + i, i], role="E")
-    else:
-        for i in range(n):
-            b.gate("CNOT", [i, n + i], role="E")
-        for i in range(n):
-            b.gate("H", [i], role="B")
-    for i in range(n):
-        b.measure(i, i)
-    for i in range(n):
-        b.cgate([i], [1], "X" if kind == "X" else "Z", [n + i], role="D")
+    emit_teleport(b, plan, range(n), range(n, 2 * n), range(n))
+    for i, d_name in enumerate(plan.d_ops):
+        b.cgate([i], [1], d_name, [n + i], role="D")
     return b.build()
 
 
@@ -198,18 +223,8 @@ def build_generalized_teleport(g: CliffordTableau) -> Circuit:
         raise ValidationError("tableau must carry its matrix for circuit emission")
     n = g.n
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
-    for i in range(n):
-        b.gate("H", [n + i], role="A")
-    data = list(range(n))
     anc = list(range(n, 2 * n))
-    if g.name is not None and g.name in gates.GATE_NAMES:
-        b.gate(g.name, data, role="A")
-    else:
-        b.gate(g.matrix, data, role="A")
-    for i in range(n):
-        b.gate("CNOT", [n + i, i], role="E")
-    for i in range(n):
-        b.measure(i, i)
+    emit_teleport(b, TeleportPlan(("X",) * n, generalized_g=g), range(n), anc, range(n))
     for i in range(n):
         b.cgate([i], [1], "X", [n + i], role="D")
     b.gate(g.matrix.conj().T, anc, role="B")
@@ -221,11 +236,7 @@ def _e_layer(kinds: tuple[str, ...]) -> np.ndarray:
     n = len(kinds)
     total = np.eye(2 ** (2 * n), dtype=complex)
     for i, kind in enumerate(kinds):
-        if kind == "X":
-            e_i = gates.embed(gates.CNOT, (n + i, i), 2 * n)
-        else:
-            e_i = gates.embed(gates.CNOT, (i, n + i), 2 * n)
-        total = e_i @ total
+        total = gates.embed(gates.CNOT, _coupling(kind, i, n + i), 2 * n) @ total
     return total
 
 
@@ -309,17 +320,7 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
 
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
     anc = list(range(n, 2 * n))
-    b.inject(ancilla.amplitudes, anc, role="ancilla-prep")
-    for i, kind in enumerate(plan.kinds):
-        if kind == "X":
-            b.gate("CNOT", [n + i, i], role="E")
-        else:
-            b.gate("CNOT", [i, n + i], role="E")
-    for i, name in enumerate(plan.b_ops):
-        if name != "I":
-            b.gate(name, [i], role="B")
-    for i in range(n):
-        b.measure(i, i)
+    emit_teleport(b, plan, range(n), anc, range(n), ancilla=ancilla.amplitudes)
     for i, corr in enumerate(corrections):
         b.cgate([i], [1], corr.canonical, anc, role="D")
     circuit = b.build()
@@ -359,12 +360,7 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
     data = list(range(n))
     anc = list(range(n, 2 * n))
-    b.inject(ancilla.amplitudes, anc, role="ancilla-prep")
-    b.gate(g_a.matrix, data, role="A")
-    for i in range(n):
-        b.gate("CNOT", [n + i, i], role="E")
-    for i in range(n):
-        b.measure(i, i)
+    emit_teleport(b, plan, data, anc, data, ancilla=ancilla.amplitudes)
     b.gate(g_b.matrix, anc, role="B")
     for i, corr in enumerate(corrections):
         b.cgate([i], [1], corr.canonical, anc, role="D")

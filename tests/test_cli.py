@@ -286,3 +286,28 @@ def test_nan_tolerance_flag_is_usage_error(capsys, tmp_path):
                          "--tol", "nan")
     assert code == 2 and out == ""
     assert "error: argument --tol" in err
+
+
+def test_ancilla_simulate_runs_the_branches_once(capsys, monkeypatch):
+    from telegate import ancilla
+    calls = []
+    real = ancilla.run_script
+
+    def spy(script):
+        calls.append(script)
+        return real(script)
+
+    monkeypatch.setattr(ancilla, "run_script", spy)
+    code, out, _ = run(capsys, "ancilla", "T", "--simulate")
+    assert code == 0 and out.count("fidelity=") == 2 and "-> PASS" in out
+    assert len(calls) == 1
+
+
+def test_hierarchy_refuses_k_max_above_the_level_limit(capsys, tmp_path):
+    path = tmp_path / "random.json"
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2))
+                        + 1j * np.random.default_rng(2).standard_normal((2, 2)))
+    path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in q]}))
+    code, out, err = run(capsys, "hierarchy", "--k-max", "38", str(path))
+    assert code == 2 and out == ""
+    assert "level limit 20" in err and "not unitary" not in err

@@ -200,3 +200,13 @@ def test_near_miss_never_classifies_above_its_level(name, eps):
     u = np.array(matrix, dtype=complex)
     u[-1, -1] *= np.exp(1j * eps)
     assert hierarchy_level(u, k_max=6).level in (level, None)
+
+
+def test_level_limit():
+    from telegate.limits import MAX_HIERARCHY_LEVEL
+    from telegate.recursive import rotation_spec
+    top = rotation_spec(MAX_HIERARCHY_LEVEL).matrix
+    verdict = hierarchy_level(top, k_max=MAX_HIERARCHY_LEVEL)
+    assert verdict.level == MAX_HIERARCHY_LEVEL and verdict.strict
+    with pytest.raises(ValidationError, match=f"level limit {MAX_HIERARCHY_LEVEL}"):
+        hierarchy_level(gates.T, k_max=MAX_HIERARCHY_LEVEL + 1)

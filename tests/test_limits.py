@@ -38,3 +38,12 @@ def test_width_of_and_check_width():
     with pytest.raises(WidthOverflow, match=f"{MAX_QUBITS + 1} qubits exceeds the"
                                             f" {MAX_QUBITS}-qubit limit"):
         width_of(2 ** (MAX_QUBITS + 1))
+
+
+def test_no_log2_width_outside_limits():
+    """Every qubit count read off a dimension goes through width_of."""
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "np.log2" in line]
+    assert hits == []

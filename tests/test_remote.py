@@ -189,3 +189,46 @@ def test_layout_and_trace_serialization():
     assert trace_doc["ebits"] == 1
     assert trace_doc["cbits"] == {"alice_to_bob": 2, "bob_to_alice": 0}
     assert trace_doc["all_branches_pass"] is True
+
+
+def _reference_pre_rewrite(protocol):
+    """The hand-written pre-rewrite circuits that the teleport emitter replaced."""
+    if protocol == "XZ":
+        pre = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+        pre.gate("H", [1], role="A")
+        pre.gate("CNOT", [1, 0], role="E")
+        pre.measure(0, 0)
+        pre.cgate([0], [1], "X", [1], role="D")
+        pre.gate("CNOT", [1, 2], role="E")
+        pre.gate("H", [1], role="B")
+        pre.measure(1, 1)
+        pre.cgate([1], [1], "Z", [2], role="D")
+    elif protocol == "ZX":
+        pre = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+        pre.gate("CNOT", [0, 1], role="E")
+        pre.gate("H", [0], role="B")
+        pre.measure(0, 0)
+        pre.cgate([0], [1], "Z", [1], role="D")
+        pre.gate("H", [2], role="A")
+        pre.gate("CNOT", [2, 1], role="E")
+        pre.measure(1, 1)
+        pre.cgate([1], [1], "X", [2], role="D")
+    else:
+        pre = CircuitBuilder(4, 2, ["input", "zero", "zero", "input"])
+        pre.gate("H", [1], role="A")
+        pre.gate("CNOT", [1, 0], role="E")
+        pre.gate("CNOT", [3, 2], role="E")
+        pre.gate("H", [3], role="B")
+        pre.measure(0, 0)
+        pre.measure(3, 1)
+        pre.cgate([0], [1], "X", [1], role="D")
+        pre.cgate([1], [1], "Z", [2], role="D")
+        pre.gate("CNOT", [1, 2], role="U")
+    return pre.build()
+
+
+@pytest.mark.parametrize("protocol", ["XZ", "ZX", "direct"])
+def test_pre_rewrite_matches_hand_written_ops(protocol):
+    p = (build_remote_cnot(protocol) if protocol == "direct"
+         else build_two_bit_teleportation(protocol))
+    assert p.pre_rewrite == _reference_pre_rewrite(protocol)

@@ -7,7 +7,7 @@ import pytest
 
 from telegate import gates
 from telegate.circuit import CircuitBuilder
-from telegate.errors import DimensionMismatch, WidthOverflow
+from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
 from telegate.simulator import (MAX_QUBITS, apply_gate, basis_state,
                                 branches_to_json, equivalent_up_to_phase,
                                 extract_register_state, kron_states,
@@ -297,3 +297,8 @@ def test_embed_on_shared_kernel_matches_former_body():
             for targets in itertools.permutations(range(n), k):
                 assert np.array_equal(gates.embed(m, targets, n),
                                       _embed_by_former_body(m, targets, n)), (n, targets)
+
+
+def test_state_from_refuses_a_non_power_of_two():
+    with pytest.raises(ValidationError, match="dimension 3 is not a power of two"):
+        state_from([1.0, 0.0, 0.0])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from telegate import gates
-from telegate.circuit import GateOp
+from telegate.circuit import CircuitBuilder, GateOp
 from telegate.clifford import clifford_from_matrix, identity_tableau, tableau_from_gate
 from telegate.errors import SynthesisRefusal
 from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
                                 random_state, run_all_branches,
                                 verify_gate_equivalence, zero_state)
-from telegate.teleport import (TeleportPlan, build_generalized_teleport,
-                               build_one_bit_teleport, plan_commutes,
+from telegate.teleport import (TeleportPlan, _e_layer, build_generalized_teleport,
+                               build_one_bit_teleport, emit_teleport, plan_commutes,
                                plan_teleportation, synthesize_sandwiched,
                                synthesize_teleported_gate)
 
@@ -276,3 +276,87 @@ def test_sidecar_shape():
     assert len(doc["ancilla"]) == 2
     assert doc["corrections"][0]["class"] == "clifford"
     assert len(doc["corrections"][0]["phase"]) == 2
+
+
+# --- the one teleport emitter ------------------------------------------------
+# The references are the hand-written builders that emit_teleport replaced,
+# kept verbatim so that the rebuilt builders are held to the same ops.
+
+def _reference_one_bit(kind, n):
+    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
+    if kind == "X":
+        for i in range(n):
+            b.gate("H", [n + i], role="A")
+        for i in range(n):
+            b.gate("CNOT", [n + i, i], role="E")
+    else:
+        for i in range(n):
+            b.gate("CNOT", [i, n + i], role="E")
+        for i in range(n):
+            b.gate("H", [i], role="B")
+    for i in range(n):
+        b.measure(i, i)
+    for i in range(n):
+        b.cgate([i], [1], "X" if kind == "X" else "Z", [n + i], role="D")
+    return b.build()
+
+
+def _reference_generalized(g):
+    n = g.n
+    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
+    for i in range(n):
+        b.gate("H", [n + i], role="A")
+    data = list(range(n))
+    anc = list(range(n, 2 * n))
+    if g.name is not None and g.name in gates.GATE_NAMES:
+        b.gate(g.name, data, role="A")
+    else:
+        b.gate(g.matrix, data, role="A")
+    for i in range(n):
+        b.gate("CNOT", [n + i, i], role="E")
+    for i in range(n):
+        b.measure(i, i)
+    for i in range(n):
+        b.cgate([i], [1], "X", [n + i], role="D")
+    b.gate(g.matrix.conj().T, anc, role="B")
+    return b.build()
+
+
+@pytest.mark.parametrize("kind", ["X", "Z"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_bit_teleport_matches_hand_written_ops(kind, n):
+    assert build_one_bit_teleport(kind, n) == _reference_one_bit(kind, n)
+
+
+@pytest.mark.parametrize("frame", [
+    identity_tableau(1), identity_tableau(2), tableau_from_gate("H"),
+    tableau_from_gate("S"), tableau_from_gate("CNOT"), clifford_from_matrix(gates.CZ)])
+def test_generalized_teleport_matches_hand_written_ops(frame):
+    assert build_generalized_teleport(frame) == _reference_generalized(frame)
+
+
+@pytest.mark.parametrize("kinds", [k for n in (1, 2) for k in itertools.product("XZ", repeat=n)])
+def test_emitted_coupling_is_the_e_layer(kinds):
+    """The emitter's CNOTs and the commutation check's dense layer share one
+    orientation: their product over [data | receiver] is _e_layer."""
+    n = len(kinds)
+    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
+    emit_teleport(b, TeleportPlan(kinds), range(n), range(n, 2 * n), range(n))
+    total = np.eye(4**n, dtype=complex)
+    for op in b.ops:
+        if op.role == "E":
+            total = gates.embed(gates.CNOT, op.targets, 2 * n) @ total
+    assert np.array_equal(total, _e_layer(kinds))
+
+
+def test_emitter_refuses_mismatched_registers():
+    b = CircuitBuilder(4, 2, inputs=["input"] * 2 + ["zero"] * 2)
+    with pytest.raises(ValueError):
+        emit_teleport(b, TeleportPlan(("X", "X")), [0, 1], [2], [0, 1])
+
+
+def test_sandwich_emits_a_named_frame_by_name():
+    h = tableau_from_gate("H")
+    res = synthesize_sandwiched(gates.H @ gates.T @ gates.H, h, gates.T, h)
+    frame = [op for op in res.circuit.ops if isinstance(op, GateOp) and op.role == "A"]
+    assert [(op.name, op.targets) for op in frame] == [("H", (0,))]
