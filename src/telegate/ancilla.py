@@ -8,23 +8,24 @@ The shortcut route starts instead from (I+Q_i)·target, which for the
 standard ancillas is a product state, and measures the single remaining
 stabilizer.
 
-Measurement of an involution is projector arithmetic here, (I±M)/2; the
-circuit realization with one control qubit and a controlled-M lives in the
-recursive-preparation module and is checked against this arithmetic in the
-test suite.
+A script runs as a circuit on the simulator's branch walk: one control
+qubit, re-injected as |0> at each step, measures M through H, controlled-M,
+H (`script_circuit`).  `measure_operator` keeps the projector arithmetic,
+(I±M)/2, as the reference the test suite checks that gadget against.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gates, hierarchy, pauli
-from .circuit import matrix_doc, state_doc
+from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .errors import InternalConsistencyError, ValidationError
 from .limits import TOL, VERIFY_TOL, ZERO
-from .simulator import Branch, StateVector, zero_state
+from .simulator import (Branch, StateVector, extract_register_state, run_all_branches,
+                        worst_fidelity, zero_state)
 
 
 @dataclass(frozen=True)
@@ -216,42 +217,38 @@ def shortcut_preparation(spec: StabilizerSpec, i: int) -> PreparationScript:
                              warnings=warnings)
 
 
+def script_circuit(script: PreparationScript) -> Circuit:
+    """The script on n+1 qubits: the register is the symbolic input and
+    qubit n the control.  Step i re-injects the control as |0>, applies H,
+    controlled-M and H, measures it into cbit i and applies Q on outcome 1."""
+    n = script.initial_state.n
+    register = list(range(n))
+    b = CircuitBuilder(n + 1, len(script.steps), ["input"] * n + ["inject"])
+    for i, (m, q) in enumerate(script.steps):
+        b.inject([1.0, 0.0], [n])
+        b.gate("H", [n])
+        b.gate(gates.controlled(m), [n] + register)
+        b.gate("H", [n])
+        b.measure(n, i)
+        b.cgate([i], [1], q, register)
+    return b.build()
+
+
 def run_script(script: PreparationScript) -> list[Branch]:
-    """Exhaustive branch execution of a preparation script."""
-    results: list[Branch] = []
-
-    def walk(step: int, vec: np.ndarray, bits: tuple[int, ...]):
-        if step == len(script.steps):
-            p = float(np.linalg.norm(vec) ** 2)
-            state = StateVector(script.initial_state.n, vec) if p >= ZERO else None
-            results.append(Branch(bits, p if state else 0.0, state,
-                                  {k: b for k, b in enumerate(bits)}, {}))
-            return
-        m, q = script.steps[step]
-        for outcome, sign in ((0, 1.0), (1, -1.0)):
-            child = (vec + sign * (m @ vec)) / 2.0
-            if float(np.linalg.norm(child) ** 2) < ZERO:
-                results.append(Branch(bits + (outcome,), 0.0, None,
-                                      {k: b for k, b in enumerate(bits + (outcome,))}, {}))
-                continue
-            if outcome == 1:
-                child = q @ child
-            walk(step + 1, child, bits + (outcome,))
-
-    walk(0, script.initial_state.amplitudes.copy(), ())
-    return results
+    """Every branch of script_circuit(script), in its walk order; a live
+    branch carries the register's state."""
+    register = range(script.initial_state.n)
+    return [replace(br, measured_values={}, state=None if br.state is None
+                    else extract_register_state(br, register))
+            for br in run_all_branches(script_circuit(script), script.initial_state)]
 
 
 def verify_script(script: PreparationScript,
                   branches: list[Branch] | None = None) -> tuple[bool, float]:
     """Worst-case fidelity of all nonzero branches against the target;
     branches are run_script(script)'s, run here unless given."""
-    worst = 1.0
-    for branch in run_script(script) if branches is None else branches:
-        if branch.state is None:
-            continue
-        fid = abs(np.vdot(script.expected_final.amplitudes, branch.state.amplitudes))
-        worst = min(worst, float(fid))
+    worst = worst_fidelity(run_script(script) if branches is None else branches,
+                           script.expected_final)
     return worst >= 1.0 - VERIFY_TOL, worst
 
 

@@ -23,8 +23,8 @@ from . import gates, hierarchy, recursive, remote, teleport
 from .errors import SynthesisRefusal, TelegateError
 from .limits import FLOOR, TOL, VERIFY_TOL
 from .pauli import format_literal, pauli_from_matrix
-from .simulator import (StateVector, extract_register_state, random_state,
-                        run_all_branches, sample_branches, verify_gate_equivalence)
+from .simulator import (StateVector, equivalent_up_to_phase, random_state, run_all_branches,
+                        sample_branches, verify_gate_equivalence, worst_fidelity)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -179,7 +179,7 @@ def cmd_ancilla(args) -> int:
             if br.state is None:
                 print(f"branch {br.bitstring}: p=0 (dead)")
                 continue
-            fid = abs(np.vdot(script.expected_final.amplitudes, br.state.amplitudes))
+            fid = equivalent_up_to_phase(script.expected_final, br.state)[1]
             print(f"branch {br.bitstring}: p={br.probability:.6f} fidelity={fid:.12f}")
         print(f"worst fidelity: {worst:.12f} -> {'PASS' if passed else 'FAIL'}")
         code = EXIT_OK if passed else EXIT_FAIL
@@ -244,12 +244,9 @@ def cmd_remote(args) -> int:
     worst = 1.0
     for _ in range(args.trials):
         psi = random_state(k, rng)
-        want = protocol.target @ psi.amplitudes
-        for br in run_all_branches(protocol.circuit, psi):
-            if br.state is None:
-                continue
-            got = extract_register_state(br, protocol.out_map)
-            worst = min(worst, float(abs(np.vdot(want, got.amplitudes))))
+        want = StateVector(k, protocol.target @ psi.amplitudes)
+        worst = min(worst, worst_fidelity(run_all_branches(protocol.circuit, psi), want,
+                                          protocol.out_map))
     ok = trace.report.passed and worst >= 1.0 - args.tol
     print(f"{protocol.name}: {trace.ebits} ebit(s), {trace.cbits_total} cbit(s)"
           f" (alice->bob {trace.cbits_alice_to_bob},"
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hierarchy", help="classify a gate's hierarchy level")
     p.add_argument("gate")
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=int, default=hierarchy.DEFAULT_K_MAX)
     p.add_argument("--tol", type=tolerance, default=tol)
     p.set_defaults(func=cmd_hierarchy)
 

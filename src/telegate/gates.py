@@ -144,7 +144,3 @@ def matrix_of(name: str) -> np.ndarray:
 
 def arity_of(name: str) -> int:
     return width_of(matrix_of(name).shape[0])
-
-
-def is_clifford_name(name: str) -> bool:
-    return canonical_name(name) in CLIFFORD_NAMES

@@ -9,6 +9,9 @@ MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
 MAX_HIERARCHY_LEVEL  the highest level a classification searches; each level
                   conjugates once more and compounds the rounding error.
+MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
+MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
+MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n plans).
 """
 from .errors import ValidationError, WidthOverflow
 
@@ -19,6 +22,9 @@ FLOOR = 1e-8
 MAX_QUBITS = 12
 MAX_MEASUREMENTS = 20
 MAX_HIERARCHY_LEVEL = 20
+MAX_RECURSION_LEVEL = 5
+MAX_RECURSION_WIDTH = 3
+MAX_PLAN_WIDTH = 4
 
 
 def check_width(n: int) -> int:

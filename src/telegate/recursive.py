@@ -30,12 +30,11 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import FLOOR, TOL, VERIFY_TOL, check_width, width_of
-from .simulator import StateVector, apply_matrix, extract_register_state, run_all_branches
+from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL,
+                     check_width, width_of)
+from .simulator import (StateVector, apply_matrix, extract_register_state, run_all_branches,
+                        worst_fidelity)
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
-
-MAX_LEVEL = 5
-MAX_WIDTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +164,9 @@ def _x_matrix(n: int, pattern: int) -> np.ndarray:
 
 
 def _level_of(m: np.ndarray, what: str) -> int:
-    verdict = hierarchy.hierarchy_level(m, k_max=MAX_LEVEL + 1)
+    verdict = hierarchy.hierarchy_level(m, k_max=MAX_RECURSION_LEVEL)
     if verdict.level is None:
-        raise SynthesisRefusal(f"{what} exceeds level {MAX_LEVEL + 1}")
+        raise SynthesisRefusal(f"{what} exceeds level {MAX_RECURSION_LEVEL}")
     return verdict.level
 
 
@@ -177,11 +176,11 @@ def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
     m = np.asarray(spec.matrix, dtype=complex)
     if not hierarchy.is_diagonal_matrix(m):
         raise ValidationError(f"{spec.label} is not diagonal")
-    if spec.n > MAX_WIDTH:
-        raise WidthOverflow(f"{what} is limited to {MAX_WIDTH} qubits")
-    level = _level_of(m, spec.label)
-    if level > MAX_LEVEL:
-        raise WidthOverflow(f"level {level} exceeds the depth limit {MAX_LEVEL}")
+    if spec.n > MAX_RECURSION_WIDTH:
+        raise WidthOverflow(f"{what} is limited to {MAX_RECURSION_WIDTH} qubits")
+    level = hierarchy.hierarchy_level(m, k_max=MAX_RECURSION_LEVEL).level
+    if level is None:
+        raise WidthOverflow(f"{spec.label} exceeds the depth limit {MAX_RECURSION_LEVEL}")
     return m, spec.n, level
 
 
@@ -514,13 +513,7 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
 def verify_preparation(prep: RecursivePreparation,
                        tol: float = VERIFY_TOL) -> tuple[bool, float]:
     """Run every branch and score register fidelity against the target."""
-    worst = 1.0
-    for br in run_all_branches(prep.circuit, None):
-        if br.state is None:
-            continue
-        got = extract_register_state(br, prep.register)
-        fid = float(abs(np.vdot(prep.target.amplitudes, got.amplitudes)))
-        worst = min(worst, fid)
+    worst = worst_fidelity(run_all_branches(prep.circuit, None), prep.target, prep.register)
     return worst >= 1.0 - tol, worst
 
 

@@ -10,10 +10,13 @@ initial states, not an error.
 Internally the engine propagates a batch of unnormalized columns at once,
 which lets the gate-equivalence checker evolve all computational-basis
 inputs in a single pass and assemble each branch's effective operator.
+`_enumerate`, the package's one exhaustive walk, yields each branch as it is
+reached, so a verification folds over 2^m branches without holding them.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +158,9 @@ class _RawBranch:
     cols: np.ndarray | None  # unnormalized; None for dead branches
 
 
-def _enumerate(c: Circuit, cols: np.ndarray) -> list[_RawBranch]:
-    """Depth-first over measurement outcomes; outcome 0 explored first."""
+def _enumerate(c: Circuit, cols: np.ndarray) -> Iterator[_RawBranch]:
+    """Depth-first over measurement outcomes, outcome 0 first, yielding each branch."""
     n = c.n_qubits
-    out: list[_RawBranch] = []
 
     def walk(op_index: int, cols: np.ndarray, bits: tuple[int, ...],
              cbits: dict[int, int], measured: dict[int, int]):
@@ -181,14 +183,13 @@ def _enumerate(c: Circuit, cols: np.ndarray) -> list[_RawBranch]:
                     new_measured = dict(measured)
                     new_measured[op.qubit] = outcome
                     if total < ZERO:
-                        out.append(_RawBranch(new_bits, new_cbits, new_measured, None))
+                        yield _RawBranch(new_bits, new_cbits, new_measured, None)
                     else:
-                        walk(k + 1, child, new_bits, new_cbits, new_measured)
+                        yield from walk(k + 1, child, new_bits, new_cbits, new_measured)
                 return
-        out.append(_RawBranch(bits, cbits, measured, cols))
+        yield _RawBranch(bits, cbits, measured, cols)
 
-    walk(0, cols, (), {}, {})
-    return out
+    return walk(0, cols, (), {}, {})
 
 
 def register_offsets(n: int, register) -> np.ndarray:
@@ -236,16 +237,12 @@ def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
 def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list[Branch]:
     """Enumerate every measurement path of a valid circuit."""
     _engine_statuses(c)
-    cols = _initial_columns(c, input_state)
     branches = []
-    for raw in _enumerate(c, cols):
-        if raw.cols is None:
-            branches.append(Branch(raw.bits, 0.0, None, raw.cbits, raw.measured_values))
-        else:
-            vec = raw.cols[:, 0]
-            p = float(np.sum(np.abs(vec) ** 2))
-            branches.append(Branch(raw.bits, p, StateVector(c.n_qubits, vec),
-                                   raw.cbits, raw.measured_values))
+    for raw in _enumerate(c, _initial_columns(c, input_state)):
+        live = raw.cols is not None
+        p = float(np.sum(np.abs(raw.cols) ** 2)) if live else 0.0
+        state = StateVector(c.n_qubits, raw.cols[:, 0]) if live else None
+        branches.append(Branch(raw.bits, p, state, raw.cbits, raw.measured_values))
     return branches
 
 
@@ -274,6 +271,17 @@ def equivalent_up_to_phase(a: StateVector, b: StateVector) -> tuple[bool, float]
         raise DimensionMismatch(f"qubit counts differ: {a.n} != {b.n}")
     fidelity = float(abs(np.vdot(a.amplitudes, b.amplitudes)))
     return fidelity >= 1.0 - VERIFY_TOL, fidelity
+
+
+def worst_fidelity(branches: Iterable[Branch], want: StateVector, register=None) -> float:
+    """The lowest fidelity against `want` over the live branches (1.0 when
+    none is live), read off `register` when given, else the whole state."""
+    worst = 1.0
+    for br in branches:
+        if br.state is not None:
+            got = br.state if register is None else extract_register_state(br, register)
+            worst = min(worst, equivalent_up_to_phase(want, got)[1])
+    return worst
 
 
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,

@@ -25,7 +25,7 @@ from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
 from .errors import SynthesisRefusal, ValidationError
-from .limits import FLOOR, TOL, VERIFY_TOL, width_of
+from .limits import FLOOR, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence, zero_state)
 
@@ -256,8 +256,8 @@ def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
     if not clifford_mod.is_unitary(u, tol=FLOOR):
         raise ValidationError("input matrix is not unitary within tolerance")
     n = width_of(u.shape[0])
-    if n > 4:
-        raise ValidationError("plan search is exhaustive and limited to width 4")
+    if n > MAX_PLAN_WIDTH:
+        raise ValidationError(f"plan search is exhaustive and limited to width {MAX_PLAN_WIDTH}")
     assignments = sorted(itertools.product("XZ", repeat=n),
                          key=lambda ks: (ks.count("Z"), ks))
     for kinds in assignments:

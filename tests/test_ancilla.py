@@ -7,11 +7,12 @@ from telegate import gates
 from telegate.ancilla import (build_preparation, derive_stabilizers,
                               is_product_state, make_stabilizer_spec,
                               measure_operator, product_factor_stabilizers,
-                              run_script, script_to_json,
+                              run_script, script_circuit, script_to_json,
                               shortcut_preparation, verify_script)
 from telegate.circuit import CircuitBuilder
 from telegate.errors import InternalConsistencyError, ValidationError
-from telegate.simulator import (random_state, run_all_branches,
+from telegate.limits import ZERO
+from telegate.simulator import (Branch, StateVector, random_state, run_all_branches,
                                 state_from, zero_state)
 
 SQ2 = 1 / np.sqrt(2)
@@ -227,3 +228,60 @@ def test_script_serialization_round_shape():
     assert set(doc) >= {"initial", "steps", "target", "shortcut_index"}
     assert len(doc["steps"]) == 1
     assert len(doc["steps"][0]["measure"]["matrix"]) == 2
+
+
+def _projector_walk(script):
+    """Reference: the projector-arithmetic walk run_script used before it
+    ran on the simulator's branch walk, kept verbatim."""
+    results = []
+
+    def walk(step, vec, bits):
+        if step == len(script.steps):
+            p = float(np.linalg.norm(vec) ** 2)
+            state = StateVector(script.initial_state.n, vec) if p >= ZERO else None
+            results.append(Branch(bits, p if state else 0.0, state,
+                                  {k: b for k, b in enumerate(bits)}, {}))
+            return
+        m, q = script.steps[step]
+        for outcome, sign in ((0, 1.0), (1, -1.0)):
+            child = (vec + sign * (m @ vec)) / 2.0
+            if float(np.linalg.norm(child) ** 2) < ZERO:
+                results.append(Branch(bits + (outcome,), 0.0, None,
+                                      {k: b for k, b in enumerate(bits + (outcome,))}, {}))
+                continue
+            if outcome == 1:
+                child = q @ child
+            walk(step + 1, child, bits + (outcome,))
+
+    walk(0, script.initial_state.amplitudes.copy(), ())
+    return results
+
+
+def _every_script(rng):
+    for name, a_ops in (("T", ("H",)), ("CS", ("H", "H")), ("TOFFOLI", ("H", "H", "I"))):
+        spec = derive_stabilizers(gates.matrix_of(name), a_ops)
+        yield build_preparation(spec)
+        yield from (shortcut_preparation(spec, i) for i in range(len(a_ops)))
+        if name == "CS":
+            yield build_preparation(spec, initial=random_state(2, rng))
+
+
+def test_run_script_matches_the_projector_walk(rng):
+    for script in _every_script(rng):
+        want, got = _projector_walk(script), run_script(script)
+        assert [b.bits for b in got] == [b.bits for b in want]
+        assert [b.cbits for b in got] == [b.cbits for b in want]
+        assert [b.state is None for b in got] == [b.state is None for b in want]
+        for g, w in zip(got, want):
+            assert abs(g.probability - w.probability) < 1e-12
+            if w.state is not None:
+                assert np.max(np.abs(g.state.amplitudes - w.state.amplitudes)) < 1e-12
+
+
+def test_script_circuit_layout():
+    script = build_preparation(derive_stabilizers(gates.CS, ("H", "H")))
+    c = script_circuit(script)
+    assert (c.n_qubits, c.n_cbits) == (3, 2)
+    assert c.inputs == ("input", "input", "inject")
+    assert [type(op).__name__ for op in c.ops] == \
+        ["InjectOp", "GateOp", "GateOp", "GateOp", "MeasureOp", "CGateOp"] * 2

@@ -311,3 +311,10 @@ def test_hierarchy_refuses_k_max_above_the_level_limit(capsys, tmp_path):
     code, out, err = run(capsys, "hierarchy", "--k-max", "38", str(path))
     assert code == 2 and out == ""
     assert "level limit 20" in err and "not unitary" not in err
+
+
+@pytest.mark.parametrize("k", [6, 7, 9])
+def test_recursion_too_deep_is_one_usage_error(capsys, k):
+    code, out, err = run(capsys, "recursive", "V", "--k", str(k))
+    assert code == 2 and out == ""
+    assert "depth limit 5" in err

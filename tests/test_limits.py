@@ -47,3 +47,11 @@ def test_no_log2_width_outside_limits():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if "np.log2" in line]
     assert hits == []
+
+
+def test_every_limit_is_assigned_in_limits():
+    sites = [f"{path.name}: {line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "limits.py"
+             for line in path.read_text().splitlines()
+             if re.match(r"MAX_\w*\s*=", line)]
+    assert sites == []

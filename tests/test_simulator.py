@@ -8,12 +8,12 @@ import pytest
 from telegate import gates
 from telegate.circuit import CircuitBuilder
 from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
-from telegate.simulator import (MAX_QUBITS, apply_gate, basis_state,
+from telegate.simulator import (MAX_QUBITS, Branch, apply_gate, basis_state,
                                 branches_to_json, equivalent_up_to_phase,
                                 extract_register_state, kron_states,
                                 random_state, register_offsets,
                                 run_all_branches, state_from,
-                                verify_gate_equivalence, zero_state)
+                                verify_gate_equivalence, worst_fidelity, zero_state)
 from telegate.teleport import build_one_bit_teleport
 
 SQ2 = 1 / np.sqrt(2)
@@ -302,3 +302,37 @@ def test_embed_on_shared_kernel_matches_former_body():
 def test_state_from_refuses_a_non_power_of_two():
     with pytest.raises(ValidationError, match="dimension 3 is not a power of two"):
         state_from([1.0, 0.0, 0.0])
+
+
+def test_verification_streams_its_branches():
+    """1,024 branches of a 6-qubit, 32-column verification: the walk
+    yields each branch as it reaches it, so the traced peak stays near one
+    path's columns; collecting every branch first (32 KB each) peaks
+    above 30 MB."""
+    import tracemalloc
+    data, m = 5, 10
+    b = CircuitBuilder(data + 1, m, ["input"] * data + ["inject"])
+    for cbit in range(m):
+        b.inject([SQ2, SQ2], [data])
+        b.measure(data, cbit)
+    c = b.build()
+    tracemalloc.start()
+    try:
+        report = verify_gate_equivalence(c, np.eye(2**data), range(data), range(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.branch_weights) == 2**m
+    assert peak < 3_000_000, peak
+
+
+def test_worst_fidelity_skips_dead_branches_and_reads_the_register():
+    # qubit 1 measured as 1; the register (qubit 0) holds |+>
+    plus_one = state_from([0, SQ2, 0, SQ2])
+    live = Branch((1,), 1.0, plus_one, {0: 1}, {1: 1})
+    dead = Branch((0,), 0.0, None, {0: 0}, {1: 0})
+    plus, zero = state_from([SQ2, SQ2]), zero_state(1)
+    assert worst_fidelity([dead, live], plus, register=(0,)) == pytest.approx(1.0)
+    assert worst_fidelity([dead, live], zero, register=(0,)) == pytest.approx(SQ2)
+    assert worst_fidelity([live], state_from([0, 0, 0, 1])) == pytest.approx(SQ2)
+    assert worst_fidelity([dead], zero) == 1.0
