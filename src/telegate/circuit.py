@@ -191,7 +191,7 @@ class CircuitBuilder:
 def _split_gate(name_or_matrix):
     if isinstance(name_or_matrix, str):
         return gates.canonical_name(name_or_matrix), None
-    m = np.asarray(name_or_matrix, dtype=complex)
+    m = np.array(name_or_matrix, dtype=complex)  # a copy: the caller's array stays writeable
     m.flags.writeable = False
     return None, m
 

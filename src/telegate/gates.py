@@ -47,24 +47,31 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def target_axes(targets, n: int) -> tuple[list[int], list[int]]:
+    """Axis orders over a (rows, 2, ..., 2, m) tensor of n qubits: the first
+    brings the target qubits right after the row axis, the others keeping
+    their order; the second undoes it."""
+    order = [0] + [1 + t for t in targets] + [1 + a for a in range(n + 1) if a not in targets]
+    undo = [0] * len(order)
+    for i, a in enumerate(order):
+        undo[a] = i
+    return order, undo
+
+
 def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
                      n: int) -> np.ndarray:
     """Apply a k-qubit gate on the listed targets to every column of an
-    n-qubit (2**n, m) block, identity elsewhere."""
+    n-qubit (2**n, m) block, identity elsewhere.  A (rows, 2**n, m) stack of
+    blocks is done block by block, each with the arithmetic it gets alone."""
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise DimensionMismatch("gate matrix does not match target count")
     if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
         raise DimensionMismatch(f"bad targets {targets} for width {n}")
-    m = cols.shape[1]
-    tensor = cols.reshape([2] * n + [m])
-    moved = np.moveaxis(tensor, targets, range(k))
-    rest_shape = moved.shape[k:]
-    flat = moved.reshape(2**k, -1)
-    flat = matrix @ flat
-    moved = flat.reshape([2] * k + list(rest_shape))
-    tensor = np.moveaxis(moved, range(k), targets)
-    return tensor.reshape(2**n, m)
+    order, undo = target_axes(targets, n)
+    tensor = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
+    flat = np.matmul(matrix, tensor.reshape(len(tensor), 2**k, -1))
+    return flat.reshape(tensor.shape).transpose(undo).reshape(cols.shape)
 
 
 def embed(matrix: np.ndarray, targets, n: int) -> np.ndarray:

@@ -7,6 +7,9 @@ TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
 FLOOR             recognition and unitarity input checks are never tighter.
 MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
+MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds while the
+                  engine walks it: 256 rows of 16x4 columns, the level-5
+                  check's shape.  A wider row gets fewer rows, never fewer than two.
 MAX_HIERARCHY_LEVEL  the highest level a classification searches; each level
                   conjugates once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
@@ -21,6 +24,7 @@ TOL = 1e-9
 FLOOR = 1e-8
 MAX_QUBITS = 12
 MAX_MEASUREMENTS = 20
+MAX_STACK_AMPLITUDES = 256 * 16 * 4
 MAX_HIERARCHY_LEVEL = 20
 MAX_RECURSION_LEVEL = 5
 MAX_RECURSION_WIDTH = 3

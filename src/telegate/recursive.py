@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates, hierarchy, pauli
-from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc, to_document
+from .circuit import Circuit, CircuitBuilder, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL,
                      check_width, width_of)
@@ -515,23 +515,3 @@ def verify_preparation(prep: RecursivePreparation,
     """Run every branch and score register fidelity against the target."""
     worst = worst_fidelity(run_all_branches(prep.circuit, None), prep.target, prep.register)
     return worst >= 1.0 - tol, worst
-
-
-def preparation_to_json(prep: RecursivePreparation) -> str:
-    def real_doc(r: ControlledRealization) -> dict:
-        return {
-            "level": r.level,
-            "mode": r.mode,
-            "children": [{"on_pattern": list(p), **real_doc(c)} for p, c in r.children],
-        }
-
-    doc = {
-        "target": state_doc(prep.target.amplitudes),
-        "steps": [
-            {"measure": {"matrix": matrix_doc(s.m)}, "correct": {"matrix": matrix_doc(s.q)},
-             "payload_level": s.u_x_level, "realization": real_doc(s.realization)}
-            for s in prep.steps
-        ],
-        "circuit": to_document(prep.circuit),
-    }
-    return json.dumps(doc, indent=1)

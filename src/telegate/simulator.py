@@ -7,16 +7,19 @@ collapses below threshold are recorded with probability zero and carry no
 state; that is a legitimate outcome for preparations starting from special
 initial states, not an error.
 
-Internally the engine propagates a batch of unnormalized columns at once,
-which lets the gate-equivalence checker evolve all computational-basis
-inputs in a single pass and assemble each branch's effective operator.
-`_enumerate`, the package's one exhaustive walk, yields each branch as it is
-reached, so a verification folds over 2^m branches without holding them.
+A branch is a block of unnormalized columns, which lets the gate-equivalence
+checker evolve all computational-basis inputs in a single pass and assemble
+each branch's effective operator.  `_enumerate`, the package's one
+exhaustive walk, carries a stack of branches through each op at once and
+yields each stack as it completes, in depth-first order: a verification
+folds over 2^m branches a stack at a time without holding them, and
+`MAX_STACK_AMPLITUDES` caps the stack.  Each branch gets the arithmetic of
+a walk of that branch alone, so results do not depend on the cap.
 """
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +28,10 @@ from .circuit import (CGateOp, Circuit, GateOp, InjectOp, MeasureOp, _validate,
                       state_doc)
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
-from .gates import apply_to_columns, matrix_of
+from .gates import apply_to_columns, matrix_of, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
-from .limits import (MAX_MEASUREMENTS, MAX_QUBITS, TOL, VERIFY_TOL, ZERO, check_width,
-                     width_of)
+from .limits import (MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL,
+                     ZERO, check_width, width_of)
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,15 @@ class Branch:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of comparing a circuit's branch operators against a matrix."""
+    """Outcome of comparing a circuit's branch operators against a matrix.
+    The two per-branch maps are read-only `BranchMap`s keyed by outcome
+    bitstring in walk order; a dead branch has a weight and no scalar."""
 
     passed: bool
     worst_fidelity: float
     failing_branch: str | None
-    branch_scalars: dict[str, complex]
-    branch_weights: dict[str, float]
+    branch_scalars: Mapping[str, complex]
+    branch_weights: Mapping[str, float]
     tol: float
 
 
@@ -120,76 +125,175 @@ def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
     return apply_matrix(state, gate, targets)
 
 
-def _project_columns(cols: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
-    tensor = cols.reshape([2] * n + [-1]).copy()
-    idx = [slice(None)] * (n + 1)
-    idx[qubit] = 1 - outcome
-    tensor[tuple(idx)] = 0.0
-    return tensor.reshape(cols.shape)
+def _mass(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, summed in the order np.sum sums one row alone."""
+    squares = np.abs(rows.reshape(len(rows), -1))
+    return np.square(squares, out=squares).sum(axis=1)
 
 
-def _inject_columns(cols: np.ndarray, targets: tuple[int, ...], amplitudes: np.ndarray,
-                    n: int) -> np.ndarray:
-    """Replace the (definite, disentangled) target-qubit state per column."""
+def _inject(cols: np.ndarray, targets: tuple[int, ...], amplitudes: np.ndarray,
+            n: int) -> np.ndarray:
+    """Replace the (definite, disentangled) target-qubit state in every row
+    of a (rows, 2**n, m) stack."""
     k = len(targets)
-    m = cols.shape[1]
-    tensor = cols.reshape([2] * n + [m])
-    moved = np.moveaxis(tensor, targets, range(k)).reshape(2**k, -1)
-    mass = np.sum(np.abs(moved) ** 2, axis=1)
-    total = float(np.sum(mass))
-    if total < ZERO:
-        live = np.zeros_like(moved)
-    else:
-        s_star = int(np.argmax(mass))
-        if total - mass[s_star] > TOL * max(total, 1.0):
-            raise ValidationError(
-                "inject targets are not in a definite basis state at this point")
-        live = np.outer(amplitudes, moved[s_star])
-    moved = live.reshape([2] * k + list(tensor.shape[k:]))
-    tensor = np.moveaxis(moved, range(k), targets)
-    return tensor.reshape(2**n, m)
+    rows = np.arange(len(cols))
+    order, undo = target_axes(targets, n)
+    moved = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
+    shape = moved.shape
+    moved = moved.reshape(len(cols), 2**k, -1)
+    mass = _mass(moved.reshape(-1, moved.shape[2])).reshape(len(cols), 2**k)
+    total = mass.sum(axis=1)
+    s_star = mass.argmax(axis=1)
+    if (total - mass[rows, s_star] > TOL * np.maximum(total, 1.0)).any():
+        raise ValidationError(
+            "inject targets are not in a definite basis state at this point")
+    live = amplitudes[None, :, None] * moved[rows, s_star][:, None, :]
+    return live.reshape(shape).transpose(undo).reshape(cols.shape)
 
 
-@dataclass
-class _RawBranch:
-    bits: tuple[int, ...]
-    cbits: dict[int, int]
-    measured_values: dict[int, int]
-    cols: np.ndarray | None  # unnormalized; None for dead branches
+def _measure(cols: np.ndarray, qubit: int,
+             codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Split each row into its outcome-0 and outcome-1 children, side by
+    side; children whose norm is below ZERO leave the stack.  Returns the
+    live children, their records and the records of the dead ones."""
+    t = cols.reshape(len(cols), 2**qubit, 2, -1)
+    children = np.zeros((len(cols), 2) + t.shape[1:], dtype=complex)
+    children[:, 0, :, 0] = t[:, :, 0]
+    children[:, 1, :, 1] = t[:, :, 1]
+    children = children.reshape((-1,) + cols.shape[1:])
+    alive = _mass(children) >= ZERO
+    codes = (2 * codes[:, None] + np.arange(2)).ravel()
+    if alive.all():
+        return children, codes, []
+    return children[alive], codes[alive], codes[~alive].tolist()
 
 
-def _enumerate(c: Circuit, cols: np.ndarray) -> Iterator[_RawBranch]:
-    """Depth-first over measurement outcomes, outcome 0 first, yielding each branch."""
+@dataclass(frozen=True)
+class _Stack:
+    """Consecutive branches in walk order.  A branch's record is its
+    outcome bits read as a binary number of `width` digits; a dead branch's
+    record ends at the measurement where it died and is padded with zeros.
+    `cols` holds the live branches' unnormalized columns, (live, 2**n, m)."""
+
+    codes: np.ndarray
+    lengths: np.ndarray
+    live: np.ndarray
+    cols: np.ndarray
+
+
+def _stack(cols: np.ndarray, codes: np.ndarray, dead: list[tuple[int, int]],
+           width: int) -> _Stack:
+    lengths = np.full(len(codes), width, dtype=np.int8)
+    live = np.ones(len(codes), dtype=bool)
+    if dead:
+        codes = np.concatenate([codes, [code for code, _ in dead]])
+        lengths = np.concatenate([lengths, np.array([j for _, j in dead], dtype=np.int8)])
+        live = np.concatenate([live, np.zeros(len(dead), dtype=bool)])
+        order = np.argsort(codes, kind="stable")
+        codes, lengths, live = codes[order], lengths[order], live[order]
+    return _Stack(codes, lengths, live, cols)
+
+
+def _enumerate(c: Circuit, cols: np.ndarray,
+               cap: int = MAX_STACK_AMPLITUDES) -> Iterator[_Stack]:
+    """Breadth-first over a stack of branches, yielding each stack in walk
+    order: outcome 0 before outcome 1, a dead branch where it died.
+
+    The stack starts as the one branch `cols`, a (2**n, m) block, and holds
+    its rows as a (rows, 2**n, m) array.  A gate is one apply over every
+    row; a classically controlled gate applies to the rows whose record
+    matches (a cbit not yet written matches nothing); an inject checks
+    every row.  A measurement splits each row into its two children, next
+    to each other, unless that would take the stack past `cap` amplitudes:
+    then the lower half of the stack is walked on and the upper half waits
+    its turn.  Memory follows the cap rather than 2^m, and the order is the
+    depth-first one.  Each row gets the arithmetic of a walk of that branch
+    alone, so the figures do not depend on the cap."""
     n = c.n_qubits
-
-    def walk(op_index: int, cols: np.ndarray, bits: tuple[int, ...],
-             cbits: dict[int, int], measured: dict[int, int]):
-        for k in range(op_index, len(c.ops)):
+    records = [op for op in c.ops if isinstance(op, MeasureOp)]
+    width = len(records)
+    position = {op.cbit: p for p, op in enumerate(records)}
+    max_rows = max(2, cap // cols.size)
+    # op index, record length, rows, live records, dead (padded record, length)
+    pending = [(0, 0, cols[None], np.zeros(1, dtype=np.int64), [])]
+    while pending:
+        k, j, cols, codes, dead = pending.pop()
+        while k < len(c.ops) and len(codes):
             op = c.ops[k]
             if isinstance(op, GateOp):
                 cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
             elif isinstance(op, CGateOp):
-                if all(cbits.get(b) == v for b, v in zip(op.cond_cbits, op.cond_values)):
+                match = np.ones(len(codes), dtype=bool)
+                for b, v in zip(op.cond_cbits, op.cond_values):
+                    p = position.get(b, width)  # a cbit not yet written matches nothing
+                    match &= p < j and (codes >> (j - 1 - p)) & 1 == v
+                if match.all():
                     cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+                elif match.any():
+                    cols = cols.copy()
+                    cols[match] = apply_to_columns(cols[match], op.resolved_matrix(),
+                                                   op.targets, n)
             elif isinstance(op, InjectOp):
-                cols = _inject_columns(cols, op.targets, op.amplitudes, n)
+                cols = _inject(cols, op.targets, op.amplitudes, n)
             elif isinstance(op, MeasureOp):
-                for outcome in (0, 1):
-                    child = _project_columns(cols, op.qubit, outcome, n)
-                    total = float(np.sum(np.abs(child) ** 2))
-                    new_bits = bits + (outcome,)
-                    new_cbits = dict(cbits)
-                    new_cbits[op.cbit] = outcome
-                    new_measured = dict(measured)
-                    new_measured[op.qubit] = outcome
-                    if total < ZERO:
-                        yield _RawBranch(new_bits, new_cbits, new_measured, None)
-                    else:
-                        yield from walk(k + 1, child, new_bits, new_cbits, new_measured)
-                return
-        yield _RawBranch(bits, cbits, measured, cols)
+                if 2 * len(codes) > max_rows:
+                    half = len(codes) // 2
+                    split = int(codes[half]) << (width - j)
+                    pending.append((k, j, cols[half:].copy(), codes[half:],
+                                    [d for d in dead if d[0] >= split]))
+                    cols, codes = cols[:half], codes[:half]
+                    dead = [d for d in dead if d[0] < split]
+                    continue
+                cols, codes, died = _measure(cols, op.qubit, codes)
+                j += 1
+                dead += [(code << (width - j), j) for code in died]
+            k += 1
+        yield _stack(cols, codes << (width - j), dead, width)
 
-    return walk(0, cols, (), {}, {})
+
+def _bitstring(code: int, length: int, width: int) -> str:
+    return format(code >> (width - length), f"0{length}b") if length else ""
+
+
+class BranchMap(Mapping):
+    """A read-only map from each branch's outcome bitstring to a value,
+    backed by arrays in walk order; a key is built only when asked for."""
+
+    def __init__(self, codes: np.ndarray, lengths: np.ndarray, width: int,
+                 values: np.ndarray, present: np.ndarray):
+        self._codes, self._lengths, self._width = codes, lengths, width
+        self._values, self._present = values, present
+
+    def _index(self, bits) -> int | None:
+        if not isinstance(bits, str) or len(bits) > self._width or bits.strip("01"):
+            return None
+        code = int(bits or "0", 2) << (self._width - len(bits))
+        i = int(np.searchsorted(self._codes, code))
+        if (i < len(self._codes) and self._codes[i] == code
+                and self._lengths[i] == len(bits) and self._present[i]):
+            return i
+        return None
+
+    def __getitem__(self, bits):
+        i = self._index(bits)
+        if i is None:
+            raise KeyError(bits)
+        return self._values[i].item()
+
+    def __iter__(self) -> Iterator[str]:
+        present = np.flatnonzero(self._present)
+        for code, length in zip(self._codes[present].tolist(),
+                                self._lengths[present].tolist()):
+            yield _bitstring(code, length, self._width)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._present))
+
+    def values(self) -> list:
+        return self._values[self._present].tolist()
+
+    def items(self) -> list:
+        return list(zip(self, self.values()))
 
 
 def register_offsets(n: int, register) -> np.ndarray:
@@ -237,12 +341,22 @@ def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
 def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list[Branch]:
     """Enumerate every measurement path of a valid circuit."""
     _engine_statuses(c)
+    records = [op for op in c.ops if isinstance(op, MeasureOp)]
+    width = len(records)
     branches = []
-    for raw in _enumerate(c, _initial_columns(c, input_state)):
-        live = raw.cols is not None
-        p = float(np.sum(np.abs(raw.cols) ** 2)) if live else 0.0
-        state = StateVector(c.n_qubits, raw.cols[:, 0]) if live else None
-        branches.append(Branch(raw.bits, p, state, raw.cbits, raw.measured_values))
+    for stack in _enumerate(c, _initial_columns(c, input_state)):
+        live = iter(stack.cols)
+        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                       stack.live.tolist()):
+            bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
+            cbits = {op.cbit: bit for op, bit in zip(records, bits)}
+            measured = {op.qubit: bit for op, bit in zip(records, bits)}
+            if alive:
+                col = next(live)[:, 0]
+                p, state = float(np.sum(np.abs(col) ** 2)), StateVector(c.n_qubits, col)
+            else:
+                p, state = 0.0, None
+            branches.append(Branch(bits, p, state, cbits, measured))
     return branches
 
 
@@ -320,35 +434,54 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     cols = np.zeros((2**n, dim), dtype=complex)
     cols[register_offsets(n, in_map), np.arange(dim)] = 1.0
     out_offsets = register_offsets(n, out_map)
-    measured_shifts = [(q, n - 1 - q) for q in range(n) if q not in out_map]
+    records = [op for op in c.ops if isinstance(op, MeasureOp)]
+    width = len(records)
+    last = {op.qubit: width - 1 - p for p, op in enumerate(records)}
+    # each measured qubit's final value: its record bit and its basis-index weight
+    measured = [q for q in range(n) if q not in out_map]
+    record_bit = np.array([last[q] for q in measured], dtype=np.int64)
+    index_weight = np.array([1 << (n - 1 - q) for q in measured], dtype=np.int64)
 
-    scalars: dict[str, complex] = {}
-    weights: dict[str, float] = {}
+    parts = []
     worst = 1.0
     failing = None
     sqrt_dim = np.sqrt(dim)
-    for raw in _enumerate(c, cols):
-        bits = "".join(str(b) for b in raw.bits)
-        total_mass = 0.0 if raw.cols is None else float(np.sum(np.abs(raw.cols) ** 2))
-        if total_mass / dim < ZERO:
-            weights[bits] = 0.0
-            continue
-        base = 0
-        for q, shift in measured_shifts:
-            base |= raw.measured_values[q] << shift
-        block = raw.cols[base + out_offsets, :]  # effective operator times sqrt(branch prob)
-        coeff = complex(np.trace(u.conj().T @ block) / dim)
-        fidelity = abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass))
-        weights[bits] = float(abs(coeff) ** 2)
-        scalars[bits] = coeff / abs(coeff) if abs(coeff) > 0 else 0.0 + 0j
-        if fidelity < worst:
-            worst = fidelity
-            if fidelity < 1.0 - tol:
-                failing = bits
-    passed = worst >= 1.0 - tol
-    return EquivalenceReport(passed=passed, worst_fidelity=float(worst),
-                             failing_branch=failing, branch_scalars=scalars,
-                             branch_weights=weights, tol=tol)
+    u_dagger = u.conj().T
+    for stack in _enumerate(c, cols):
+        live = stack.codes[stack.live]
+        base = ((live[:, None] >> record_bit) & 1) @ index_weight
+        # each row's effective operator times sqrt(branch probability)
+        blocks = stack.cols[np.arange(len(live))[:, None], base[:, None] + out_offsets]
+        total_mass = _mass(stack.cols)
+        ok = total_mass / dim >= ZERO
+        coeff = np.trace(np.matmul(u_dagger, blocks[ok]), axis1=1, axis2=2) / dim
+        # hypot, float_power and part-wise division are the arithmetic of
+        # Python's abs, ** and / on one complex coefficient: the report
+        # matches a branch-by-branch fold bit for bit
+        size = np.hypot(coeff.real, coeff.imag)
+        rows = np.flatnonzero(stack.live)[ok]
+        weights = np.zeros(len(stack.codes))
+        weights[rows] = np.float_power(size, 2)
+        scalars = np.zeros(len(stack.codes), dtype=complex)
+        divisor = np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
+        scalars.real[rows] = coeff.real / divisor
+        scalars.imag[rows] = coeff.imag / divisor
+        scored = np.zeros(len(stack.codes), dtype=bool)
+        scored[rows] = True
+        parts.append((stack.codes, stack.lengths, weights, scalars, scored))
+        if len(rows):
+            fidelity = size * dim / (sqrt_dim * np.sqrt(total_mass[ok]))
+            i = int(fidelity.argmin())
+            if fidelity[i] < worst:
+                worst = float(fidelity[i])
+                if worst < 1.0 - tol:
+                    failing = _bitstring(int(stack.codes[rows[i]]), width, width)
+    codes, lengths, weights, scalars, scored = (np.concatenate(a) for a in zip(*parts))
+    return EquivalenceReport(
+        passed=worst >= 1.0 - tol, worst_fidelity=float(worst), failing_branch=failing,
+        branch_scalars=BranchMap(codes, lengths, width, scalars, scored),
+        branch_weights=BranchMap(codes, lengths, width, weights, np.ones(len(codes), bool)),
+        tol=tol)
 
 
 def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,

@@ -285,3 +285,12 @@ def test_script_circuit_layout():
     assert c.inputs == ("input", "input", "inject")
     assert [type(op).__name__ for op in c.ops] == \
         ["InjectOp", "GateOp", "GateOp", "GateOp", "MeasureOp", "CGateOp"] * 2
+
+
+def test_running_a_script_leaves_its_matrices_writeable():
+    spec = derive_stabilizers(gates.TOFFOLI, ("H", "H", "I"))
+    for script in (build_preparation(spec), shortcut_preparation(spec, 0)):
+        arrays = [a for step in script.steps for a in step]
+        assert all(a.flags.writeable for a in arrays)
+        run_script(script)
+        assert all(a.flags.writeable for a in arrays)

@@ -231,6 +231,19 @@ def test_shared_arrays_are_read_only():
     assert np.array_equal(gates.matrix_of("X"), [[0, 1], [1, 0]])
 
 
+def test_builder_leaves_the_callers_matrix_writeable():
+    m = np.array(gates.H)
+    b = CircuitBuilder(1, 1, ["input"])
+    b.gate(m, [0]).measure(0, 0)
+    b.alloc_qubits(1, "zero")
+    b.cgate([0], [1], m, [1])
+    assert m.flags.writeable
+    for op in (b.ops[0], b.ops[2]):
+        assert not op.matrix.flags.writeable
+    m[0, 0] = 0.0  # the owner's edit does not reach the ops
+    assert b.ops[0].matrix[0, 0] == b.ops[2].matrix[0, 0] == gates.H[0, 0]
+
+
 def test_builder_allocates_qubits_and_cbits():
     b = CircuitBuilder(1, 0, ["input"])
     assert b.alloc_qubits(2, "zero") == [1, 2]

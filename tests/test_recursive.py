@@ -121,8 +121,8 @@ def test_width3_level4_flattened():
 
 
 def test_width2_level5_flattened():
-    # the heavyweight case: 18 measurements, verified branch-exhaustively
-    # inside synthesis (takes tens of seconds)
+    # the heavyweight case: 18 measurements, all 2^18 branches verified
+    # inside synthesis, a stack of branches at a time
     rc = synth_recursive(controlled_rotation_spec(1, 5), flatten=True, tol=1e-9)
     assert rc.level == 5
     assert resource_report(rc).depth == 3

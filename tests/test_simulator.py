@@ -2,13 +2,17 @@
 and the two circuit identities that anchor the teleport derivations (the
 two-CNOT swap against |0>, and measure-then-classically-control)."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
-from telegate import gates
-from telegate.circuit import CircuitBuilder
+from telegate import ancilla, gates, recursive, remote, simulator, teleport
+from telegate.circuit import CGateOp, Circuit, CircuitBuilder, GateOp, InjectOp, MeasureOp
 from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
-from telegate.simulator import (MAX_QUBITS, Branch, apply_gate, basis_state,
+from telegate.gates import apply_to_columns
+from telegate.limits import MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
+from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, basis_state,
                                 branches_to_json, equivalent_up_to_phase,
                                 extract_register_state, kron_states,
                                 random_state, register_offsets,
@@ -336,3 +340,341 @@ def test_worst_fidelity_skips_dead_branches_and_reads_the_register():
     assert worst_fidelity([dead, live], zero, register=(0,)) == pytest.approx(SQ2)
     assert worst_fidelity([live], state_from([0, 0, 0, 1])) == pytest.approx(SQ2)
     assert worst_fidelity([dead], zero) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the depth-first walk the batched engine replaced, and its fold
+
+
+def _project_columns(cols, qubit, outcome, n):
+    tensor = cols.reshape([2] * n + [-1]).copy()
+    idx = [slice(None)] * (n + 1)
+    idx[qubit] = 1 - outcome
+    tensor[tuple(idx)] = 0.0
+    return tensor.reshape(cols.shape)
+
+
+def _inject_columns(cols, targets, amplitudes, n):
+    """Replace the (definite, disentangled) target-qubit state per column."""
+    k = len(targets)
+    m = cols.shape[1]
+    tensor = cols.reshape([2] * n + [m])
+    moved = np.moveaxis(tensor, targets, range(k)).reshape(2**k, -1)
+    mass = np.sum(np.abs(moved) ** 2, axis=1)
+    total = float(np.sum(mass))
+    if total < ZERO:
+        live = np.zeros_like(moved)
+    else:
+        s_star = int(np.argmax(mass))
+        if total - mass[s_star] > TOL * max(total, 1.0):
+            raise ValidationError(
+                "inject targets are not in a definite basis state at this point")
+        live = np.outer(amplitudes, moved[s_star])
+    moved = live.reshape([2] * k + list(tensor.shape[k:]))
+    tensor = np.moveaxis(moved, range(k), targets)
+    return tensor.reshape(2**n, m)
+
+
+@dataclass
+class _RawBranch:
+    bits: tuple
+    cbits: dict
+    measured_values: dict
+    cols: np.ndarray | None  # unnormalized; None for dead branches
+
+
+def _enumerate_depth_first(c, cols):
+    """Depth-first over measurement outcomes, outcome 0 first, yielding each branch."""
+    n = c.n_qubits
+
+    def walk(op_index, cols, bits, cbits, measured):
+        for k in range(op_index, len(c.ops)):
+            op = c.ops[k]
+            if isinstance(op, GateOp):
+                cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+            elif isinstance(op, CGateOp):
+                if all(cbits.get(b) == v for b, v in zip(op.cond_cbits, op.cond_values)):
+                    cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+            elif isinstance(op, InjectOp):
+                cols = _inject_columns(cols, op.targets, op.amplitudes, n)
+            elif isinstance(op, MeasureOp):
+                for outcome in (0, 1):
+                    child = _project_columns(cols, op.qubit, outcome, n)
+                    total = float(np.sum(np.abs(child) ** 2))
+                    new_bits = bits + (outcome,)
+                    new_cbits = dict(cbits)
+                    new_cbits[op.cbit] = outcome
+                    new_measured = dict(measured)
+                    new_measured[op.qubit] = outcome
+                    if total < ZERO:
+                        yield _RawBranch(new_bits, new_cbits, new_measured, None)
+                    else:
+                        yield from walk(k + 1, child, new_bits, new_cbits, new_measured)
+                return
+        yield _RawBranch(bits, cbits, measured, cols)
+
+    return walk(0, cols, (), {}, {})
+
+
+def _oracle_branches(c, psi):
+    """run_all_branches over the depth-first walk."""
+    branches = []
+    for raw in _enumerate_depth_first(c, simulator._initial_columns(c, psi)):
+        live = raw.cols is not None
+        p = float(np.sum(np.abs(raw.cols) ** 2)) if live else 0.0
+        state = StateVector(c.n_qubits, raw.cols[:, 0]) if live else None
+        branches.append(Branch(raw.bits, p, state, raw.cbits, raw.measured_values))
+    return branches
+
+
+def _oracle_report(c, u, in_map, out_map, tol=VERIFY_TOL):
+    """verify_gate_equivalence's fold over the depth-first walk, with dicts."""
+    n = c.n_qubits
+    k = len(in_map)
+    dim = 2**k
+    cols = np.zeros((2**n, dim), dtype=complex)
+    cols[register_offsets(n, in_map), np.arange(dim)] = 1.0
+    out_offsets = register_offsets(n, out_map)
+    measured_shifts = [(q, n - 1 - q) for q in range(n) if q not in out_map]
+    scalars, weights = {}, {}
+    worst = 1.0
+    failing = None
+    sqrt_dim = np.sqrt(dim)
+    for raw in _enumerate_depth_first(c, cols):
+        bits = "".join(str(b) for b in raw.bits)
+        total_mass = 0.0 if raw.cols is None else float(np.sum(np.abs(raw.cols) ** 2))
+        if total_mass / dim < ZERO:
+            weights[bits] = 0.0
+            continue
+        base = 0
+        for q, shift in measured_shifts:
+            base |= raw.measured_values[q] << shift
+        block = raw.cols[base + out_offsets, :]
+        coeff = complex(np.trace(u.conj().T @ block) / dim)
+        fidelity = abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass))
+        weights[bits] = float(abs(coeff) ** 2)
+        scalars[bits] = coeff / abs(coeff) if abs(coeff) > 0 else 0.0 + 0j
+        if fidelity < worst:
+            worst = fidelity
+            if fidelity < 1.0 - tol:
+                failing = bits
+    return worst >= 1.0 - tol, float(worst), failing, scalars, weights
+
+
+def _dying_circuit():
+    """Branches die at three depths: a |0> measured, a qubit copied from a
+    measured |+> and measured again, and a re-injected |+> measured after H."""
+    b = CircuitBuilder(4, 4, ["input", "zero", "zero", "zero"])
+    b.measure(1, 0)                      # outcome 1 dies at once: record "1"
+    b.gate("H", [2]).measure(2, 1)
+    b.cgate([1], [1], "X", [3])
+    b.measure(3, 2)                      # the outcome that disagrees with cbit 1 dies
+    b.inject([SQ2, SQ2], [1])
+    b.gate("H", [1]).measure(1, 3)       # |+> under H: outcome 1 dies
+    return b.build()
+
+
+@pytest.fixture(scope="module")
+def suite_circuits():
+    """(circuit, input) pairs: the suite's circuits with up to 12 measurements."""
+    from test_circuit import random_valid_circuit
+    rng = np.random.default_rng(77)
+    cases = []
+
+    def add(c):
+        k = len(c.symbolic_qubits)
+        cases.append((c, random_state(k, rng) if k else None))
+
+    for _ in range(60):
+        c = random_valid_circuit(rng, int(rng.integers(1, 5)))
+        if _measurements(c) <= 12:
+            add(c)
+    for kind in ("X", "Z"):
+        for n in (1, 2):
+            add(build_one_bit_teleport(kind, n))
+    for name in ("T", "CS", "TOFFOLI", "CNOT", "CZ", "S"):
+        add(teleport.synthesize_teleported_gate(gates.matrix_of(name)).circuit)
+    for style in ("direct", "four_step"):
+        add(remote.build_remote_cnot(style).circuit)
+    for pattern in ("XZ", "ZX"):
+        add(remote.build_two_bit_teleportation(pattern).circuit)
+    for spec in (recursive.rotation_spec(4), recursive.rotation_spec(5),
+                 recursive.controlled_rotation_spec(1, 3),
+                 recursive.controlled_rotation_spec(1, 4),
+                 recursive.controlled_rotation_spec(2, 3),
+                 recursive.controlled_rotation_spec(2, 4)):
+        add(recursive.synth_recursive(spec, flatten=True).flattened)
+    for spec in (recursive.rotation_spec(5), recursive.controlled_rotation_spec(1, 4),
+                 recursive.controlled_rotation_spec(2, 3)):
+        add(recursive.recursive_ancilla_prep(spec).circuit)
+    for name in ("T", "CS", "TOFFOLI"):
+        u = gates.matrix_of(name)
+        spec = ancilla.derive_stabilizers(u, teleport.plan_teleportation(u).a_ops)
+        scripts = [ancilla.build_preparation(spec)]
+        scripts += [ancilla.shortcut_preparation(spec, i) for i in range(len(spec.pairs))]
+        cases += [(ancilla.script_circuit(s), s.initial_state) for s in scripts]
+    add(_dying_circuit())
+    return cases
+
+
+def _assert_same_branches(got, want):
+    assert [b.bits for b in got] == [b.bits for b in want]
+    for g, w in zip(got, want):
+        assert g.cbits == w.cbits and g.measured_values == w.measured_values
+        assert (g.state is None) == (w.state is None), g.bits
+        assert abs(g.probability - w.probability) < 1e-12
+        if w.state is not None:
+            assert np.max(np.abs(g.state.amplitudes - w.state.amplitudes)) < 1e-12
+
+
+def _measurements(c):
+    return sum(isinstance(op, MeasureOp) for op in c.ops)
+
+
+def _flat_stacks(c, cols, cap=MAX_STACK_AMPLITUDES):
+    """Every branch the batched walk yields: (outcome bits, columns or None)."""
+    width = _measurements(c)
+    out = []
+    for stack in simulator._enumerate(c, cols, cap):
+        live = iter(stack.cols)
+        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                       stack.live.tolist()):
+            bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
+            out.append((bits, next(live) if alive else None))
+    return out
+
+
+def test_batched_walk_matches_the_depth_first_walk(suite_circuits):
+    assert any(any(b.state is None for b in _oracle_branches(c, psi))
+               for c, psi in suite_circuits)
+    for c, psi in suite_circuits:
+        _assert_same_branches(run_all_branches(c, psi), _oracle_branches(c, psi))
+
+
+def test_batched_walk_under_a_small_cap_matches_the_depth_first_walk(suite_circuits):
+    """A cap of two rows splits the stack at every measurement past the
+    first; branch order, dead records and every amplitude stay the same,
+    bit for bit, as under the default cap."""
+    for c, psi in suite_circuits:
+        if _measurements(c) > 8:
+            continue
+        cols = simulator._initial_columns(c, psi)
+        want = [(raw.bits, raw.cols) for raw in _enumerate_depth_first(c, cols)]
+        small = _flat_stacks(c, cols, cap=1)
+        assert [bits for bits, _ in small] == [bits for bits, _ in want]
+        for (_, g), (_, w) in zip(small, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert np.max(np.abs(g - w)) < 1e-12
+        default = _flat_stacks(c, cols)
+        assert [bits for bits, _ in default] == [bits for bits, _ in small]
+        for (_, a), (_, b) in zip(default, small):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_operator_mode_walk_matches_the_depth_first_walk(suite_circuits):
+    # every computational-basis input at once, as verification runs it
+    for c, _ in suite_circuits:
+        if _measurements(c) > 8:
+            continue
+        n, k = c.n_qubits, len(c.symbolic_qubits)
+        cols = np.zeros((2**n, 2**k), dtype=complex)
+        cols[register_offsets(n, c.symbolic_qubits), np.arange(2**k)] = 1.0
+        want = [(raw.bits, raw.cols) for raw in _enumerate_depth_first(c, cols)]
+        for cap in (MAX_STACK_AMPLITUDES, 1):
+            got = _flat_stacks(c, cols, cap)
+            assert [bits for bits, _ in got] == [bits for bits, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert np.max(np.abs(g - w)) < 1e-12
+
+
+def test_inject_check_fails_when_one_row_is_not_definite():
+    """After qubit 0 is measured, qubit 1 is |0> on outcome 0 but |+> on
+    outcome 1: both walks refuse the inject."""
+    b = CircuitBuilder(2, 1, ["input", "zero"])
+    b.measure(0, 0)
+    b.inject([1.0, 0.0], [1])
+    c = b.build()
+    entangled = np.array([[0.5], [0.0], [0.5], [0.5]]) * np.sqrt(4 / 3)
+    with pytest.raises(ValidationError, match="definite basis state"):
+        list(_enumerate_depth_first(c, entangled))
+    with pytest.raises(ValidationError, match="definite basis state"):
+        list(simulator._enumerate(c, entangled))
+    # with qubit 1 at |0> on both rows the same circuit runs
+    product = np.array([[SQ2], [0.0], [SQ2], [0.0]])
+    assert [bits for bits, _ in _flat_stacks(c, product)] == [(0,), (1,)]
+
+
+def _tampered(c):
+    """The circuit with its last classically controlled repair removed."""
+    ops = list(c.ops)
+    last = max(i for i, op in enumerate(ops) if isinstance(op, CGateOp))
+    ops[last] = replace(ops[last], name=None,
+                        matrix=np.eye(2 ** len(ops[last].targets), dtype=complex))
+    return Circuit(c.n_qubits, c.n_cbits, c.inputs, tuple(ops))
+
+
+def test_compact_report_matches_the_depth_first_fold():
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    assert _measurements(rc.flattened) == 12
+    for c in (rc.flattened, _tampered(rc.flattened)):
+        report = verify_gate_equivalence(c, rc.gate, rc.in_map, rc.out_map)
+        passed, worst, failing, scalars, weights = _oracle_report(
+            c, rc.gate, rc.in_map, rc.out_map)
+        assert report.passed == passed
+        assert abs(report.worst_fidelity - worst) < 1e-12
+        assert report.failing_branch == failing
+        assert set(report.branch_weights) == set(weights)
+        assert list(report.branch_weights) == list(weights)  # walk order
+        assert set(report.branch_scalars) == set(scalars)
+        assert len(report.branch_weights) == len(weights) == 2**12
+        for bits, w in weights.items():
+            assert abs(report.branch_weights[bits] - w) < 1e-12
+        for bits, s in scalars.items():
+            assert abs(report.branch_scalars[bits] - s) < 1e-12
+        assert dict(report.branch_scalars.items()) == scalars  # bit for bit
+        assert report.branch_weights.values() == list(weights.values())
+    assert not passed and failing is not None  # the tampered run fails
+
+
+def test_compact_report_keeps_dead_branches_and_refuses_assignment():
+    b = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+    b.measure(1, 0)                      # |0>: branch "1" dies here
+    b.gate("H", [2]).measure(2, 1)
+    b.gate("H", [0]).gate("H", [0])
+    report = verify_gate_equivalence(b.build(), np.eye(2), [0], [0])
+    weights, scalars = report.branch_weights, report.branch_scalars
+    assert list(weights) == ["00", "01", "1"] and set(scalars) == {"00", "01"}
+    assert weights["1"] == 0.0 and weights.get("1") == 0.0
+    assert "1" in weights and "1" not in scalars and "0" not in weights
+    for key in ("", "10", "001", "2", "0b1", " 1", 1, None):
+        assert weights.get(key) is None
+    assert weights.get("0", -1.0) == -1.0
+    assert weights.values() == [weights[k] for k in weights]
+    assert [k for k, _ in weights.items()] == ["00", "01", "1"]
+    assert weights["00"] == pytest.approx(0.5) and weights["01"] == pytest.approx(0.5)
+    with pytest.raises(KeyError):
+        weights["11"]
+    with pytest.raises(TypeError):
+        weights["00"] = 1.0
+    with pytest.raises(TypeError):
+        scalars["00"] = 1.0
+    with pytest.raises(TypeError):
+        del weights["00"]
+
+
+def test_compact_report_holds_no_bitstring_keys():
+    """4,096 branches: the report holds arrays (about 150 KB traced), not
+    two dicts keyed by 4,096 bitstrings each (about 730 KB)."""
+    import tracemalloc
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    tracemalloc.start()
+    try:
+        report = verify_gate_equivalence(rc.flattened, rc.gate, rc.in_map, rc.out_map)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.branch_weights) == 2**12
+    assert held < 250_000, held
