@@ -6,6 +6,11 @@ the ancillas by stabilizer measurement, expand diagonal gates recursively,
 and simulate two-party remote protocols -- all checked branch by branch
 against an exact dense-statevector engine.
 """
+import os
+
+# OpenBLAS threads only slow these small dense products down; set before
+# numpy first loads, and an explicit OPENBLAS_NUM_THREADS still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .pauli import (PauliOperator, commutes, format_literal, parse_literal,
                     pauli_from_matrix, pauli_mul, pauli_to_matrix)

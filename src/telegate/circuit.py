@@ -158,6 +158,10 @@ class CircuitBuilder:
         return self
 
     def cgate(self, cond_cbits, cond_values, name_or_matrix, targets, role=None) -> "CircuitBuilder":
+        """A gate applied when the cbits read the values; an empty condition
+        appends a plain gate."""
+        if not cond_cbits and not cond_values:
+            return self.gate(name_or_matrix, targets, role=role)
         name, matrix = _split_gate(name_or_matrix)
         self.ops.append(CGateOp(tuple(cond_cbits), tuple(cond_values), tuple(targets),
                                 name=name, matrix=matrix, role=role))

@@ -231,6 +231,8 @@ def cmd_recursive(args) -> int:
 
 
 def cmd_remote(args) -> int:
+    if args.trials < 0:
+        raise TelegateError(f"--trials must be at least 0, got {args.trials}")
     builders = {
         "teleport2-xz": lambda: remote.build_two_bit_teleportation("XZ"),
         "teleport2-zx": lambda: remote.build_two_bit_teleportation("ZX"),

@@ -115,6 +115,11 @@ def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
     return (1j ** p.phase_quarters) * m
 
 
+def x_matrix(bits) -> np.ndarray:
+    """The matrix of X on every qubit whose bit is set."""
+    return pauli_to_matrix(PauliOperator(len(bits), tuple(bits), (0,) * len(bits)))
+
+
 def pauli_from_matrix(
     m: np.ndarray, tol: float = TOL
 ) -> tuple[complex, PauliOperator, bool] | None:

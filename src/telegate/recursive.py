@@ -1,17 +1,25 @@
 """Recursive teleportation of diagonal-hierarchy gates.
 
+The argument is the paper's, extending the recursion of Gottesman & Chuang
+(Nature 402:390, 1999): a gate g of level k teleports through its magic
+state g|+...+>, and the repair of each measured bit, g·X_i·g†, is X_i times
+a diagonal of level k-1.  Each repair thus lies one level down and is
+realized the same way, until what is left is Clifford and applied directly.
+
 The root is a plain X-teleportation with the ancilla injected as
 g|+...+>; each measured bit triggers a Pauli X repair plus a diagonal
-residue g·X_i·g†·X_i one level down the hierarchy.  Clifford-or-lower
-residues are emitted directly as classically-controlled gates.  Deeper
-residues become child nodes: each child injects the residue's magic state
-D|+...+> on fresh (or recycled) qubits, couples it to the live register
-with CNOTs gated on the parent's bit, measures the magic register, and
-repairs with per-outcome-pattern diagonals D·X^c·D†·X^c, again one level
-down.  The parent bit off means the coupling never fires and the live
-register is untouched, so a single flattened circuit with one fixed output
-register realizes the whole conditional tree; measurements are never
-conditioned, preserving the single-measurement discipline.
+residue g·X_i·g†·X_i.  Clifford-or-lower residues are emitted directly as
+classically-controlled gates.  Deeper residues become child nodes, each one
+injection gadget (`emit_inject`, the package's only one): it injects the
+residue's magic state D|+...+> on the recycled measured qubits, couples it
+to the live register with CNOTs gated on the parent's bit, measures the
+magic register, and repairs with per-outcome-pattern diagonals
+D·X^c·D†·X^c, again one level down.  The parent bit off means the coupling
+never fires and the live register is untouched, so a single flattened
+circuit with one fixed output register realizes the whole conditional tree;
+measurements are never conditioned, preserving the single-measurement
+discipline.  One node emitter writes that circuit, each repair once; a
+node's own circuit is its segment of it with the children cut out.
 
 Recursive ancilla preparation (the states U|+...+> themselves) measures
 the stabilizers M_i = U_x·X_i through one control qubit per step.  The
@@ -23,12 +31,12 @@ controlled payload is Clifford.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gates, hierarchy, pauli
-from .circuit import Circuit, CircuitBuilder, to_document
+from .circuit import CGateOp, Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL,
                      check_width, width_of)
@@ -45,11 +53,9 @@ class GateSpec:
     """A diagonal gate given as a rotation, controlled rotation, product,
     or explicit matrix; the numeric classifier is the level authority."""
 
-    kind: str
     matrix: np.ndarray = field(repr=False)
     label: str
     level_param: int | None = None
-    controls: int | None = None
 
     @property
     def n(self) -> int:
@@ -61,7 +67,7 @@ def rotation_spec(level: int) -> GateSpec:
     if level < 1:
         raise ValidationError("rotation level must be positive")
     m = np.diag([1.0, np.exp(2j * np.pi / 2**level)]).astype(complex)
-    return GateSpec("rotation", m, f"V{level}", level_param=level)
+    return GateSpec(m, f"V{level}", level_param=level)
 
 
 def controlled_rotation_spec(controls: int, level: int) -> GateSpec:
@@ -71,8 +77,7 @@ def controlled_rotation_spec(controls: int, level: int) -> GateSpec:
         raise ValidationError("need level > controls >= 1")
     base = np.diag([1.0, np.exp(2j * np.pi / 2 ** (level - controls))]).astype(complex)
     m = gates.controlled(base, n_controls=controls)
-    return GateSpec("controlled-rotation", m, f"{'C' * controls}V{level}",
-                    level_param=level, controls=controls)
+    return GateSpec(m, f"{'C' * controls}V{level}", level_param=level)
 
 
 def product_spec(specs) -> GateSpec:
@@ -85,12 +90,12 @@ def product_spec(specs) -> GateSpec:
         if s.matrix.shape[0] != dim:
             raise ValidationError("product factors must share a width")
         m = s.matrix @ m
-    return GateSpec("product", m, "*".join(s.label for s in specs))
+    return GateSpec(m, "*".join(s.label for s in specs))
 
 
 def matrix_spec(matrix, label: str = "diagonal") -> GateSpec:
     m = np.asarray(matrix, dtype=complex)
-    return GateSpec("matrix", m, label)
+    return GateSpec(m, label)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +120,11 @@ class Repair:
 class RecursiveNode:
     """One teleportation (root) or injection gadget (child) in the tree.
 
-    The standalone circuit carries only this node's ops and direct
-    repairs; child repairs appear as linked nodes.  Root circuits map
-    [0..n-1] symbolic data to [n..2n-1] output; child circuits act in
-    place on [0..n-1] with magic on [n..2n-1].
+    Its own circuit is its segment of the flattened circuit with the
+    children and their X halves cut out and the ancestor condition dropped;
+    child repairs appear as linked nodes.  Root circuits map [0..n-1]
+    symbolic data to [n..2n-1] output; child circuits act in place on
+    [0..n-1] with magic on [n..2n-1].
     """
 
     mode: str  # "teleport" | "inject"
@@ -128,10 +134,6 @@ class RecursiveNode:
     magic: StateVector
     circuit: Circuit
     repairs: tuple[Repair, ...]
-
-    @property
-    def children(self) -> tuple["RecursiveNode", ...]:
-        return tuple(r.child for r in self.repairs if r.child is not None)
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,6 @@ def _plus_state(n: int) -> np.ndarray:
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
 
 
-def _x_matrix(n: int, pattern: int) -> np.ndarray:
-    bits = tuple((pattern >> (n - 1 - q)) & 1 for q in range(n))
-    return pauli.pauli_to_matrix(pauli.PauliOperator(n, bits, (0,) * n, 0))
-
-
 def _level_of(m: np.ndarray, what: str) -> int:
     verdict = hierarchy.hierarchy_level(m, k_max=MAX_RECURSION_LEVEL)
     if verdict.level is None:
@@ -184,103 +181,111 @@ def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
     return m, spec.n, level
 
 
-def _build_inject_node(diag_gate: np.ndarray, level: int) -> RecursiveNode:
-    """Gadget applying a diagonal in place: magic D|+..+>, CNOT coupling,
-    magic measurement, per-pattern diagonal repairs one level down."""
-    n = width_of(diag_gate.shape[0])
-    magic = StateVector(n, diag_gate @ _plus_state(n))
-    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
-    b.inject(magic.amplitudes, list(range(n, 2 * n)), role="ancilla-prep")
-    for j in range(n):
-        b.gate("CNOT", [j, n + j], role="E")
-    for j in range(n):
-        b.measure(n + j, j)
-    repairs: list[Repair] = []
-    d_dag = diag_gate.conj().T
-    cond_bits = tuple(range(n))
-    for pattern in range(1, 2**n):
-        x_c = _x_matrix(n, pattern)
-        w = diag_gate @ x_c @ d_dag @ x_c
-        if np.max(np.abs(w - np.eye(2**n))) <= TOL:
-            continue
-        vals = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
-        w_level = _level_of(w, "pattern repair")
-        if w_level <= 2:
-            corr = classify_correction(w, 3, pattern)
-            b.cgate(cond_bits, vals, corr.canonical, list(range(n)), role="D")
-            repairs.append(Repair(cond_bits, vals, w_level, canonical=corr.canonical,
-                                  exact=w, klass=corr.klass))
-        else:
-            repairs.append(Repair(cond_bits, vals, w_level,
-                                  child=_build_inject_node(w, w_level)))
-    return RecursiveNode("inject", diag_gate, level, n, magic, b.build(),
-                         tuple(repairs))
+def emit_inject(b: CircuitBuilder, magic, live, spare, cbits, controls=(),
+                cond=((), ())) -> None:
+    """Append the injection gadget: `magic` injected on spare, each live[j]
+    coupled onto spare[j] by a CNOT (a Toffoli when `controls` is [kappa]),
+    gated on cond = (cbits, values) when that is nonempty, and spare[j]
+    measured into cbits[j].  The repairs are the caller's."""
+    b.inject(magic, spare, role="ancilla-prep")
+    coupling = "TOFFOLI" if controls else "CNOT"
+    for q, s in zip(live, spare, strict=True):
+        b.cgate(*cond, coupling, [*controls, q, s], role="E")
+    for s, c in zip(spare, cbits, strict=True):
+        b.measure(s, c)
 
 
-def _build_teleport_root(gate_matrix: np.ndarray, level: int) -> RecursiveNode:
-    n = width_of(gate_matrix.shape[0])
-    magic = StateVector(n, gate_matrix @ _plus_state(n))
-    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
-    anc = list(range(n, 2 * n))
-    emit_teleport(b, TeleportPlan(("X",) * n), range(n), anc, range(n),
-                  ancilla=magic.amplitudes)
-    repairs: list[Repair] = []
-    g_dag = gate_matrix.conj().T
+def _pattern_repairs(d: np.ndarray, keep_phase: bool):
+    """Each outcome pattern c of an injection of d, as bits, with its repair
+    D·X^c·D†·X^c where that is not the identity; `keep_phase` multiplies in
+    D's eigenvalue d_c, which a controlled repair must carry."""
+    n = width_of(d.shape[0])
+    d_dag = d.conj().T
+    for pattern in range(2**n):
+        bits = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
+        x_c = pauli.x_matrix(bits)
+        w = d @ x_c @ d_dag @ x_c
+        if keep_phase:
+            w = complex(d[pattern, pattern]) * w
+        if np.max(np.abs(w - np.eye(2**n))) > TOL:
+            yield bits, w
+
+
+def _root_repairs(g: np.ndarray):
+    """Per measured bit i of the root: (local cbits, values, the residue
+    g·X_i·g†·X_i, its level, the whole repair g·X_i·g†, the X half's qubit)."""
+    n = width_of(g.shape[0])
+    g_dag = g.conj().T
     for i in range(n):
-        x_i = _x_matrix(n, 1 << (n - 1 - i))
-        c_i = gate_matrix @ x_i @ g_dag
+        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
+        c_i = g @ x_i @ g_dag
         residue = c_i @ x_i
         if not hierarchy.is_diagonal_matrix(residue, tol=FLOOR):
             raise SynthesisRefusal(f"repair residue on qubit {i} is not diagonal")
-        r_level = 1 if np.max(np.abs(residue - np.eye(2**n))) <= TOL \
-            else _level_of(residue, f"residue on qubit {i}")
+        yield (i,), (1,), residue, _level_of(residue, f"residue on qubit {i}"), c_i, i
+
+
+def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> RecursiveNode:
+    """Append a node and its subtree to the flattened circuit `b`.
+
+    The root (empty `cond`) teleports the data [0..n-1] onto [n..2n-1]; a
+    child injects its magic on the measured [0..n-1] and couples the live
+    [n..2n-1] to it under the ancestor condition `cond`.  Each repair is
+    written once, gated on `cond` plus the node's own bits: a direct gate,
+    or a child right after its X half."""
+    n = width_of(gate.shape[0])
+    data, live = list(range(n)), list(range(n, 2 * n))
+    magic = StateVector(n, gate @ _plus_state(n))
+    cbits = b.alloc_cbits(n)
+    start = len(b.ops)
+    if cond[0]:
+        emit_inject(b, magic.amplitudes, live, data, cbits, cond=cond)
+        specs = ((tuple(range(n)), vals, w, _level_of(w, "pattern repair"), w, None)
+                 for vals, w in _pattern_repairs(gate, keep_phase=False))
+    else:
+        emit_teleport(b, TeleportPlan(("X",) * n), data, live, cbits,
+                      ancilla=magic.amplitudes)
+        specs = _root_repairs(gate)
+    own = b.ops[start:]
+    repairs: list[Repair] = []
+    for local, vals, residue, r_level, whole, x_half in specs:
+        bits = (cond[0] + tuple(cbits[c] for c in local), cond[1] + vals)
         if r_level <= 2:
-            corr = classify_correction(c_i, max(level, 3), i)
-            b.cgate([i], [1], corr.canonical, anc, role="D")
-            repairs.append(Repair((i,), (1,), r_level, canonical=corr.canonical,
-                                  exact=c_i, klass=corr.klass))
+            corr = classify_correction(whole, 3, local[0])
+            b.cgate(*bits, corr.canonical, live, role="D")
+            own.append(b.ops[-1])
+            repairs.append(Repair(local, vals, r_level, canonical=corr.canonical,
+                                  exact=whole, klass=corr.klass))
         else:
-            # The X half of the repair stays attached to its residue: the
-            # pair D~_i·X_i commutes with other repairs only as a block, so
-            # the standalone circuit omits the X and both the flattener and
-            # the tree interpreter apply it immediately before the child.
-            repairs.append(Repair((i,), (1,), r_level, pre_pauli_qubit=i,
-                                  child=_build_inject_node(residue, r_level)))
-    return RecursiveNode("teleport", gate_matrix, level, n, magic, b.build(),
-                         tuple(repairs))
+            # The X half stays attached to its residue: the pair D~_i·X_i
+            # commutes with other repairs only as a block, so the X runs
+            # immediately before the child, and both leave the node's own
+            # circuit (the tree interpreter applies the X itself).
+            if x_half is not None:
+                b.cgate(*bits, "X", [live[x_half]], role="D")
+            repairs.append(Repair(local, vals, r_level, pre_pauli_qubit=x_half,
+                                  child=_emit_node(b, residue, r_level, bits)))
+    mode, order = ("inject", live + data) if cond[0] else ("teleport", data + live)
+    return RecursiveNode(mode, gate, level, n, magic,
+                         _relabel(own, order, cbits, len(cond[0])), tuple(repairs))
 
 
-def _flatten(root: RecursiveNode) -> Circuit:
-    n = root.n
-    b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
-    data = list(range(n))
-    anc = list(range(n, 2 * n))
-
-    def emit(node: RecursiveNode, is_root: bool,
-             cond_bits: tuple[int, ...], cond_vals: tuple[int, ...]):
-        cbits = b.alloc_cbits(n)
-        if is_root:
-            emit_teleport(b, TeleportPlan(("X",) * n), data, anc, cbits,
-                          ancilla=node.magic.amplitudes)
+def _relabel(ops, qubits, cbits, depth: int) -> Circuit:
+    """The ops moved onto qubits[j] -> j and cbits[j] -> j with their first
+    `depth` condition bits dropped: a circuit on n input, n inject qubits."""
+    n = len(cbits)
+    q = {old: new for new, old in enumerate(qubits)}
+    c = {old: new for new, old in enumerate(cbits)}
+    b = CircuitBuilder(2 * n, n, ["input"] * n + ["inject"] * n)
+    for op in ops:
+        if isinstance(op, MeasureOp):
+            b.measure(q[op.qubit], c[op.cbit], role=op.role)
+        elif isinstance(op, InjectOp):
+            b.ops.append(replace(op, targets=tuple(q[t] for t in op.targets)))
         else:
-            # Magic recycles the measured data qubits; the coupling fires
-            # only when every ancestor condition bit is set.
-            b.inject(node.magic.amplitudes, data, role="ancilla-prep")
-            for j in range(n):
-                b.cgate(cond_bits, cond_vals, "CNOT", [anc[j], data[j]], role="E")
-            for j in range(n):
-                b.measure(data[j], cbits[j])
-        for rep in node.repairs:
-            g_bits = cond_bits + tuple(cbits[lb] for lb in rep.cond_cbits_local)
-            g_vals = cond_vals + rep.cond_values
-            if rep.pre_pauli_qubit is not None:
-                b.cgate(g_bits, g_vals, "X", [anc[rep.pre_pauli_qubit]], role="D")
-            if rep.canonical is not None:
-                b.cgate(g_bits, g_vals, rep.canonical, anc, role="D")
-            if rep.child is not None:
-                emit(rep.child, False, g_bits, g_vals)
-
-    emit(root, True, (), ())
+            bits, vals = (op.cond_cbits, op.cond_values) if isinstance(op, CGateOp) else ((), ())
+            b.cgate([c[x] for x in bits[depth:]], vals[depth:], op.name or op.matrix,
+                    [q[t] for t in op.targets], role=op.role)
     return b.build()
 
 
@@ -296,8 +301,9 @@ def synth_recursive(spec: GateSpec, flatten: bool = True,
         return RecursiveCircuit(spec.label, m, level, n, None, b.build(),
                                 tuple(range(n)), tuple(range(n)))
 
-    root = _build_teleport_root(m, level)
-    flattened = _flatten(root) if flatten else None
+    b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
+    root = _emit_node(b, m, level, ((), ()))
+    flattened = b.build() if flatten else None
     rc = RecursiveCircuit(spec.label, m, level, n, root, flattened,
                           tuple(range(n)), tuple(range(n, 2 * n)))
     if flattened is not None:
@@ -430,52 +436,29 @@ class RecursivePreparation:
 
 
 def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
-                        payload: np.ndarray, cond_bits: tuple[int, ...],
-                        cond_vals: tuple[int, ...]) -> ControlledRealization:
+                        payload: np.ndarray, cond=((), ())) -> ControlledRealization:
     """Emit ops applying the payload to the register when qubit kappa is
-    |1>, exactly (the payload's eigenvalue phases included)."""
+    |1> and `cond` holds, exactly (the payload's eigenvalue phases included)."""
     n = len(register)
     level = _level_of(payload, "controlled payload")
     if level <= 2:
-        gate_m = gates.controlled(payload)
-        if cond_bits:
-            buf.cgate(cond_bits, cond_vals, gate_m, [kappa] + register, role="D")
-        else:
-            buf.gate(gate_m, [kappa] + register, role="U")
+        buf.cgate(*cond, gates.controlled(payload), [kappa] + register,
+                  role="D" if cond[0] else "U")
         return ControlledRealization(payload, level, "direct")
 
     magic = StateVector(n, payload @ _plus_state(n))
-    magic_qubits = buf.alloc_qubits(n, "inject")
-    buf.inject(magic.amplitudes, magic_qubits, role="ancilla-prep")
-    for j in range(n):
-        if cond_bits:
-            buf.cgate(cond_bits, cond_vals, "TOFFOLI",
-                      [kappa, register[j], magic_qubits[j]], role="E")
-        else:
-            buf.gate("TOFFOLI", [kappa, register[j], magic_qubits[j]], role="E")
+    spare = buf.alloc_qubits(n, "inject")
     cbits = buf.alloc_cbits(n)
-    for j in range(n):
-        buf.measure(magic_qubits[j], cbits[j])
-    p_dag = payload.conj().T
+    emit_inject(buf, magic.amplitudes, register, spare, cbits, controls=[kappa], cond=cond)
     direct_patterns: list[tuple[int, ...]] = []
     children: list[tuple[tuple[int, ...], ControlledRealization]] = []
-    for pattern in range(2**n):
-        u_c = complex(payload[pattern, pattern])
-        x_c = _x_matrix(n, pattern) if pattern else np.eye(2**n, dtype=complex)
-        w = u_c * (payload @ x_c @ p_dag @ x_c)
-        if np.max(np.abs(w - np.eye(2**n))) <= TOL:
-            continue
-        vals = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
-        sub_bits = cond_bits + tuple(cbits)
-        sub_vals = cond_vals + vals
-        w_level = _level_of(w, "controlled pattern repair")
-        if w_level <= 2:
-            buf.cgate(sub_bits, sub_vals, gates.controlled(w),
-                      [kappa] + register, role="D")
+    for vals, w in _pattern_repairs(payload, keep_phase=True):
+        sub = _realize_controlled(buf, kappa, register, w,
+                                  (cond[0] + tuple(cbits), cond[1] + vals))
+        if sub.mode == "direct":
             direct_patterns.append(vals)
         else:
-            children.append((vals, _realize_controlled(buf, kappa, register, w,
-                                                       sub_bits, sub_vals)))
+            children.append((vals, sub))
     return ControlledRealization(payload, level, "injected", magic,
                                  tuple(direct_patterns), tuple(children))
 
@@ -491,20 +474,19 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
     u_dag = u.conj().T
     steps = []
     for i in range(n):
-        x_i = _x_matrix(n, 1 << (n - 1 - i))
+        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
         m_i = u @ x_i @ u_dag
         u_x = m_i @ x_i
-        u_x_level = _level_of(u_x, "stabilizer payload")
         kappa = buf.alloc_qubits(1, "zero")[0]
         buf.gate("H", [kappa], role="ancilla-prep")
         buf.gate("CNOT", [kappa, register[i]], role="E")
-        realization = _realize_controlled(buf, kappa, register, u_x, (), ())
+        realization = _realize_controlled(buf, kappa, register, u_x)
         buf.gate("H", [kappa], role="B")
         mbit = buf.alloc_cbits(1)[0]
         buf.measure(kappa, mbit)
         buf.cgate([mbit], [1], "Z", [register[i]], role="D")
         steps.append(PreparationStep(m_i, pauli.pauli_to_matrix(
-            pauli.single(n, i, "Z")), u_x, u_x_level, realization))
+            pauli.single(n, i, "Z")), u_x, realization.level, realization))
     check_width(buf.n_qubits)
     circuit = buf.build()
     return RecursivePreparation(u, target, tuple(steps), circuit, tuple(register))

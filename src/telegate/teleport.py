@@ -25,7 +25,7 @@ from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
 from .errors import SynthesisRefusal, ValidationError
-from .limits import FLOOR, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
+from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence, zero_state)
 
@@ -138,9 +138,7 @@ def peel_x_pattern(m: np.ndarray, tol: float = TOL) -> tuple[tuple[int, ...], np
     if x_int is None:
         return None
     x_bits = tuple((x_int >> (n - 1 - q)) & 1 for q in range(n))
-    x_op = pauli.pauli_to_matrix(pauli.PauliOperator(n, x_bits, (0,) * n, 0))
-    diag = m @ x_op
-    return x_bits, diag
+    return x_bits, m @ pauli.x_matrix(x_bits)
 
 
 def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
@@ -287,6 +285,8 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
     The emitted circuit injects the derived ancilla, runs the CNOT layer
     and measurements, and repairs with the classified conjugated
     corrections (canonical phases dropped at emission)."""
+    if not 1 <= k_hint <= MAX_HIERARCHY_LEVEL:
+        raise ValidationError(f"k_hint must be between 1 and {MAX_HIERARCHY_LEVEL}, got {k_hint}")
     u = np.asarray(u, dtype=complex)
     n = width_of(u.shape[0])
     if plan is None:

@@ -100,6 +100,21 @@ def test_validate_is_total_on_junk():
     assert len(violations) >= 5
 
 
+def test_cgate_with_empty_condition_appends_a_plain_gate():
+    b, ref = CircuitBuilder(1, 0), CircuitBuilder(1, 0)
+    b.cgate([], [], "X", [0], role="D")
+    ref.gate("X", [0], role="D")
+    assert b.ops == ref.ops and isinstance(b.ops[0], GateOp)
+
+
+def test_deserialized_cgate_with_empty_condition_is_malformed():
+    doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["input"],
+           "ops": [{"op": "cgate", "cond": {"cbits": [], "equals": []},
+                    "name": "X", "targets": [0]}]}
+    with pytest.raises(InvalidCircuitError, match="malformed classical condition"):
+        deserialize(json.dumps(doc))
+
+
 def test_serialize_refuses_invalid():
     c = Circuit(2, 1, ("input", "input"),
                 (MeasureOp(0, 0), GateOp((0,), name="H")))

@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, outputs, emitted files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telegate
 from telegate import gates
 from telegate.circuit import deserialize
 from telegate.cli import main
@@ -318,3 +323,45 @@ def test_recursion_too_deep_is_one_usage_error(capsys, k):
     code, out, err = run(capsys, "recursive", "V", "--k", str(k))
     assert code == 2 and out == ""
     assert "depth limit 5" in err
+
+
+def test_negative_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "remote", "--protocol", "remote-cnot", "--trials", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--trials" in err
+
+
+@pytest.mark.parametrize("k_hint", ["0", "21"])
+def test_k_hint_outside_the_level_range_is_usage_error(capsys, k_hint):
+    code, out, err = run(capsys, "synth", "T", "--k-hint", k_hint)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "k_hint must be between 1 and 20" in err
+
+
+# Runs the console script's entry point and prints OPENBLAS_NUM_THREADS as
+# it stands when numpy is first imported, which is when OpenBLAS reads it.
+_NUMPY_PROBE = """
+import os, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+from telegate.cli import entrypoint
+sys.argv = ["telegate", "hierarchy", "T"]
+entrypoint()
+"""
+
+
+@pytest.mark.parametrize("given,seen", [(None, "1"), ("2", "2")])
+def test_cli_loads_numpy_on_one_blas_thread_unless_told(given, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(telegate.__file__).parents[1])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == [seen, "level 3, diagonal, strict"]

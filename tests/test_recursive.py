@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from telegate import gates
+from telegate.circuit import CGateOp, CircuitBuilder, GateOp, InjectOp, MeasureOp
 from telegate.errors import ValidationError, WidthOverflow
 from telegate.hierarchy import hierarchy_level
-from telegate.recursive import (controlled_rotation_spec, execute_tree,
+from telegate.recursive import (controlled_rotation_spec, emit_inject, execute_tree,
                                 matrix_spec, product_spec,
                                 recursive_ancilla_prep, resource_report,
                                 rotation_spec, synth_recursive,
                                 tree_to_json, verify_preparation)
 from telegate.simulator import (basis_state, extract_register_state,
                                 random_state, run_all_branches)
+from telegate.teleport import TeleportPlan, emit_teleport
 
 
 def tree_walk_residues(rc):
@@ -201,6 +203,127 @@ def test_flattened_and_tree_operator_sets_match(rng):
             return out
 
         assert branch_operator_set(run_tree, dim) == branch_operator_set(run_flat, dim)
+
+
+def _hand_flatten(root):
+    """Reference: the hand-written flattener synth_recursive used before one
+    node emitter wrote both the tree and the flattened circuit, kept verbatim."""
+    n = root.n
+    b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
+    data = list(range(n))
+    anc = list(range(n, 2 * n))
+
+    def emit(node, is_root, cond_bits, cond_vals):
+        cbits = b.alloc_cbits(n)
+        if is_root:
+            emit_teleport(b, TeleportPlan(("X",) * n), data, anc, cbits,
+                          ancilla=node.magic.amplitudes)
+        else:
+            # Magic recycles the measured data qubits; the coupling fires
+            # only when every ancestor condition bit is set.
+            b.inject(node.magic.amplitudes, data, role="ancilla-prep")
+            for j in range(n):
+                b.cgate(cond_bits, cond_vals, "CNOT", [anc[j], data[j]], role="E")
+            for j in range(n):
+                b.measure(data[j], cbits[j])
+        for rep in node.repairs:
+            g_bits = cond_bits + tuple(cbits[lb] for lb in rep.cond_cbits_local)
+            g_vals = cond_vals + rep.cond_values
+            if rep.pre_pauli_qubit is not None:
+                b.cgate(g_bits, g_vals, "X", [anc[rep.pre_pauli_qubit]], role="D")
+            if rep.canonical is not None:
+                b.cgate(g_bits, g_vals, rep.canonical, anc, role="D")
+            if rep.child is not None:
+                emit(rep.child, False, g_bits, g_vals)
+
+    emit(root, True, (), ())
+    return b.build()
+
+
+@pytest.mark.parametrize("controls,level", [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4),
+                                            (2, 3), (2, 4)])
+def test_flattened_circuit_matches_the_hand_written_flattener(controls, level):
+    spec = rotation_spec(level) if controls == 0 else controlled_rotation_spec(controls, level)
+    rc = synth_recursive(spec)
+    assert _hand_flatten(rc.root) == rc.flattened
+
+
+def _segments(rc):
+    """(node, its cbits, its ancestor condition, its ops' span) for every
+    node, depth first.  A segment is the gadget (inject, n couplings, n
+    measurements), then per repair a direct gate, or the X half and the
+    child's segment; each node takes the next n cbits."""
+    n = rc.n
+    found = []
+
+    def walk(node, cond, lo):
+        index = len(found)
+        found.append(None)
+        cbits = tuple(range(index * n, (index + 1) * n))
+        hi = lo + 1 + 2 * n
+        for rep in node.repairs:
+            if rep.child is None:
+                hi += 1
+                continue
+            hi += rep.pre_pauli_qubit is not None
+            hi = walk(rep.child, (cond[0] + tuple(cbits[c] for c in rep.cond_cbits_local),
+                                  cond[1] + rep.cond_values), hi)
+        found[index] = (node, cbits, cond, range(lo, hi))
+        return hi
+
+    walk(rc.root, ((), ()), 0)
+    return found
+
+
+@pytest.mark.parametrize("spec", [rotation_spec(5), controlled_rotation_spec(1, 4),
+                                  controlled_rotation_spec(2, 4)], ids=lambda s: s.label)
+def test_child_segments_leave_the_live_register_alone_when_their_condition_fails(spec):
+    """In each child's segment every op but the injects and measurements
+    (its own and its descendants') is gated on the child's ancestor bits,
+    and those injects and measurements touch only the recycled data qubits
+    [0..n-1]: with the condition false the segment leaves the live register
+    [n..2n-1] untouched."""
+    rc = synth_recursive(spec)
+    n, ops = rc.n, rc.flattened.ops
+    segments = _segments(rc)
+    assert len(segments) > 1 and segments[0][3] == range(len(ops))
+    for node, cbits, (bits, vals), span in segments[1:]:
+        assert bits and isinstance(ops[span[0]], InjectOp)
+        own_measures = ops[span[0] + 1 + n:span[0] + 1 + 2 * n]
+        assert [(op.qubit, op.cbit) for op in own_measures] == list(zip(range(n), cbits))
+        for op in ops[span[0]:span[-1] + 1]:
+            if isinstance(op, InjectOp):
+                assert set(op.targets) == set(range(n))
+            elif isinstance(op, MeasureOp):
+                assert op.qubit < n
+            else:
+                assert isinstance(op, CGateOp)
+                assert (op.cond_cbits[:len(bits)], op.cond_values[:len(vals)]) == (bits, vals)
+
+
+def test_emit_inject_couples_by_cnot_or_by_gated_toffoli():
+    magic = np.full(4, 0.5, dtype=complex)
+    b = CircuitBuilder(4, 2, ["input"] * 2 + ["inject"] * 2)
+    emit_inject(b, magic, [0, 1], [2, 3], [0, 1])
+    assert [type(op) for op in b.ops] == [InjectOp, GateOp, GateOp, MeasureOp, MeasureOp]
+    assert b.ops[0].targets == (2, 3) and b.ops[0].role == "ancilla-prep"
+    assert [(op.name, op.targets, op.role) for op in b.ops[1:3]] == [
+        ("CNOT", (0, 2), "E"), ("CNOT", (1, 3), "E")]
+    assert [(op.qubit, op.cbit) for op in b.ops[3:]] == [(2, 0), (3, 1)]
+    b.build()
+
+    b = CircuitBuilder(1, 1, ["zero"])
+    b.measure(0, 0)
+    kappa = b.alloc_qubits(1, "zero")[0]
+    live, spare = b.alloc_qubits(2, "zero"), b.alloc_qubits(2, "inject")
+    emit_inject(b, magic, live, spare, b.alloc_cbits(2), controls=[kappa],
+                cond=((0,), (1,)))
+    couplings = b.ops[2:4]
+    assert all(isinstance(op, CGateOp) and op.name == "TOFFOLI" for op in couplings)
+    assert [(op.cond_cbits, op.cond_values, op.targets) for op in couplings] == [
+        ((0,), (1,), (kappa, live[0], spare[0])), ((0,), (1,), (kappa, live[1], spare[1]))]
+    assert [(op.qubit, op.cbit) for op in b.ops[4:]] == [(spare[0], 1), (spare[1], 2)]
+    b.build()
 
 
 def test_level_two_gate_is_direct():
