@@ -1,11 +1,20 @@
-"""Numeric classification of a unitary's minimal level in the gate hierarchy.
+"""Classification of a unitary's minimal level in the gate hierarchy.
 
 Level 1 is the Pauli group (recognized projectively: any unit-modulus
-scalar is ignored), level 2 the Clifford group, and level k membership is
-tested recursively by conjugating the 2n Pauli generators and classifying
-every image at level k-1.  Every level is recognized at the caller's one
-tolerance: a looser tolerance deep in the recursion would let a near-miss
-that fails at its own level pass one level up.
+scalar is ignored), level 2 the Clifford group.  Two routes find the level:
+
+- A diagonal gate is classified in closed form (Cui, Gottesman & Krishna,
+  "Diagonal gates in the Clifford hierarchy", PRA 95, 012329, 2017).  Its
+  phases f(x) = arg(d_x / d_0) / 2π expand as the multilinear polynomial
+  Σ_S a_S ∏_{i∈S} x_i (a Möbius transform, O(n·2^n)), and its level is the
+  largest log2(denominator of a_S mod 1) + |S| - 1, the identity being
+  level 1.  `tol` bounds the entry-wise phase error 2π·dist(a_S, 2^-j·ℤ).
+- Any other gate is tested level by level: level k membership conjugates
+  the 2n Pauli generators and classifies every image at level k-1.  Every
+  depth uses the caller's one tolerance, so a near-miss that fails at its
+  own level cannot pass one level up; but each conjugation doubles a phase
+  error, so the effective tolerance at level k shrinks as about
+  tol/2^(k-2) on this route.
 
 Classification is projective throughout: multiplying the input by a global
 phase never changes the verdict.
@@ -29,8 +38,7 @@ class HierarchyVerdict:
 
     level is None when membership could not be certified for any k <= k_max
     (a normal result, not an error); strict records that membership one
-    level down was refuted, which the upward search from k = 1 does for
-    every found level.
+    level down was refuted, which both routes do for every found level.
     """
 
     level: int | None
@@ -53,8 +61,8 @@ class HierarchyVerdict:
         return ", ".join(parts)
 
 
-def _fingerprint(m: np.ndarray) -> bytes:
-    """Canonical phase-fixed, rounded encoding of a matrix.
+def _fingerprint(m: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Rounded encoding of a matrix, and the phase-fixed matrix it rounds.
 
     The phase anchor is the first entry within TOL of the peak magnitude,
     so rounding noise cannot flip which entry gets picked."""
@@ -64,7 +72,7 @@ def _fingerprint(m: np.ndarray) -> bytes:
     anchor = flat[idx]
     canon = m * (abs(anchor) / anchor)
     rounded = np.round(canon, 6) + 0.0  # normalize -0.0
-    return rounded.tobytes()
+    return rounded.tobytes(), canon
 
 
 def is_diagonal_matrix(m: np.ndarray, tol: float = TOL) -> bool:
@@ -73,36 +81,52 @@ def is_diagonal_matrix(m: np.ndarray, tol: float = TOL) -> bool:
 
 
 def _member(u: np.ndarray, k: int, tol: float, memo: dict) -> bool:
-    """Is u in level k?  memo maps (fingerprint, k) to membership within one
-    classification."""
+    """Is u in level k?  memo maps (fingerprint, k) to the phase-fixed
+    matrix and its membership within one classification; a hit counts only
+    when u lies within tol of that matrix, as the fingerprint rounds coarser."""
     if k <= 1:
         return pauli.pauli_from_matrix(u, tol=tol) is not None
-    key = (_fingerprint(u), k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    fingerprint, canon = _fingerprint(u)
+    hit = memo.get((fingerprint, k))
+    if hit is not None and np.max(np.abs(hit[0] - canon)) <= tol:
+        return hit[1]
     if k == 2:
         result = clifford.clifford_from_matrix(u, tol=tol) is not None
-        return memo.setdefault(key, result)
-    n = width_of(u.shape[0])
-    u_dag = u.conj().T
-    result = True
-    for qubit in range(n):
-        for letter in ("X", "Z"):
-            gen = pauli.pauli_to_matrix(pauli.single(n, qubit, letter))
-            image = u @ gen @ u_dag
-            if not _member(image, k - 1, tol, memo):
-                result = False
-                break
-        if not result:
-            break
-    return memo.setdefault(key, result)
+    else:
+        n = width_of(u.shape[0])
+        u_dag = u.conj().T
+        result = all(_member(u @ pauli.pauli_to_matrix(pauli.single(n, q, letter)) @ u_dag,
+                             k - 1, tol, memo)
+                     for q in range(n) for letter in ("X", "Z"))
+    memo[(fingerprint, k)] = (canon, result)
+    return result
+
+
+def _diagonal_level(d: np.ndarray, k_max: int, tol: float) -> int | None:
+    """Closed-form level of diag(d), or None when some coefficient a_S is
+    not within tol of a grid 2^-j fine enough for a level <= k_max."""
+    n = width_of(d.size)
+    a = (np.angle(d / d[0]) / (2 * np.pi)).reshape((2,) * n)
+    for axis in range(n):
+        lo, hi = np.split(a, 2, axis=axis)
+        hi -= lo
+    a = a.ravel()
+    sizes = np.indices((2,) * n).sum(axis=0).ravel()
+    steps = 2.0 ** np.arange(k_max + 1)[:, None]
+    scaled = a * steps
+    fits = 2 * np.pi * np.abs(scaled - np.round(scaled)) / steps <= tol
+    if not fits.any(axis=0).all():
+        return None
+    j = fits.argmax(axis=0)
+    level = int(np.max(np.where(j > 0, j + sizes - 1, 1)))
+    return level if level <= k_max else None
 
 
 def hierarchy_level(
     u: np.ndarray, k_max: int = DEFAULT_K_MAX, tol: float = TOL
 ) -> HierarchyVerdict:
-    """Smallest k <= k_max containing u, searched from k = 1 upward."""
+    """Smallest k <= k_max containing u: in closed form for a diagonal u,
+    else searched from k = 1 upward."""
     if not 1 <= k_max <= MAX_HIERARCHY_LEVEL:
         raise ValidationError(f"k_max must be between 1 and the level limit"
                               f" {MAX_HIERARCHY_LEVEL}, got {k_max}")
@@ -111,8 +135,10 @@ def hierarchy_level(
         raise ValidationError("input matrix is not unitary within tolerance")
     width_of(u.shape[0])
     diagonal = is_diagonal_matrix(u, tol=tol)
-    memo: dict = {}
-    for k in range(1, k_max + 1):
-        if _member(u, k, tol, memo):
-            return HierarchyVerdict(level=k, k_max=k_max, diagonal=diagonal, strict=True)
-    return HierarchyVerdict(level=None, k_max=k_max, diagonal=diagonal, strict=False)
+    if diagonal:
+        level = _diagonal_level(np.diag(u), k_max, tol)
+    else:
+        memo: dict = {}
+        level = next((k for k in range(1, k_max + 1) if _member(u, k, tol, memo)), None)
+    return HierarchyVerdict(level=level, k_max=k_max, diagonal=diagonal,
+                            strict=level is not None)

@@ -10,8 +10,9 @@ MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
 MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds while the
                   engine walks it: 256 rows of 16x4 columns, the level-5
                   check's shape.  A wider row gets fewer rows, never fewer than two.
-MAX_HIERARCHY_LEVEL  the highest level a classification searches; each level
-                  conjugates once more and compounds the rounding error.
+MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
+                  conjugation route (non-diagonal gates) each level conjugates
+                  once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
 MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n plans).

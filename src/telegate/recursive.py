@@ -51,7 +51,7 @@ from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_o
 @dataclass(frozen=True)
 class GateSpec:
     """A diagonal gate given as a rotation, controlled rotation, product,
-    or explicit matrix; the numeric classifier is the level authority."""
+    or explicit matrix; `hierarchy_level` is the level authority."""
 
     matrix: np.ndarray = field(repr=False)
     label: str
@@ -448,6 +448,7 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
 
     magic = StateVector(n, payload @ _plus_state(n))
     spare = buf.alloc_qubits(n, "inject")
+    check_width(buf.n_qubits)
     cbits = buf.alloc_cbits(n)
     emit_inject(buf, magic.amplitudes, register, spare, cbits, controls=[kappa], cond=cond)
     direct_patterns: list[tuple[int, ...]] = []

@@ -299,10 +299,10 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
     if not plan_commutes(u, plan.kinds, tol=max(tol, FLOOR)):
         raise SynthesisRefusal(
             f"plan {plan.describe()} does not commute with the CNOT layer")
-    verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, 2))
+    verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, hierarchy.DEFAULT_K_MAX))
     if verdict.level is None or verdict.level > k_hint:
-        raise SynthesisRefusal(
-            f"gate classifies above level {k_hint} (verdict: {verdict.describe()})")
+        found = f"level {verdict.level}" if verdict.level else f"above level {verdict.k_max}"
+        raise SynthesisRefusal(f"gate is {found}, above k_hint {k_hint}")
 
     a_matrix = gates.kron(*(gates.matrix_of(name) for name in plan.a_ops))
     ancilla_vec = u @ a_matrix @ zero_state(n).amplitudes

@@ -338,6 +338,12 @@ def test_k_hint_outside_the_level_range_is_usage_error(capsys, k_hint):
     assert err.startswith("error:") and "k_hint must be between 1 and 20" in err
 
 
+def test_k_hint_refusal_names_the_gate_level(capsys):
+    code, out, err = run(capsys, "synth", "T", "--k-hint", "1")
+    assert code == 1 and out == ""
+    assert "gate is level 3, above k_hint 1" in err
+
+
 # Runs the console script's entry point and prints OPENBLAS_NUM_THREADS as
 # it stands when numpy is first imported, which is when OpenBLAS reads it.
 _NUMPY_PROBE = """

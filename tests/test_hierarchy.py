@@ -6,7 +6,8 @@ import pytest
 
 from telegate import gates
 from telegate.errors import ValidationError
-from telegate.hierarchy import hierarchy_level, is_diagonal_matrix
+from telegate.hierarchy import _member, hierarchy_level, is_diagonal_matrix
+from telegate.limits import TOL
 from telegate.pauli import pauli_to_matrix, single
 
 
@@ -210,3 +211,65 @@ def test_level_limit():
     assert verdict.level == MAX_HIERARCHY_LEVEL and verdict.strict
     with pytest.raises(ValidationError, match=f"level limit {MAX_HIERARCHY_LEVEL}"):
         hierarchy_level(gates.T, k_max=MAX_HIERARCHY_LEVEL + 1)
+
+
+# --- closed form against the conjugation route ------------------------------
+# A diagonal input takes the phase-polynomial route; `_member`, the
+# conjugation search every other input takes, is its oracle here.
+
+def _conjugation_level(u, k_max):
+    memo = {}
+    return next((k for k in range(1, k_max + 1) if _member(u, k, TOL, memo)), None)
+
+
+def _dyadic_diagonal(rng, n, level):
+    """A diagonal whose phase polynomial has a_S = m_S / 2^(level-|S|+1):
+    level at most `level`, times a random global phase."""
+    phases = np.zeros(2**n)
+    for subset in range(1, 2**n):
+        bits = level - bin(subset).count("1") + 1
+        if bits < 1:
+            continue
+        coeff = rng.integers(2**bits) / 2**bits
+        phases += coeff * np.array([(x & subset) == subset for x in range(2**n)])
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.diag(np.exp(2j * np.pi * phases))
+
+
+def test_closed_form_agrees_with_conjugation_on_dyadic_diagonals(rng):
+    for n in (1, 2, 3):
+        for level in range(1, 9):
+            u = _dyadic_diagonal(rng, n, level)
+            verdict = hierarchy_level(u, k_max=8)
+            assert verdict.diagonal and verdict.level == _conjugation_level(u, 8), (n, level)
+
+
+def test_closed_form_agrees_with_conjugation_on_the_rotation_ladder():
+    from telegate.recursive import controlled_rotation_spec, rotation_spec
+    ladder = ([rotation_spec(k) for k in range(1, 9)]
+              + [controlled_rotation_spec(1, k) for k in range(2, 7)]
+              + [controlled_rotation_spec(2, k) for k in range(3, 7)])
+    for spec in ladder:
+        verdict = hierarchy_level(spec.matrix, k_max=8)
+        assert verdict.level == spec.level_param == _conjugation_level(spec.matrix, 8), spec.label
+
+
+def test_non_dyadic_diagonals_classify_nowhere(rng):
+    for n in (1, 2, 3):
+        u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)))
+        assert hierarchy_level(u, k_max=8).level is None
+        assert _conjugation_level(u, 8) is None
+
+
+def test_phase_error_within_tol_keeps_the_level():
+    # 5e-10 rad is inside TOL; the conjugation route doubles it at each level
+    u = gates.T @ np.diag([1.0, np.exp(1j * 5e-10)])
+    verdict = hierarchy_level(u)
+    assert verdict.level == 3 and verdict.strict
+
+
+def test_memo_hit_needs_the_query_within_tol():
+    a = np.array(gates.S, dtype=complex)
+    b = a @ np.diag([1.0, np.exp(1j * 1e-7)])  # rounds like S at 6 decimals
+    memo = {}
+    assert _member(a, 2, TOL, memo)
+    assert not _member(b, 2, TOL, memo)

@@ -414,3 +414,20 @@ def test_recursion_too_large_to_enumerate_is_refused():
     instead of starting a 2^75-branch walk."""
     with pytest.raises(WidthOverflow, match="75 measurements"):
         synth_recursive(controlled_rotation_spec(2, 5))
+
+
+def test_preparation_width_refused_before_the_next_inject(monkeypatch):
+    """Each injection allocates n qubits: the refusal comes at the first one
+    past the limit, not after the whole circuit is emitted."""
+    from telegate import recursive
+    from telegate.limits import MAX_QUBITS
+    widths = []
+
+    def counting_inject(b, *args, **kwargs):
+        widths.append(b.n_qubits)
+        emit_inject(b, *args, **kwargs)
+
+    monkeypatch.setattr(recursive, "emit_inject", counting_inject)
+    with pytest.raises(WidthOverflow, match=f"exceeds the {MAX_QUBITS}-qubit limit"):
+        recursive_ancilla_prep(controlled_rotation_spec(2, 5))
+    assert widths and max(widths) <= MAX_QUBITS
