@@ -1,5 +1,5 @@
-"""Circuit intermediate representation: gates, Z-basis measurements,
-classically-controlled gates, and known-state injection.
+"""Circuit intermediate representation: gates (optionally classically
+controlled), Z-basis measurements, and known-state injection.
 
 Circuits are immutable once built (the builder accumulates and freezes).
 Validation is total: `validate` reports violations as data and never
@@ -18,7 +18,6 @@ from . import gates
 from .errors import CircuitFormatError, InvalidCircuitError
 from .limits import ZERO
 
-ROLE_TAGS = ("A", "B", "D", "E", "U", "ancilla-prep")
 INPUT_TAGS = ("input", "zero", "inject")
 
 FORMAT_NAME = "telegate-circuit/1"
@@ -55,13 +54,19 @@ def _matrices_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
+    """A gate; with a condition, applied only when the cbits read the values."""
+
     targets: tuple[int, ...]
     name: str | None = None
     matrix: np.ndarray | None = field(default=None, repr=False)
     role: str | None = None
+    cond_cbits: tuple[int, ...] = ()
+    cond_values: tuple[int, ...] = ()
 
     def __eq__(self, other):
         return (isinstance(other, GateOp)
+                and self.cond_cbits == other.cond_cbits
+                and self.cond_values == other.cond_values
                 and self.targets == other.targets and self.name == other.name
                 and self.role == other.role and _matrices_equal(self.matrix, other.matrix))
 
@@ -81,26 +86,6 @@ class MeasureOp:
 
 
 @dataclass(frozen=True, eq=False)
-class CGateOp:
-    cond_cbits: tuple[int, ...]
-    cond_values: tuple[int, ...]
-    targets: tuple[int, ...]
-    name: str | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    role: str | None = None
-
-    def __eq__(self, other):
-        return (isinstance(other, CGateOp)
-                and self.cond_cbits == other.cond_cbits
-                and self.cond_values == other.cond_values
-                and self.targets == other.targets and self.name == other.name
-                and self.role == other.role and _matrices_equal(self.matrix, other.matrix))
-
-    def resolved_matrix(self) -> np.ndarray:
-        return self.matrix if self.matrix is not None else gates.matrix_of(self.name)
-
-
-@dataclass(frozen=True, eq=False)
 class InjectOp:
     targets: tuple[int, ...]
     amplitudes: np.ndarray = field(repr=False)
@@ -114,7 +99,7 @@ class InjectOp:
                 and _matrices_equal(self.amplitudes, other.amplitudes))
 
 
-CircuitOp = GateOp | MeasureOp | CGateOp | InjectOp
+CircuitOp = GateOp | MeasureOp | InjectOp
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +134,7 @@ class CircuitBuilder:
         self.ops: list[CircuitOp] = []
 
     def gate(self, name_or_matrix, targets, role=None) -> "CircuitBuilder":
-        name, matrix = _split_gate(name_or_matrix)
-        self.ops.append(GateOp(tuple(targets), name=name, matrix=matrix, role=role))
-        return self
+        return self.cgate((), (), name_or_matrix, targets, role=role)
 
     def measure(self, qubit: int, cbit: int, role=None) -> "CircuitBuilder":
         self.ops.append(MeasureOp(qubit, cbit, role=role))
@@ -159,12 +142,10 @@ class CircuitBuilder:
 
     def cgate(self, cond_cbits, cond_values, name_or_matrix, targets, role=None) -> "CircuitBuilder":
         """A gate applied when the cbits read the values; an empty condition
-        appends a plain gate."""
-        if not cond_cbits and not cond_values:
-            return self.gate(name_or_matrix, targets, role=role)
+        applies it always."""
         name, matrix = _split_gate(name_or_matrix)
-        self.ops.append(CGateOp(tuple(cond_cbits), tuple(cond_values), tuple(targets),
-                                name=name, matrix=matrix, role=role))
+        self.ops.append(GateOp(tuple(targets), name=name, matrix=matrix, role=role,
+                               cond_cbits=tuple(cond_cbits), cond_values=tuple(cond_values)))
         return self
 
     def inject(self, amplitudes, targets, label=None, role=None) -> "CircuitBuilder":
@@ -267,10 +248,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
 
     for k, op in enumerate(c.ops):
         if isinstance(op, GateOp):
-            if targets_ok(k, op, op.targets) and gate_shape_ok(k, op, op.targets):
-                touch_gate(k, op.targets)
-        elif isinstance(op, CGateOp):
-            if len(op.cond_cbits) != len(op.cond_values) or not op.cond_cbits:
+            if len(op.cond_cbits) != len(op.cond_values):
                 out.append(f"op {k}: malformed classical condition")
                 continue
             for cb in op.cond_cbits:
@@ -346,7 +324,9 @@ def state_from_doc(doc) -> np.ndarray:
 def _op_doc(op: CircuitOp) -> dict:
     doc: dict = {}
     if isinstance(op, GateOp):
-        doc["op"] = "gate"
+        doc["op"] = "cgate" if op.cond_cbits else "gate"
+        if op.cond_cbits:
+            doc["cond"] = {"cbits": list(op.cond_cbits), "equals": list(op.cond_values)}
         if op.name is not None:
             doc["name"] = op.name
         else:
@@ -356,14 +336,6 @@ def _op_doc(op: CircuitOp) -> dict:
         doc["op"] = "measure"
         doc["qubit"] = op.qubit
         doc["cbit"] = op.cbit
-    elif isinstance(op, CGateOp):
-        doc["op"] = "cgate"
-        doc["cond"] = {"cbits": list(op.cond_cbits), "equals": list(op.cond_values)}
-        if op.name is not None:
-            doc["name"] = op.name
-        else:
-            doc["matrix"] = matrix_doc(op.matrix)
-        doc["targets"] = list(op.targets)
     elif isinstance(op, InjectOp):
         doc["op"] = "inject"
         if op.label is not None:
@@ -393,9 +365,12 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
         if kind == "gate":
             return GateOp(targets, name=name, matrix=matrix, role=role)
         cond = doc.get("cond", {})
-        return CGateOp(tuple(int(b) for b in cond.get("cbits", [])),
-                       tuple(int(v) for v in cond.get("equals", [])),
-                       targets, name=name, matrix=matrix, role=role)
+        op = GateOp(targets, name=name, matrix=matrix, role=role,
+                    cond_cbits=tuple(int(b) for b in cond.get("cbits", [])),
+                    cond_values=tuple(int(v) for v in cond.get("equals", [])))
+        if not op.cond_cbits:  # a cgate document must carry its condition
+            raise InvalidCircuitError([f"op {index}: malformed classical condition"])
+        return op
     if kind == "measure":
         return MeasureOp(int(doc["qubit"]), int(doc["cbit"]), role=role)
     if kind == "inject":
@@ -460,12 +435,6 @@ def deserialize(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # text-art rendering (best effort, one wire per line, time left to right)
 
-def _op_label(op) -> str:
-    if op.name is not None:
-        return op.name
-    return "U"
-
-
 def render(c: Circuit) -> str:
     """ASCII drawing of the circuit for terminal display."""
     wires = [[f"q{q}:"] for q in range(c.n_qubits)]
@@ -480,17 +449,16 @@ def render(c: Circuit) -> str:
 
     for op in c.ops:
         pad_column()
-        if isinstance(op, GateOp) or isinstance(op, CGateOp):
-            label = _op_label(op)
+        if isinstance(op, GateOp):
             if op.name == "CNOT" and len(op.targets) == 2:
                 marks = {op.targets[0]: "-*-", op.targets[1]: "-+-"}
             elif op.name == "TOFFOLI" and len(op.targets) == 3:
                 marks = {op.targets[0]: "-*-", op.targets[1]: "-*-", op.targets[2]: "-+-"}
             else:
-                marks = {q: f"[{label}]" for q in op.targets}
+                marks = {q: f"[{op.name or 'U'}]" for q in op.targets}
             for q, mark in marks.items():
                 wires[q].append(mark)
-            if isinstance(op, CGateOp):
+            if op.cond_cbits:
                 cond = ",".join(f"c{b}={v}" for b, v in zip(op.cond_cbits, op.cond_values))
                 for b in op.cond_cbits:
                     cwires[b].append("^")

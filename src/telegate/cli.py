@@ -116,6 +116,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sample < 0:
+        raise TelegateError(f"--sample must be at least 0, got {args.sample}")
     c = circuit_mod.deserialize(Path(args.circuit).read_text())
     u = _resolve_gate(args.against)
     if args.in_map:
@@ -153,6 +155,9 @@ def cmd_ancilla(args) -> int:
         print("no commuting plan: cannot derive stabilizers from a teleport layer")
         return EXIT_FAIL
     spec = ancilla_mod.derive_stabilizers(u, plan.a_ops)
+    if args.shortcut is not None and not 1 <= args.shortcut <= len(spec.pairs):
+        raise TelegateError(f"--shortcut must be between 1 and {len(spec.pairs)},"
+                            f" got {args.shortcut}")
     print(f"plan: {plan.describe()}")
     print(f"target: {_fmt_amplitudes(spec.target)}")
     for i, pair in enumerate(spec.pairs):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates, hierarchy, pauli
-from .circuit import CGateOp, Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
+from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL,
                      check_width, width_of)
@@ -283,9 +283,9 @@ def _relabel(ops, qubits, cbits, depth: int) -> Circuit:
         elif isinstance(op, InjectOp):
             b.ops.append(replace(op, targets=tuple(q[t] for t in op.targets)))
         else:
-            bits, vals = (op.cond_cbits, op.cond_values) if isinstance(op, CGateOp) else ((), ())
-            b.cgate([c[x] for x in bits[depth:]], vals[depth:], op.name or op.matrix,
-                    [q[t] for t in op.targets], role=op.role)
+            b.ops.append(replace(op, targets=tuple(q[t] for t in op.targets),
+                                 cond_cbits=tuple(c[x] for x in op.cond_cbits[depth:]),
+                                 cond_values=op.cond_values[depth:]))
     return b.build()
 
 

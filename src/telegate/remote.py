@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .circuit import (CGateOp, Circuit, CircuitBuilder, GateOp, InjectOp,
-                      MeasureOp, STATE_LABELS)
+from .circuit import (Circuit, CircuitBuilder, GateOp, InjectOp, MeasureOp,
+                      STATE_LABELS)
 from .errors import ValidationError
 from .limits import VERIFY_TOL
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
@@ -36,7 +36,6 @@ EPR = STATE_LABELS["epr"]
 @dataclass(frozen=True)
 class Resource:
     label: str
-    state: np.ndarray = field(repr=False)
     targets: tuple[int, ...] = ()
 
 
@@ -92,7 +91,7 @@ def locality_audit(c: Circuit, layout: PartyLayout) -> list[str]:
     out: list[str] = []
     declared = {(r.targets) for r in layout.resources}
     for k, op in enumerate(c.ops):
-        if isinstance(op, (GateOp, CGateOp)):
+        if isinstance(op, GateOp):
             if layout.party_of(op.targets) is None:
                 name = op.name or "matrix gate"
                 out.append(f"prohibited operation: cross-party {name} at op {k}")
@@ -113,7 +112,7 @@ def _cbit_flows(c: Circuit,
             writer[op.cbit] = layout.parties[op.qubit]
     sent: set[tuple[int, str]] = set()
     for op in c.ops:
-        if isinstance(op, CGateOp):
+        if isinstance(op, GateOp):
             reader = layout.party_of(op.targets)
             for cb in op.cond_cbits:
                 if reader is not None and writer.get(cb) not in (None, reader):
@@ -140,7 +139,7 @@ def build_two_bit_teleportation(variant: str,
     if variant not in ("XZ", "ZX"):
         raise ValidationError("variant must be 'XZ' or 'ZX'")
     parties = {0: ALICE, 1: ALICE, 2: BOB}
-    layout = PartyLayout(parties, (Resource("epr", EPR, (1, 2)),))
+    layout = PartyLayout(parties, (Resource("epr", (1, 2)),))
     pre_layout = PartyLayout(parties, ())
 
     post = CircuitBuilder(3, 2, ["input", "inject", "inject"])
@@ -184,7 +183,7 @@ def build_remote_cnot(variant: str) -> Protocol:
     back; costs two EPR pairs and four cbits."""
     if variant == "direct":
         parties = {0: ALICE, 1: ALICE, 2: BOB, 3: BOB}
-        layout = PartyLayout(parties, (Resource("epr", EPR, (1, 2)),))
+        layout = PartyLayout(parties, (Resource("epr", (1, 2)),))
         pre_layout = PartyLayout(parties, ())
 
         pre = CircuitBuilder(4, 2, ["input", "zero", "zero", "input"])
@@ -210,8 +209,8 @@ def build_remote_cnot(variant: str) -> Protocol:
 
     if variant == "four_step":
         parties = {0: ALICE, 1: BOB, 2: BOB, 3: ALICE, 4: ALICE, 5: BOB}
-        layout = PartyLayout(parties, (Resource("epr", EPR, (2, 3)),
-                                       Resource("epr", EPR, (4, 5))))
+        layout = PartyLayout(parties, (Resource("epr", (2, 3)),
+                                       Resource("epr", (4, 5))))
         pre_layout = PartyLayout(parties, ())
 
         def body(b: CircuitBuilder):
@@ -267,7 +266,11 @@ def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
     for op in protocol.circuit.ops:
         if isinstance(op, GateOp):
             party = protocol.layout.party_of(op.targets)
-            steps.append(TraceStep(party, f"{op.name or 'gate'} on {list(op.targets)}"))
+            text = f"{op.name or 'gate'} on {list(op.targets)}"
+            if op.cond_cbits:
+                cond = ",".join(f"c{b}={v}" for b, v in zip(op.cond_cbits, op.cond_values))
+                text = f"if {cond}: {text}"
+            steps.append(TraceStep(party, text))
         elif isinstance(op, InjectOp):
             party = protocol.layout.party_of(op.targets) or "shared"
             steps.append(TraceStep(party, f"inject {op.label or 'state'}"
@@ -277,11 +280,6 @@ def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
             readers = sorted(reader for cb, reader in sent if cb == op.cbit)
             message = f"send bit c{op.cbit} to {readers[-1]}" if readers else None
             steps.append(TraceStep(party, f"measure q{op.qubit} -> c{op.cbit}", message))
-        elif isinstance(op, CGateOp):
-            party = protocol.layout.party_of(op.targets)
-            cond = ",".join(f"c{b}={v}" for b, v in zip(op.cond_cbits, op.cond_values))
-            steps.append(TraceStep(party, f"if {cond}: {op.name or 'gate'}"
-                                          f" on {list(op.targets)}"))
 
     if inputs is None:
         final = ()

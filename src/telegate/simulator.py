@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (CGateOp, Circuit, GateOp, InjectOp, MeasureOp, _validate,
-                      state_doc)
+from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate, state_doc
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of, target_axes
@@ -117,8 +116,10 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, targets) -> StateVector
 
 
 def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
-    """Apply a named gate, GateOp, or matrix to a state."""
+    """Apply a named gate, unconditioned GateOp, or matrix to a state."""
     if isinstance(gate, GateOp):
+        if gate.cond_cbits:
+            raise ValidationError("apply_gate has no classical bits to read a condition from")
         return apply_matrix(state, gate.resolved_matrix(), gate.targets)
     if isinstance(gate, str):
         return apply_matrix(state, matrix_of(gate), targets)
@@ -221,13 +222,11 @@ def _enumerate(c: Circuit, cols: np.ndarray,
         while k < len(c.ops) and len(codes):
             op = c.ops[k]
             if isinstance(op, GateOp):
-                cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
-            elif isinstance(op, CGateOp):
-                match = np.ones(len(codes), dtype=bool)
+                match = np.ones(len(codes), dtype=bool) if op.cond_cbits else None
                 for b, v in zip(op.cond_cbits, op.cond_values):
                     p = position.get(b, width)  # a cbit not yet written matches nothing
                     match &= p < j and (codes >> (j - 1 - p)) & 1 == v
-                if match.all():
+                if match is None or match.all():
                     cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
                 elif match.any():
                     cols = cols.copy()

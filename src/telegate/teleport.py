@@ -24,7 +24,7 @@ from . import clifford as clifford_mod
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
-from .errors import SynthesisRefusal, ValidationError
+from .errors import DimensionMismatch, SynthesisRefusal, ValidationError
 from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
 from .simulator import (EquivalenceReport, StateVector, run_all_branches,
                         verify_gate_equivalence, zero_state)
@@ -340,6 +340,9 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
     n = width_of(u.shape[0])
     if g_a.matrix is None or g_b.matrix is None:
         raise ValidationError("frame tableaus must carry matrices")
+    if (g_a.n, v.shape, g_b.n) != (n, u.shape, n):
+        raise DimensionMismatch(f"G_a, V and G_b act on {g_a.n}, {width_of(len(v))} and"
+                                f" {g_b.n} qubits; the gate acts on {n}")
     if np.max(np.abs(u - g_b.matrix @ v @ g_a.matrix)) > max(tol, FLOOR):
         raise SynthesisRefusal("decomposition mismatch: u != G_b·V·G_a")
     if not hierarchy.is_diagonal_matrix(v, tol=max(tol, FLOOR)):

@@ -283,8 +283,9 @@ def test_script_circuit_layout():
     c = script_circuit(script)
     assert (c.n_qubits, c.n_cbits) == (3, 2)
     assert c.inputs == ("input", "input", "inject")
-    assert [type(op).__name__ for op in c.ops] == \
-        ["InjectOp", "GateOp", "GateOp", "GateOp", "MeasureOp", "CGateOp"] * 2
+    assert [(type(op).__name__, bool(getattr(op, "cond_cbits", ()))) for op in c.ops] == [
+        ("InjectOp", False), ("GateOp", False), ("GateOp", False), ("GateOp", False),
+        ("MeasureOp", False), ("GateOp", True)] * 2
 
 
 def test_running_a_script_leaves_its_matrices_writeable():

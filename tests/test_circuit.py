@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from telegate import gates
-from telegate.circuit import (CGateOp, Circuit, CircuitBuilder, GateOp,
+from telegate.circuit import (Circuit, CircuitBuilder, GateOp,
                               InjectOp, MeasureOp, STATE_LABELS, deserialize,
                               matrix_doc, matrix_from_doc, render, serialize,
                               state_doc, validate)
@@ -77,7 +77,7 @@ def test_gate_after_measure_flagged():
 
 def test_conditional_before_measure_flagged():
     c = Circuit(1, 1, ("input",),
-                (CGateOp((0,), (1,), (0,), name="X"), MeasureOp(0, 0)))
+                (GateOp((0,), name="X", cond_cbits=(0,), cond_values=(1,)), MeasureOp(0, 0)))
     assert any("causality" in v for v in validate(c))
 
 
@@ -93,7 +93,7 @@ def test_validate_is_total_on_junk():
         GateOp((0, 0), name="CNOT"),
         GateOp((0,), name="CNOT"),
         MeasureOp(1, 7),
-        CGateOp((), (), (0,), name="X"),
+        GateOp((0,), name="X", cond_cbits=(0,), cond_values=()),
         GateOp((1,), name=None, matrix=None),
     ))
     violations = validate(c)  # must not raise
@@ -207,6 +207,15 @@ def test_render_mentions_every_wire():
     lines = art.splitlines()
     assert len(lines) == 3  # two wires plus one classical lane
     assert "[M->c0]" in art and "[Z]" in art
+
+
+def test_render_marks_injections_and_toffoli_wires():
+    b = CircuitBuilder(3, 0, ["input", "input", "inject"])
+    b.inject(STATE_LABELS["T-ancilla"], [2], label="T-ancilla")
+    b.gate("TOFFOLI", [0, 1, 2])
+    lines = render(b.build()).splitlines()
+    assert "[inject:T-ancilla]" in lines[2]
+    assert [line[-3:] for line in lines] == ["-*-", "-*-", "-+-"]
 
 
 def _pair_encoder(values):

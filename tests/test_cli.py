@@ -11,7 +11,7 @@ import pytest
 
 import telegate
 from telegate import gates
-from telegate.circuit import deserialize
+from telegate.circuit import deserialize, matrix_doc
 from telegate.cli import main
 
 
@@ -323,6 +323,66 @@ def test_recursion_too_deep_is_one_usage_error(capsys, k):
     code, out, err = run(capsys, "recursive", "V", "--k", str(k))
     assert code == 2 and out == ""
     assert "depth limit 5" in err
+
+
+def test_shortcut_outside_the_pair_range_is_refused_before_output(capsys):
+    for shortcut in ("2", "0"):
+        code, out, err = run(capsys, "ancilla", "T", "--shortcut", shortcut)
+        assert code == 2 and out == ""
+        assert err == f"error: --shortcut must be between 1 and 1, got {shortcut}\n"
+
+
+def test_negative_sample_is_usage_error(capsys, tmp_path):
+    out_file = tmp_path / "t.json"
+    assert run(capsys, "synth", "T", "--out", str(out_file))[0] == 0
+    code, out, err = run(capsys, "verify", str(out_file), "--against", "T", "--sample", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --sample must be at least 0, got -3\n"
+
+
+def test_sandwich_of_the_wrong_width_is_usage_error(capsys):
+    code, out, err = run(capsys, "synth", "CH", "--sandwich", "H,T,H")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "act on 1, 1 and 1 qubits; the gate acts on 2" in err
+
+
+def test_synth_matrix_file_with_a_diagonal_pauli_correction(capsys, tmp_path):
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps({"matrix": matrix_doc(np.diag([1, np.exp(1j * np.pi / 8)]))}))
+    code, out, _ = run(capsys, "synth", str(path), "--k-hint", "4")
+    assert code == 0
+    assert "class=diagonal-pauli residue_level=3" in out
+
+
+def test_recursive_clifford_gate_writes_a_direct_tree(capsys, tmp_path):
+    out_file = tmp_path / "tree.json"
+    code, out, _ = run(capsys, "recursive", "S", "--out", str(out_file))
+    assert code == 0 and "tree depth 0" in out
+    tree = json.loads(out_file.read_text())
+    assert (tree["mode"], tree["level"], tree["children"]) == ("direct", 2, [])
+    assert len(deserialize(json.dumps(tree["circuit"])).ops) == 1
+
+
+def test_verify_reads_explicit_register_maps(capsys, tmp_path):
+    path = tmp_path / "cnot10.json"
+    path.write_text(json.dumps({
+        "format": "telegate-circuit/1", "qubits": 2, "cbits": 0, "inputs": ["input"] * 2,
+        "ops": [{"op": "gate", "name": "CNOT", "targets": [1, 0]}]}))
+    code, out, _ = run(capsys, "verify", str(path), "--against", "CNOT")
+    assert code == 1 and "FAIL" in out
+    code, out, _ = run(capsys, "verify", str(path), "--against", "CNOT",
+                       "--in-map", "1,0", "--out-map", "1,0")
+    assert code == 0 and "PASS" in out
+
+
+def test_remote_trace_prints_the_steps_as_json(capsys):
+    code, out, _ = run(capsys, "remote", "--protocol", "teleport2-xz", "--trials", "1",
+                       "--trace")
+    assert code == 0
+    doc = json.loads(out.split("\n", 2)[2])
+    assert {"party": "bob", "op": "if c0=1: X on [2]"} in doc["steps"]
+    assert doc["ebits"] == 1 and doc["cbits"] == {"alice_to_bob": 2, "bob_to_alice": 0}
+    assert doc["all_branches_pass"] is True
 
 
 def test_negative_trials_is_usage_error(capsys):

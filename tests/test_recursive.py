@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from telegate import gates
-from telegate.circuit import CGateOp, CircuitBuilder, GateOp, InjectOp, MeasureOp
+from telegate.circuit import CircuitBuilder, GateOp, InjectOp, MeasureOp
 from telegate.errors import ValidationError, WidthOverflow
 from telegate.hierarchy import hierarchy_level
 from telegate.recursive import (controlled_rotation_spec, emit_inject, execute_tree,
@@ -297,7 +297,7 @@ def test_child_segments_leave_the_live_register_alone_when_their_condition_fails
             elif isinstance(op, MeasureOp):
                 assert op.qubit < n
             else:
-                assert isinstance(op, CGateOp)
+                assert isinstance(op, GateOp) and op.cond_cbits
                 assert (op.cond_cbits[:len(bits)], op.cond_values[:len(vals)]) == (bits, vals)
 
 
@@ -306,6 +306,7 @@ def test_emit_inject_couples_by_cnot_or_by_gated_toffoli():
     b = CircuitBuilder(4, 2, ["input"] * 2 + ["inject"] * 2)
     emit_inject(b, magic, [0, 1], [2, 3], [0, 1])
     assert [type(op) for op in b.ops] == [InjectOp, GateOp, GateOp, MeasureOp, MeasureOp]
+    assert not b.ops[1].cond_cbits and not b.ops[2].cond_cbits
     assert b.ops[0].targets == (2, 3) and b.ops[0].role == "ancilla-prep"
     assert [(op.name, op.targets, op.role) for op in b.ops[1:3]] == [
         ("CNOT", (0, 2), "E"), ("CNOT", (1, 3), "E")]
@@ -319,7 +320,8 @@ def test_emit_inject_couples_by_cnot_or_by_gated_toffoli():
     emit_inject(b, magic, live, spare, b.alloc_cbits(2), controls=[kappa],
                 cond=((0,), (1,)))
     couplings = b.ops[2:4]
-    assert all(isinstance(op, CGateOp) and op.name == "TOFFOLI" for op in couplings)
+    assert all(isinstance(op, GateOp) and op.cond_cbits and op.name == "TOFFOLI"
+               for op in couplings)
     assert [(op.cond_cbits, op.cond_values, op.targets) for op in couplings] == [
         ((0,), (1,), (kappa, live[0], spare[0])), ((0,), (1,), (kappa, live[1], spare[1]))]
     assert [(op.qubit, op.cbit) for op in b.ops[4:]] == [(spare[0], 1), (spare[1], 2)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from telegate import ancilla, gates, recursive, remote, simulator, teleport
-from telegate.circuit import CGateOp, Circuit, CircuitBuilder, GateOp, InjectOp, MeasureOp
+from telegate.circuit import Circuit, CircuitBuilder, GateOp, InjectOp, MeasureOp
 from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
 from telegate.gates import apply_to_columns
 from telegate.limits import MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
@@ -38,6 +38,14 @@ def test_t_on_plus():
     plus = state_from([SQ2, SQ2])
     out = apply_gate(plus, "T", [0])
     assert np.allclose(out.amplitudes, [SQ2, SQ2 * np.exp(1j * np.pi / 4)])
+
+
+def test_apply_gate_takes_a_gate_op_but_refuses_a_conditioned_one():
+    out = apply_gate(zero_state(1), GateOp((0,), name="X"))
+    assert np.allclose(out.amplitudes, [0, 1])
+    conditioned = GateOp((0,), name="X", cond_cbits=(0,), cond_values=(1,))
+    with pytest.raises(ValidationError, match="condition"):
+        apply_gate(zero_state(1), conditioned)
 
 
 def test_gate_on_nonadjacent_targets(rng):
@@ -391,8 +399,6 @@ def _enumerate_depth_first(c, cols):
         for k in range(op_index, len(c.ops)):
             op = c.ops[k]
             if isinstance(op, GateOp):
-                cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
-            elif isinstance(op, CGateOp):
                 if all(cbits.get(b) == v for b, v in zip(op.cond_cbits, op.cond_values)):
                     cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
             elif isinstance(op, InjectOp):
@@ -610,7 +616,7 @@ def test_inject_check_fails_when_one_row_is_not_definite():
 def _tampered(c):
     """The circuit with its last classically controlled repair removed."""
     ops = list(c.ops)
-    last = max(i for i, op in enumerate(ops) if isinstance(op, CGateOp))
+    last = max(i for i, op in enumerate(ops) if isinstance(op, GateOp) and op.cond_cbits)
     ops[last] = replace(ops[last], name=None,
                         matrix=np.eye(2 ** len(ops[last].targets), dtype=complex))
     return Circuit(c.n_qubits, c.n_cbits, c.inputs, tuple(ops))

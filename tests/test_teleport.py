@@ -8,13 +8,13 @@ import pytest
 from telegate import gates
 from telegate.circuit import CircuitBuilder, GateOp
 from telegate.clifford import clifford_from_matrix, identity_tableau, tableau_from_gate
-from telegate.errors import SynthesisRefusal
+from telegate.errors import DimensionMismatch, SynthesisRefusal
 from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
                                 random_state, run_all_branches,
                                 verify_gate_equivalence, zero_state)
 from telegate.teleport import (TeleportPlan, _e_layer, build_generalized_teleport,
                                build_one_bit_teleport, emit_teleport, plan_commutes,
-                               plan_teleportation, synthesize_sandwiched,
+                               peel_x_pattern, plan_teleportation, synthesize_sandwiched,
                                synthesize_teleported_gate)
 
 SQ2 = 1 / np.sqrt(2)
@@ -23,7 +23,7 @@ SQ2 = 1 / np.sqrt(2)
 def _elide_identities(circuit):
     kept = []
     for op in circuit.ops:
-        if isinstance(op, GateOp):
+        if isinstance(op, GateOp) and not op.cond_cbits:
             m = op.resolved_matrix()
             if np.max(np.abs(m - np.eye(m.shape[0]))) < 1e-12:
                 continue
@@ -35,7 +35,7 @@ def _elide_identities(circuit):
 
 def test_z_teleport_structure_and_identity():
     c = build_one_bit_teleport("Z", 1)
-    names = [op.name for op in c.ops if isinstance(op, GateOp)]
+    names = [op.name for op in c.ops if isinstance(op, GateOp) and not op.cond_cbits]
     assert names == ["CNOT", "H"]  # coupling, then the basis change on data
     report = verify_gate_equivalence(c, np.eye(2, dtype=complex), [0], [1])
     assert report.passed
@@ -217,7 +217,7 @@ def test_synthesized_branches_verify_exhaustively(rng):
 
 def test_correction_phases_dropped_in_emitted_circuit():
     res = synthesize_teleported_gate(gates.T)
-    cgates = [op for op in res.circuit.ops if type(op).__name__ == "CGateOp"]
+    cgates = [op for op in res.circuit.ops if isinstance(op, GateOp) and op.cond_cbits]
     emitted = cgates[0].matrix
     sx = gates.S @ gates.X
     assert np.max(np.abs(emitted - sx)) < 1e-12  # no e^{-i pi/4} in the circuit
@@ -268,6 +268,35 @@ def test_sandwiched_rejects_non_diagonal_core():
     ident = identity_tableau(1)
     with pytest.raises(SynthesisRefusal):
         synthesize_sandwiched(gates.H, ident, gates.H, ident)
+
+
+def test_sandwiched_refuses_factors_of_the_wrong_width():
+    h = tableau_from_gate("H")
+    with pytest.raises(DimensionMismatch, match="act on 1, 1 and 1 qubits; the gate acts on 2"):
+        synthesize_sandwiched(gates.CH, h, gates.T, h)
+
+
+# --- diagonal-times-X corrections ---------------------------------------------
+
+def test_peel_x_pattern_factors_a_permuted_diagonal():
+    x_bits, diag = peel_x_pattern(gates.S @ gates.X)
+    assert x_bits == (1,) and np.max(np.abs(diag - gates.S)) < 1e-12
+    assert peel_x_pattern(gates.H) is None
+
+
+def test_level4_rotation_takes_a_diagonal_pauli_correction():
+    res = synthesize_teleported_gate(np.diag([1, np.exp(1j * np.pi / 8)]), k_hint=4)
+    assert [(c.klass, c.residue_level) for c in res.corrections] == [("diagonal-pauli", 3)]
+    assert res.report.passed
+
+
+def test_controlled_t_takes_two_diagonal_pauli_corrections():
+    ct = gates.controlled(gates.T)
+    res = synthesize_teleported_gate(ct, k_hint=4)
+    assert [(c.klass, c.residue_level) for c in res.corrections] == [("diagonal-pauli", 3)] * 2
+    assert res.report.passed
+    with pytest.raises(SynthesisRefusal, match="gate is level 4, above k_hint 3"):
+        synthesize_teleported_gate(ct, k_hint=3)
 
 
 def test_sidecar_shape():
@@ -358,5 +387,6 @@ def test_emitter_refuses_mismatched_registers():
 def test_sandwich_emits_a_named_frame_by_name():
     h = tableau_from_gate("H")
     res = synthesize_sandwiched(gates.H @ gates.T @ gates.H, h, gates.T, h)
-    frame = [op for op in res.circuit.ops if isinstance(op, GateOp) and op.role == "A"]
+    frame = [op for op in res.circuit.ops
+             if isinstance(op, GateOp) and not op.cond_cbits and op.role == "A"]
     assert [(op.name, op.targets) for op in frame] == [("H", (0,))]
