@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import CircuitFormatError, InvalidCircuitError
+from .errors import CircuitFormatError, InvalidCircuitError, TelegateError
 from .limits import ZERO
 
 INPUT_TAGS = ("input", "zero", "inject")
@@ -284,6 +284,9 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
             if op.amplitudes.shape != (2 ** len(op.targets),):
                 out.append(f"op {k}: injected state length does not match targets")
                 continue
+            named = op.amplitudes if op.label is None else STATE_LABELS.get(op.label, np.empty(0))
+            if named.shape != op.amplitudes.shape or np.max(np.abs(named - op.amplitudes)) > ZERO:
+                out.append(f"op {k}: state label {op.label!r} does not name these amplitudes")
             for q in op.targets:
                 if status[q] == "active" or (status[q] == "fresh" and tags[q] == "input"):
                     out.append(f"op {k}: inject target {q} must be fixed-|0> or"
@@ -418,14 +421,25 @@ def deserialize(text: str) -> Circuit:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CircuitFormatError(f"missing or unsupported format marker "
                                  f"(expected {FORMAT_NAME!r})")
+    where = "field 'qubits'"  # what is being read, for a malformed value's message
     try:
         n_qubits = int(doc["qubits"])
+        where = "field 'cbits'"
         n_cbits = int(doc["cbits"])
+        where = "field 'inputs'"
         inputs = tuple(str(t) for t in doc.get("inputs", ["input"] * n_qubits))
-        ops = tuple(_op_from_doc(op_doc, k) for k, op_doc in enumerate(doc.get("ops", [])))
+        where = "field 'ops'"
+        ops = []
+        for k, op_doc in enumerate(doc.get("ops", [])):
+            where = f"op {k}"
+            ops.append(_op_from_doc(op_doc, k))
     except KeyError as exc:
         raise CircuitFormatError(f"missing required field {exc}") from None
-    c = Circuit(n_qubits, n_cbits, inputs, ops)
+    except TelegateError:
+        raise
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise CircuitFormatError(f"{where} is malformed: {exc}") from None
+    c = Circuit(n_qubits, n_cbits, inputs, tuple(ops))
     violations = validate(c)
     if violations:
         raise InvalidCircuitError(violations)

@@ -38,6 +38,15 @@ def tolerance(text: str) -> float:
     return float(text)
 
 
+def qubit_list(text: str) -> list[int]:
+    """The argparse type of --in-map and --out-map: comma-separated qubit indices."""
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated qubit indices, got {text!r}") from None
+
+
 def _load_matrix_file(path: str) -> np.ndarray:
     doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict):
@@ -120,15 +129,10 @@ def cmd_verify(args) -> int:
         raise TelegateError(f"--sample must be at least 0, got {args.sample}")
     c = circuit_mod.deserialize(Path(args.circuit).read_text())
     u = _resolve_gate(args.against)
-    if args.in_map:
-        in_map = [int(t) for t in args.in_map.split(",")]
-    else:
-        in_map = list(c.symbolic_qubits)
-    if args.out_map:
-        out_map = [int(t) for t in args.out_map.split(",")]
-    else:
-        measured = c.measured_qubits()
-        out_map = [q for q in range(c.n_qubits) if q not in measured]
+    in_map = args.in_map or list(c.symbolic_qubits)
+    measured = c.measured_qubits()
+    out_map = args.out_map or [q for q in range(c.n_qubits) if q not in measured]
+    report = verify_gate_equivalence(c, u, in_map, out_map, tol=args.tol)  # checks the maps
     if args.sample:
         counts = sample_branches(c, None if not in_map else
                                  random_state(len(in_map),
@@ -136,7 +140,6 @@ def cmd_verify(args) -> int:
                                  args.sample, np.random.default_rng(args.seed))
         print(f"sampled {args.sample} shots: "
               + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
-    report = verify_gate_equivalence(c, u, in_map, out_map, tol=args.tol)
     for bits, scalar in sorted(report.branch_scalars.items()):
         weight = report.branch_weights.get(bits, 0.0)
         print(f"branch {bits}: p={weight:.6f} scalar={scalar:.6f}")
@@ -176,22 +179,22 @@ def cmd_ancilla(args) -> int:
         print(f"intermediate stabilizers: {letters}")
     else:
         script = ancilla_mod.build_preparation(spec)
-    code = EXIT_OK
-    if args.simulate:
-        branches = ancilla_mod.run_script(script)
+    passed = True
+    if args.simulate or args.out:  # nothing unverified is written
+        branches = ancilla_mod.run_script(script) if args.simulate else None
         passed, worst = ancilla_mod.verify_script(script, branches)
-        for br in branches:
+        for br in branches or ():
             if br.state is None:
                 print(f"branch {br.bitstring}: p=0 (dead)")
                 continue
             fid = equivalent_up_to_phase(script.expected_final, br.state)[1]
             print(f"branch {br.bitstring}: p={br.probability:.6f} fidelity={fid:.12f}")
-        print(f"worst fidelity: {worst:.12f} -> {'PASS' if passed else 'FAIL'}")
-        code = EXIT_OK if passed else EXIT_FAIL
-    if args.out and code == EXIT_OK:
+        if args.simulate or not passed:
+            print(f"worst fidelity: {worst:.12f} -> {'PASS' if passed else 'FAIL'}")
+    if args.out and passed:
         Path(args.out).write_text(ancilla_mod.script_to_json(script))
         print(f"wrote {args.out}")
-    return code
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _parse_gate_spec(token: str, level: int | None) -> recursive.GateSpec:
@@ -298,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit file against a gate")
     p.add_argument("circuit")
     p.add_argument("--against", required=True)
-    p.add_argument("--in-map", default=None)
-    p.add_argument("--out-map", default=None)
+    p.add_argument("--in-map", type=qubit_list, default=None)
+    p.add_argument("--out-map", type=qubit_list, default=None)
     p.add_argument("--sample", type=int, default=0, metavar="SHOTS",
                    help="also print sampled outcome counts (demo only)")
     p.add_argument("--seed", type=int, default=0)

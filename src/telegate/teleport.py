@@ -4,14 +4,14 @@ The X and Z primitives move a register through one CNOT, one Z-basis
 measurement, and one classically-controlled Pauli.  `emit_teleport` is the
 one emitter of that skeleton (receiver preparation, optional Clifford frame,
 CNOT coupling, basis change, measurement); the bare and generalized
-teleports, both syntheses below, the recursion root and the remote
-protocols' pre-rewrite circuits are built on it and add only their repairs.
-A gate U that commutes with the CNOT layer is rewritten into the same
-skeleton with the ancilla injected as U·A|0...0> and each
-classically-controlled Pauli replaced by its conjugate U·D_i·U†, whose class
-(Pauli / Clifford / diagonal-times-X) is certified before the circuit is
-emitted.  Every synthesis verifies all measurement branches against the
-target before returning.
+teleports, the synthesis, the recursion root and the remote pre-rewrite
+circuits are built on it and add only their repairs.  The synthesis
+rewrites U = G_b·V·G_a, V commuting with the CNOT layer, into the skeleton
+(Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0> is injected, G_a
+frames the data and G_b the receiver, and each repair D_i becomes
+G_b·V·D_i·V†·G_b†, certified Pauli / Clifford / diagonal-times-X before
+emission.  A plain synthesis is G_a = G_b = I, V = U.  Every synthesis
+verifies all measurement branches against the target before returning.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import CliffordTableau
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError
 from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
-from .simulator import (EquivalenceReport, StateVector, run_all_branches,
-                        verify_gate_equivalence, zero_state)
+from .simulator import EquivalenceReport, StateVector, verify_gate_equivalence, zero_state
 
 
 @dataclass(frozen=True)
@@ -264,17 +263,35 @@ def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
     return None
 
 
-def _ancilla_by_simulation(u: np.ndarray, a_ops: tuple[str, ...]) -> StateVector:
-    """Gate-by-gate route to U·A|0...0>, independent of the matrix action."""
-    n = len(a_ops)
-    b = CircuitBuilder(n, 0, inputs=["zero"] * n)
-    for i, name in enumerate(a_ops):
-        if name != "I":
-            b.gate(name, [i], role="A")
-    b.gate(u, list(range(n)), role="U")
-    branches = run_all_branches(b.build(), None)
-    assert len(branches) == 1
-    return branches[0].state
+def _synthesize(u: np.ndarray, plan: TeleportPlan, v: np.ndarray,
+                g_b: CliffordTableau | None, k_hint: int, tol: float) -> SynthesisResult:
+    """Synthesize u = G_b·V·G_a (G_a is plan.generalized_g; no G_b is I):
+    inject V·A|0...0>, run the skeleton, apply G_b to the receiver, repair
+    bit i with the classified G_b·V·D_i·V†·G_b†, verify every branch."""
+    n = plan.n
+    a_matrix = gates.kron(*(gates.matrix_of(name) for name in plan.a_ops))
+    ancilla = StateVector(n, v @ a_matrix @ zero_state(n).amplitudes)
+    # No identity frame product: it can turn a -0.0 in the sidecar into 0.0.
+    left = v if g_b is None else g_b.matrix @ v
+    v_dag = v.conj().T
+    corrections = []
+    for i, d_name in enumerate(plan.d_ops):
+        m = left @ pauli.pauli_to_matrix(pauli.single(n, i, d_name)) @ v_dag
+        if g_b is not None:
+            m = m @ g_b.matrix.conj().T
+        corrections.append(classify_correction(m, k_hint, i, tol=tol))
+
+    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
+    anc = list(range(n, 2 * n))
+    emit_teleport(b, plan, range(n), anc, range(n), ancilla=ancilla.amplitudes)
+    if g_b is not None:
+        b.gate(g_b.matrix, anc, role="B")
+    for i, corr in enumerate(corrections):
+        b.cgate([i], [1], corr.canonical, anc, role="D")
+    circuit = b.build()
+
+    report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=VERIFY_TOL)
+    return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
 
 
 def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
@@ -282,9 +299,9 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
                                tol: float = TOL) -> SynthesisResult:
     """Rewrite u into teleported form and verify every branch.
 
-    The emitted circuit injects the derived ancilla, runs the CNOT layer
-    and measurements, and repairs with the classified conjugated
-    corrections (canonical phases dropped at emission)."""
+    The circuit injects U·A|0...0>, runs the CNOT layer and measurements,
+    and repairs with the classified U·D_i·U† (canonical phases dropped at
+    emission).  Only an explicit plan is checked against the CNOT layer."""
     if not 1 <= k_hint <= MAX_HIERARCHY_LEVEL:
         raise ValidationError(f"k_hint must be between 1 and {MAX_HIERARCHY_LEVEL}, got {k_hint}")
     u = np.asarray(u, dtype=complex)
@@ -294,47 +311,24 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
         if plan is None:
             raise SynthesisRefusal(
                 "no X/Z assignment commutes with the CNOT layer for this gate")
-    if plan.n != n:
+    elif plan.n != n:
         raise SynthesisRefusal("plan width does not match the gate")
-    if not plan_commutes(u, plan.kinds, tol=max(tol, FLOOR)):
+    elif not plan_commutes(u, plan.kinds, tol=max(tol, FLOOR)):
         raise SynthesisRefusal(
             f"plan {plan.describe()} does not commute with the CNOT layer")
     verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, hierarchy.DEFAULT_K_MAX))
     if verdict.level is None or verdict.level > k_hint:
         found = f"level {verdict.level}" if verdict.level else f"above level {verdict.k_max}"
         raise SynthesisRefusal(f"gate is {found}, above k_hint {k_hint}")
-
-    a_matrix = gates.kron(*(gates.matrix_of(name) for name in plan.a_ops))
-    ancilla_vec = u @ a_matrix @ zero_state(n).amplitudes
-    ancilla = StateVector(n, ancilla_vec)
-    by_sim = _ancilla_by_simulation(u, plan.a_ops)
-    if np.max(np.abs(ancilla.amplitudes - by_sim.amplitudes)) > VERIFY_TOL:
-        raise SynthesisRefusal("ancilla state disagrees between matrix action"
-                               " and gate-by-gate simulation")
-
-    u_dag = u.conj().T
-    corrections = []
-    for i, d_name in enumerate(plan.d_ops):
-        d_reg = pauli.pauli_to_matrix(pauli.single(n, i, d_name))
-        corrections.append(classify_correction(u @ d_reg @ u_dag, k_hint, i, tol=tol))
-
-    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
-    anc = list(range(n, 2 * n))
-    emit_teleport(b, plan, range(n), anc, range(n), ancilla=ancilla.amplitudes)
-    for i, corr in enumerate(corrections):
-        b.cgate([i], [1], corr.canonical, anc, role="D")
-    circuit = b.build()
-
-    report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=VERIFY_TOL)
-    return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
+    return _synthesize(u, plan, u, None, k_hint, tol)
 
 
 def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
                           g_b: CliffordTableau,
                           tol: float = TOL) -> SynthesisResult:
-    """Teleport u = G_b·V·G_a through the frame: G_a before the CNOT layer,
-    the ancilla injected as V|+...+>, G_b ahead of the classified
-    corrections G_b·V·X_i·V†·G_b†."""
+    """Teleport u = G_b·V·G_a through the Clifford frame: the plain
+    synthesis of V on an all-X plan, with G_a on the data before the CNOT
+    layer and G_b on the receiver ahead of the repairs."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = width_of(u.shape[0])
@@ -347,27 +341,4 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
         raise SynthesisRefusal("decomposition mismatch: u != G_b·V·G_a")
     if not hierarchy.is_diagonal_matrix(v, tol=max(tol, FLOOR)):
         raise SynthesisRefusal("the sandwiched factor V must be diagonal")
-    plan = TeleportPlan(("X",) * n, generalized_g=g_a)
-
-    h_all = gates.kron(*([gates.H] * n))
-    ancilla = StateVector(n, v @ h_all @ zero_state(n).amplitudes)
-
-    corrections = []
-    gb, gb_dag = g_b.matrix, g_b.matrix.conj().T
-    v_dag = v.conj().T
-    for i in range(n):
-        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
-        corrections.append(classify_correction(gb @ v @ x_i @ v_dag @ gb_dag,
-                                               3, i, tol=tol))
-
-    b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
-    data = list(range(n))
-    anc = list(range(n, 2 * n))
-    emit_teleport(b, plan, data, anc, data, ancilla=ancilla.amplitudes)
-    b.gate(g_b.matrix, anc, role="B")
-    for i, corr in enumerate(corrections):
-        b.cgate([i], [1], corr.canonical, anc, role="D")
-    circuit = b.build()
-
-    report = verify_or_refuse(circuit, u, data, anc, tol=VERIFY_TOL)
-    return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
+    return _synthesize(u, TeleportPlan(("X",) * n, generalized_g=g_a), v, g_b, 3, tol)

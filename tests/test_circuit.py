@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from telegate import gates
+from telegate import circuit, gates
 from telegate.circuit import (Circuit, CircuitBuilder, GateOp,
                               InjectOp, MeasureOp, STATE_LABELS, deserialize,
                               matrix_doc, matrix_from_doc, render, serialize,
                               state_doc, validate)
-from telegate.errors import CircuitFormatError, InvalidCircuitError
+from telegate.errors import (CircuitFormatError, ClassificationError, InvalidCircuitError,
+                             TelegateError)
 from telegate.teleport import build_one_bit_teleport
 
 
@@ -275,3 +276,73 @@ def test_builder_allocates_qubits_and_cbits():
     b.gate("CNOT", [0, 1]).measure(1, 0).measure(2, 1)
     c = b.build()
     assert (c.n_qubits, c.n_cbits, c.inputs) == (3, 2, ("input", "zero", "zero"))
+
+
+def _document(c):
+    """c's file document, written whether or not c is valid."""
+    return {"format": "telegate-circuit/1", "qubits": c.n_qubits, "cbits": c.n_cbits,
+            "inputs": list(c.inputs), "ops": [circuit._op_doc(op) for op in c.ops]}
+
+
+_H = GateOp((0,), name="H")
+_INJECT_0 = InjectOp((0,), np.array([1, 0], dtype=complex))
+
+
+# One minimal circuit per violation, the message validate gives it, and the
+# error deserialize raises for its document (None: no document can say it).
+@pytest.mark.parametrize("c,message,load_error", [
+    (Circuit(2, 0, ("input",), ()), "one tag per qubit", InvalidCircuitError),
+    (Circuit(1, 0, ("bogus",), ()), "unknown tag 'bogus' on qubit 0", InvalidCircuitError),
+    (Circuit(1, 0, ("input",), (GateOp((0,), name="BOGUS"),)),
+     "op 0: unknown gate name 'BOGUS'", ClassificationError),
+    (Circuit(2, 0, ("input",) * 2, (GateOp((0, 1), matrix=gates.H),)),
+     "op 0: matrix shape does not match 2 targets", InvalidCircuitError),
+    (Circuit(1, 0, ("inject",), (_H,)),
+     "op 0: gate on qubit 0 before its injected state arrives", InvalidCircuitError),
+    (Circuit(1, 1, ("input",), (MeasureOp(0, 0), GateOp((0,), name="X", cond_cbits=(3,),
+                                                       cond_values=(1,)))),
+     "op 1: cbit 3 out of range", InvalidCircuitError),
+    (Circuit(2, 1, ("input",) * 2, (MeasureOp(0, 0), GateOp((1,), name="X", cond_cbits=(0,),
+                                                           cond_values=(2,)))),
+     "op 1: condition values must be bits", InvalidCircuitError),
+    (Circuit(1, 1, ("input",), (MeasureOp(3, 0),)), "op 0: qubit 3 out of range",
+     InvalidCircuitError),
+    (Circuit(1, 2, ("input",), (MeasureOp(0, 0), MeasureOp(0, 1))),
+     "op 1: qubit 0 measured twice", InvalidCircuitError),
+    (Circuit(1, 1, ("inject",), (MeasureOp(0, 0), _INJECT_0)),
+     "op 0: measuring qubit 0 before its injected state", InvalidCircuitError),
+    (Circuit(2, 1, ("input",) * 2, (MeasureOp(0, 0), MeasureOp(1, 0))),
+     "op 1: cbit 0 written twice", InvalidCircuitError),
+    (Circuit(1, 0, ("inject",), (InjectOp((0,), np.array([1, 0, 0, 0], dtype=complex)),)),
+     "op 0: injected state length does not match targets", InvalidCircuitError),
+    (Circuit(1, 0, ("input",), ("H",)), "op 0: unknown op variant str", None),
+])
+def test_each_violation_is_reported(c, message, load_error):
+    assert any(message in v for v in validate(c)), validate(c)
+    if load_error is not None:
+        with pytest.raises(load_error) as err:
+            deserialize(json.dumps(_document(c)))
+        assert isinstance(err.value, TelegateError)
+
+
+@pytest.mark.parametrize("field,value,where", [
+    ("qubits", "x", "field 'qubits'"),
+    ("cbits", float("inf"), "field 'cbits'"),
+    ("ops", 3, "field 'ops'"),
+    ("ops", [{"op": "gate", "name": "H", "targets": 0}], "op 0"),
+    ("ops", ["H"], "op 0"),
+    ("ops", [{"op": "gate", "name": "H", "targets": [0]},
+             {"op": "cgate", "cond": [0], "name": "X", "targets": [0]}], "op 1"),
+])
+def test_malformed_fields_are_format_errors(field, value, where):
+    doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["input"],
+           "ops": [], field: value}
+    with pytest.raises(CircuitFormatError, match=f"^{where} is malformed"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label", ["T-ancilla", "bogus"])
+def test_inject_label_must_name_its_amplitudes(label):
+    b = CircuitBuilder(1, 0, ["inject"]).inject([1, 0], [0], label=label)
+    with pytest.raises(InvalidCircuitError, match=f"state label '{label}' does not name"):
+        b.build()

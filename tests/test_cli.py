@@ -431,3 +431,40 @@ def test_cli_loads_numpy_on_one_blas_thread_unless_told(given, seen):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == [seen, "level 3, diagonal, strict"]
+
+
+@pytest.mark.parametrize("ops", [[{"op": "gate", "name": "H", "targets": 0}], ["H"]])
+def test_malformed_circuit_file_is_usage_error(capsys, tmp_path, ops):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "telegate-circuit/1", "qubits": 1, "cbits": 0,
+                                "inputs": ["input"], "ops": ops}))
+    code, out, err = run(capsys, "verify", str(path), "--against", "I")
+    assert code == 2 and out == ""
+    assert err.startswith("error: op 0 is malformed") and "Traceback" not in err
+
+
+def test_verify_checks_the_maps_before_sampling(capsys, tmp_path):
+    path = str(tmp_path / "t.json")
+    assert run(capsys, "synth", "T", "--out", path)[0] == 0
+    code, out, err = run(capsys, "verify", path, "--against", "T", "--sample", "4",
+                         "--out-map", "0")
+    assert code == 2 and out == ""
+    assert "neither an output nor measured" in err
+
+
+@pytest.mark.parametrize("flag", ["--in-map", "--out-map"])
+def test_verify_names_a_malformed_map_flag(capsys, tmp_path, flag):
+    path = str(tmp_path / "t.json")
+    assert run(capsys, "synth", "T", "--out", path)[0] == 0
+    code, out, err = run(capsys, "verify", path, "--against", "T", flag, "0,x")
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be comma-separated qubit indices, got '0,x'" in err
+
+
+def test_ancilla_out_writes_nothing_unverified(capsys, monkeypatch, tmp_path):
+    from telegate import ancilla
+    monkeypatch.setattr(ancilla, "verify_script", lambda script, branches=None: (False, 0.5))
+    path = tmp_path / "t.script.json"
+    code, out, _ = run(capsys, "ancilla", "T", "--out", str(path))
+    assert code == 1 and not path.exists()
+    assert out.splitlines()[-1] == "worst fidelity: 0.500000000000 -> FAIL"

@@ -390,3 +390,14 @@ def test_sandwich_emits_a_named_frame_by_name():
     frame = [op for op in res.circuit.ops
              if isinstance(op, GateOp) and not op.cond_cbits and op.role == "A"]
     assert [(op.name, op.targets) for op in frame] == [("H", (0,))]
+
+
+@pytest.mark.parametrize("name", ["T", "CS", "TOFFOLI"])
+def test_a_wrong_ancilla_is_refused(monkeypatch, name):
+    # The ancilla goes into the circuit that is verified on every branch,
+    # so an ancilla prepared from |0...01> instead of |0...0> is refused.
+    from telegate import teleport
+    from telegate.simulator import basis_state
+    monkeypatch.setattr(teleport, "zero_state", lambda n: basis_state(n, 1))
+    with pytest.raises(SynthesisRefusal):
+        synthesize_teleported_gate(gates.matrix_of(name))
