@@ -12,10 +12,8 @@ import os
 # numpy first loads, and an explicit OPENBLAS_NUM_THREADS still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .pauli import (PauliOperator, commutes, format_literal, parse_literal,
-                    pauli_from_matrix, pauli_mul, pauli_to_matrix)
-from .clifford import (CliffordTableau, clifford_from_matrix, compose,
-                       conjugate_pauli, tableau_from_gate)
+from .pauli import PauliOperator, format_literal, pauli_from_matrix, pauli_to_matrix
+from .clifford import CliffordFrame, clifford_from_matrix, tableau_from_gate
 from .hierarchy import HierarchyVerdict, hierarchy_level
 from .circuit import (Circuit, CircuitBuilder, deserialize, render, serialize,
                       validate)
@@ -36,10 +34,8 @@ from .remote import (PartyLayout, Protocol, ProtocolTrace, build_remote_cnot,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliOperator", "commutes", "format_literal", "parse_literal",
-    "pauli_from_matrix", "pauli_mul", "pauli_to_matrix",
-    "CliffordTableau", "clifford_from_matrix", "compose", "conjugate_pauli",
-    "tableau_from_gate",
+    "PauliOperator", "format_literal", "pauli_from_matrix", "pauli_to_matrix",
+    "CliffordFrame", "clifford_from_matrix", "tableau_from_gate",
     "HierarchyVerdict", "hierarchy_level",
     "Circuit", "CircuitBuilder", "deserialize", "render", "serialize", "validate",
     "Branch", "EquivalenceReport", "StateVector", "apply_gate",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gates
 from .errors import CircuitFormatError, InvalidCircuitError, TelegateError
-from .limits import ZERO
+from .limits import ZERO, check_width
 
 INPUT_TAGS = ("input", "zero", "inject")
 
@@ -423,7 +423,7 @@ def deserialize(text: str) -> Circuit:
                                  f"(expected {FORMAT_NAME!r})")
     where = "field 'qubits'"  # what is being read, for a malformed value's message
     try:
-        n_qubits = int(doc["qubits"])
+        n_qubits = check_width(int(doc["qubits"]))  # before anything is sized by it
         where = "field 'cbits'"
         n_cbits = int(doc["cbits"])
         where = "field 'inputs'"

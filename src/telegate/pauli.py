@@ -1,13 +1,14 @@
-"""Exact n-qubit Pauli algebra in binary-symplectic form.
+"""n-qubit Pauli operators: their matrices, recognition and literals.
 
 A PauliOperator stores per-qubit X and Z exponents plus a quarter-turn
 phase: the operator is  i**phase_quarters * (X^x0 Z^z0) (x) ... (x)
 (X^x{n-1} Z^z{n-1}).  The letter Y corresponds to (x, z) = (1, 1) with an
 extra factor of i (Y = i X Z), which the literal formatter folds into the
-printed phase prefix.
+printed phase prefix.  `pauli_from_matrix` recognizes a dense matrix as a
+scaled Pauli; that test is what certifies corrections and Clifford frames.
 
 Qubit 0 is the leftmost tensor factor and the most significant bit of a
-basis index.  All values are immutable and all operations are pure.
+basis index.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .limits import TOL, check_width, width_of
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_PREFIX_PHASE = {"+": 0, "+i": 1, "-": 2, "-i": 3, "": 0, "i": 1}
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,6 @@ class PauliOperator:
             raise DimensionMismatch("bit-vector lengths must equal qubit count")
         object.__setattr__(self, "phase_quarters", self.phase_quarters % 4)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.x_bits) and not any(self.z_bits) and self.phase_quarters == 0
-
-    def with_phase(self, phase_quarters: int) -> "PauliOperator":
-        return PauliOperator(self.n, self.x_bits, self.z_bits, phase_quarters)
-
-    def phase_free(self) -> "PauliOperator":
-        return self.with_phase(0)
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(n, (0,) * n, (0,) * n, 0)
-
 
 def single(n: int, qubit: int, letter: str) -> PauliOperator:
     """Embed a single-qubit Pauli letter at the given position."""
@@ -62,42 +48,6 @@ def single(n: int, qubit: int, letter: str) -> PauliOperator:
     xs[qubit], zs[qubit] = x, z
     phase = 1 if letter.upper() == "Y" else 0
     return PauliOperator(n, tuple(xs), tuple(zs), phase)
-
-
-def pauli_mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Group product p·q with the accumulated quarter-turn phase.
-
-    Per qubit, (X^a Z^b)(X^c Z^d) = (-1)^(b c) X^(a xor c) Z^(b xor d);
-    squared exponents cancel exactly with no extra phase.
-    """
-    if p.n != q.n:
-        raise DimensionMismatch(f"qubit counts differ: {p.n} != {q.n}")
-    swaps = sum(pb & qa for pb, qa in zip(p.z_bits, q.x_bits))
-    phase = p.phase_quarters + q.phase_quarters + 2 * swaps
-    xs = tuple(a ^ b for a, b in zip(p.x_bits, q.x_bits))
-    zs = tuple(a ^ b for a, b in zip(p.z_bits, q.z_bits))
-    return PauliOperator(p.n, xs, zs, phase)
-
-
-def inverse(p: PauliOperator) -> PauliOperator:
-    """The unique Pauli with pauli_mul(p, inverse(p)) = identity."""
-    bare = p.phase_free()
-    square = pauli_mul(bare, bare)  # equals i^k * I with k in {0, 2}
-    return bare.with_phase(-p.phase_quarters - square.phase_quarters)
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """True iff pq = qp, via the symplectic inner product of bit-vectors."""
-    if p.n != q.n:
-        raise DimensionMismatch(f"qubit counts differ: {p.n} != {q.n}")
-    inner = sum((px & qz) ^ (pz & qx) for px, pz, qx, qz
-                in zip(p.x_bits, p.z_bits, q.x_bits, q.z_bits)) % 2
-    return inner == 0
-
-
-def projectively_equal(p: PauliOperator, q: PauliOperator) -> bool:
-    """Equality ignoring the global quarter-turn phase."""
-    return p.n == q.n and p.x_bits == q.x_bits and p.z_bits == q.z_bits
 
 
 def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
@@ -171,27 +121,3 @@ def format_literal(p: PauliOperator) -> str:
         letters.append(letter)
     prefix = _PHASE_PREFIX[(p.phase_quarters - y_count) % 4]
     return prefix + "".join(letters)
-
-
-def parse_literal(text: str) -> PauliOperator:
-    """Inverse of format_literal; accepts prefixes +, -, +i, -i (or none)."""
-    body = text.strip()
-    prefix = ""
-    while body and body[0] in "+-i":
-        prefix += body[0]
-        body = body[1:]
-    if prefix not in _PREFIX_PHASE:
-        raise ValidationError(f"bad phase prefix in Pauli literal {text!r}")
-    phase = _PREFIX_PHASE[prefix]
-    xs, zs = [], []
-    for ch in body:
-        if ch.upper() not in _LETTER_TO_BITS:
-            raise ValidationError(f"bad Pauli letter {ch!r} in {text!r}")
-        x, z = _LETTER_TO_BITS[ch.upper()]
-        xs.append(x)
-        zs.append(z)
-        if ch.upper() == "Y":
-            phase += 1
-    if not xs:
-        raise ValidationError(f"empty Pauli literal {text!r}")
-    return PauliOperator(len(xs), tuple(xs), tuple(zs), phase)

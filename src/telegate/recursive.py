@@ -80,19 +80,6 @@ def controlled_rotation_spec(controls: int, level: int) -> GateSpec:
     return GateSpec(m, f"{'C' * controls}V{level}", level_param=level)
 
 
-def product_spec(specs) -> GateSpec:
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("empty product")
-    dim = specs[0].matrix.shape[0]
-    m = np.eye(dim, dtype=complex)
-    for s in specs:
-        if s.matrix.shape[0] != dim:
-            raise ValidationError("product factors must share a width")
-        m = s.matrix @ m
-    return GateSpec(m, "*".join(s.label for s in specs))
-
-
 def matrix_spec(matrix, label: str = "diagonal") -> GateSpec:
     m = np.asarray(matrix, dtype=complex)
     return GateSpec(m, label)

@@ -289,15 +289,6 @@ def run_protocol(protocol: Protocol, inputs: StateVector | None = None,
                          report, final)
 
 
-def layout_to_json(layout: PartyLayout) -> str:
-    doc = {
-        "parties": {str(q): p for q, p in sorted(layout.parties.items())},
-        "resources": [{"state": r.label, "targets": list(r.targets)}
-                      for r in layout.resources],
-    }
-    return json.dumps(doc, indent=1)
-
-
 def trace_to_json(trace: ProtocolTrace) -> str:
     doc = {
         "steps": [{"party": s.party, "op": s.description,

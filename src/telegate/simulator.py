@@ -18,13 +18,12 @@ a walk of that branch alone, so results do not depend on the cap.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate, state_doc
+from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of, target_axes
@@ -72,10 +71,6 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     re = rng.standard_normal(2**n)
     im = rng.standard_normal(2**n)
     return state_from(re + 1j * im)
-
-
-def kron_states(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(a.n + b.n, np.kron(a.amplitudes, b.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -495,16 +490,3 @@ def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,
         key = branches[int(idx)].bitstring
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def branches_to_json(branches: list[Branch]) -> str:
-    """Canonical branch report: DFS order, outcome 0 before outcome 1."""
-    doc = {"branches": [
-        {
-            "bits": b.bitstring,
-            "p": b.probability,
-            "state": None if b.state is None else state_doc(b.state.amplitudes),
-        }
-        for b in branches
-    ]}
-    return json.dumps(doc, indent=1)

@@ -23,7 +23,7 @@ import numpy as np
 from . import clifford as clifford_mod
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
-from .clifford import CliffordTableau
+from .clifford import CliffordFrame
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError
 from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, VERIFY_TOL, width_of
 from .simulator import EquivalenceReport, StateVector, verify_gate_equivalence, zero_state
@@ -34,7 +34,7 @@ class TeleportPlan:
     """Per-qubit choice of X- or Z-teleportation, plus the derived roles."""
 
     kinds: tuple[str, ...]
-    generalized_g: CliffordTableau | None = None
+    generalized_g: CliffordFrame | None = None
 
     def __post_init__(self):
         for k in self.kinds:
@@ -212,12 +212,10 @@ def build_one_bit_teleport(kind: str, n: int = 1) -> Circuit:
     return b.build()
 
 
-def build_generalized_teleport(g: CliffordTableau) -> Circuit:
+def build_generalized_teleport(g: CliffordFrame) -> Circuit:
     """Teleport through a Clifford frame: G on the data before the CNOT
     layer, G† on the ancilla after the repairs.  Reduces to X-teleportation
     for G = I and reproduces the Z-teleportation channel for G = H."""
-    if g.matrix is None:
-        raise ValidationError("tableau must carry its matrix for circuit emission")
     n = g.n
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
     anc = list(range(n, 2 * n))
@@ -264,7 +262,7 @@ def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
 
 
 def _synthesize(u: np.ndarray, plan: TeleportPlan, v: np.ndarray,
-                g_b: CliffordTableau | None, k_hint: int, tol: float) -> SynthesisResult:
+                g_b: CliffordFrame | None, k_hint: int, tol: float) -> SynthesisResult:
     """Synthesize u = G_b·V·G_a (G_a is plan.generalized_g; no G_b is I):
     inject V·A|0...0>, run the skeleton, apply G_b to the receiver, repair
     bit i with the classified G_b·V·D_i·V†·G_b†, verify every branch."""
@@ -323,8 +321,8 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
     return _synthesize(u, plan, u, None, k_hint, tol)
 
 
-def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
-                          g_b: CliffordTableau,
+def synthesize_sandwiched(u: np.ndarray, g_a: CliffordFrame, v: np.ndarray,
+                          g_b: CliffordFrame,
                           tol: float = TOL) -> SynthesisResult:
     """Teleport u = G_b·V·G_a through the Clifford frame: the plain
     synthesis of V on an all-X plan, with G_a on the data before the CNOT
@@ -332,8 +330,6 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordTableau, v: np.ndarray,
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = width_of(u.shape[0])
-    if g_a.matrix is None or g_b.matrix is None:
-        raise ValidationError("frame tableaus must carry matrices")
     if (g_a.n, v.shape, g_b.n) != (n, u.shape, n):
         raise DimensionMismatch(f"G_a, V and G_b act on {g_a.n}, {width_of(len(v))} and"
                                 f" {g_b.n} qubits; the gate acts on {n}")

@@ -11,7 +11,7 @@ from telegate.circuit import (Circuit, CircuitBuilder, GateOp,
                               matrix_doc, matrix_from_doc, render, serialize,
                               state_doc, validate)
 from telegate.errors import (CircuitFormatError, ClassificationError, InvalidCircuitError,
-                             TelegateError)
+                             TelegateError, WidthOverflow)
 from telegate.teleport import build_one_bit_teleport
 
 
@@ -199,6 +199,14 @@ def test_semantic_violations_surface_on_load():
            "ops": [{"op": "measure", "qubit": 0, "cbit": 0},
                    {"op": "gate", "name": "H", "targets": [0]}]}
     with pytest.raises(InvalidCircuitError):
+        deserialize(json.dumps(doc))
+
+
+def test_declared_width_over_the_limit_is_refused_before_reading_on():
+    # no inputs field (its default is one tag per declared qubit) and an op
+    # that would be malformed: the width is refused before either is built
+    doc = {"format": "telegate-circuit/1", "qubits": 1_000_000, "cbits": 0, "ops": ["H"]}
+    with pytest.raises(WidthOverflow, match="^1000000 qubits exceeds the 12-qubit limit$"):
         deserialize(json.dumps(doc))
 
 

@@ -9,8 +9,7 @@ from telegate.circuit import CircuitBuilder, GateOp, InjectOp, MeasureOp
 from telegate.errors import ValidationError, WidthOverflow
 from telegate.hierarchy import hierarchy_level
 from telegate.recursive import (controlled_rotation_spec, emit_inject, execute_tree,
-                                matrix_spec, product_spec,
-                                recursive_ancilla_prep, resource_report,
+                                matrix_spec, recursive_ancilla_prep, resource_report,
                                 rotation_spec, synth_recursive,
                                 tree_to_json, verify_preparation)
 from telegate.simulator import (basis_state, extract_register_state,
@@ -179,9 +178,8 @@ def test_tree_depth_is_level_minus_two():
 
 
 def test_closure_of_products():
-    parts = [controlled_rotation_spec(1, 3), controlled_rotation_spec(1, 4)]
-    prod = product_spec(parts)
-    level = hierarchy_level(prod.matrix, k_max=6).level
+    prod = controlled_rotation_spec(1, 4).matrix @ controlled_rotation_spec(1, 3).matrix
+    level = hierarchy_level(prod, k_max=6).level
     assert level is not None and level <= 4
 
 

@@ -8,7 +8,7 @@ from telegate import gates
 from telegate.circuit import CircuitBuilder
 from telegate.errors import ValidationError
 from telegate.remote import (PartyLayout, build_remote_cnot,
-                             build_two_bit_teleportation, layout_to_json,
+                             build_two_bit_teleportation,
                              locality_audit, run_protocol, trace_to_json)
 from telegate.simulator import (extract_register_state, random_state,
                                 run_all_branches, state_from,
@@ -182,9 +182,6 @@ def test_trace_records_messages_and_parties(rng):
 def test_layout_and_trace_serialization():
     import json
     p = build_two_bit_teleportation("XZ")
-    layout_doc = json.loads(layout_to_json(p.layout))
-    assert layout_doc["parties"]["0"] == "alice"
-    assert layout_doc["resources"] == [{"state": "epr", "targets": [1, 2]}]
     trace_doc = json.loads(trace_to_json(run_protocol(p)))
     assert trace_doc["ebits"] == 1
     assert trace_doc["cbits"] == {"alice_to_bob": 2, "bob_to_alice": 0}

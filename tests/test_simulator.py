@@ -13,8 +13,7 @@ from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
 from telegate.gates import apply_to_columns
 from telegate.limits import MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
 from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, basis_state,
-                                branches_to_json, equivalent_up_to_phase,
-                                extract_register_state, kron_states,
+                                equivalent_up_to_phase, extract_register_state,
                                 random_state, register_offsets,
                                 run_all_branches, state_from,
                                 verify_gate_equivalence, worst_fidelity, zero_state)
@@ -207,14 +206,6 @@ def test_zero_probability_branch_recorded():
     assert branches[1].probability == 0.0 and branches[1].state is None
 
 
-def test_branch_report_serialization(rng):
-    c = build_one_bit_teleport("X", 1)
-    import json
-    doc = json.loads(branches_to_json(run_all_branches(c, random_state(1, rng))))
-    assert [b["bits"] for b in doc["branches"]] == ["0", "1"]
-    assert all(abs(b["p"] - 0.5) < 1e-12 for b in doc["branches"])
-
-
 def wide_circuit(n=MAX_QUBITS + 1):
     """Qubit 0 passes through; every other qubit is |0> and measured."""
     b = CircuitBuilder(n, n - 1, ["input"] + ["zero"] * (n - 1))
@@ -254,11 +245,6 @@ def test_register_offsets_match_bit_loop():
             for register in itertools.permutations(range(n), k):
                 assert register_offsets(n, register).tolist() \
                     == _offsets_by_bit_loop(n, register), (n, register)
-
-
-def test_kron_states():
-    s = kron_states(basis_state(1, 1), zero_state(1))
-    assert np.allclose(s.amplitudes, [0, 0, 1, 0])
 
 
 def test_engine_refuses_more_measurements_than_the_limit():

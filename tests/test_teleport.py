@@ -7,7 +7,7 @@ import pytest
 
 from telegate import gates
 from telegate.circuit import CircuitBuilder, GateOp
-from telegate.clifford import clifford_from_matrix, identity_tableau, tableau_from_gate
+from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import DimensionMismatch, SynthesisRefusal
 from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
                                 random_state, run_all_branches,
@@ -66,7 +66,7 @@ def test_per_measurement_probability_is_half(rng):
 # --- generalized frame -------------------------------------------------------
 
 def test_generalized_identity_reduces_to_x_teleport():
-    gen = build_generalized_teleport(identity_tableau(1))
+    gen = build_generalized_teleport(tableau_from_gate("I"))
     assert _elide_identities(gen) == build_one_bit_teleport("X", 1).ops
 
 
@@ -244,7 +244,7 @@ def test_sandwiched_controlled_hadamard():
 
 
 def test_sandwiched_reduces_to_plain_synthesis():
-    ident = identity_tableau(1)
+    ident = tableau_from_gate("I")
     r1 = synthesize_sandwiched(gates.T, ident, gates.T, ident)
     r2 = synthesize_teleported_gate(gates.T)
     assert np.allclose(r1.ancilla_state.amplitudes, r2.ancilla_state.amplitudes)
@@ -265,7 +265,7 @@ def test_sandwiched_rejects_wrong_decomposition():
 
 
 def test_sandwiched_rejects_non_diagonal_core():
-    ident = identity_tableau(1)
+    ident = tableau_from_gate("I")
     with pytest.raises(SynthesisRefusal):
         synthesize_sandwiched(gates.H, ident, gates.H, ident)
 
@@ -358,7 +358,7 @@ def test_one_bit_teleport_matches_hand_written_ops(kind, n):
 
 
 @pytest.mark.parametrize("frame", [
-    identity_tableau(1), identity_tableau(2), tableau_from_gate("H"),
+    tableau_from_gate("I"), clifford_from_matrix(np.eye(4)), tableau_from_gate("H"),
     tableau_from_gate("S"), tableau_from_gate("CNOT"), clifford_from_matrix(gates.CZ)])
 def test_generalized_teleport_matches_hand_written_ops(frame):
     assert build_generalized_teleport(frame) == _reference_generalized(frame)
