@@ -6,9 +6,11 @@ scalar is ignored), level 2 the Clifford group.  Two routes find the level:
 - A diagonal gate is classified in closed form (Cui, Gottesman & Krishna,
   "Diagonal gates in the Clifford hierarchy", PRA 95, 012329, 2017).  Its
   phases f(x) = arg(d_x / d_0) / 2π expand as the multilinear polynomial
-  Σ_S a_S ∏_{i∈S} x_i (a Möbius transform, O(n·2^n)), and its level is the
-  largest log2(denominator of a_S mod 1) + |S| - 1, the identity being
-  level 1.  `tol` bounds the entry-wise phase error 2π·dist(a_S, 2^-j·ℤ).
+  Σ_S a_S ∏_{i∈S} x_i (a Möbius transform: one product with a memoized
+  read-only matrix per block of up to MAX_PLAN_WIDTH qubits), and its
+  level is the largest log2(denominator of a_S mod 1) + |S| - 1, the
+  identity being level 1.  `tol` bounds the entry-wise phase error
+  2π·dist(a_S, 2^-j·ℤ).
 - Any other gate is tested level by level: level k membership conjugates
   the 2n Pauli generators and classifies every image at level k-1.  Every
   depth uses the caller's one tolerance, so a near-miss that fails at its
@@ -22,12 +24,13 @@ phase never changes the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import clifford, pauli
 from .errors import ValidationError
-from .limits import FLOOR, MAX_HIERARCHY_LEVEL, TOL, width_of
+from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, width_of
 
 DEFAULT_K_MAX = 6
 
@@ -102,16 +105,39 @@ def _member(u: np.ndarray, k: int, tol: float, memo: dict) -> bool:
     return result
 
 
+@lru_cache(maxsize=None)
+def _mobius(n: int) -> np.ndarray:
+    """The n-fold Kronecker power of [[1, 0], [-1, 1]], read-only: it maps a
+    function's values on {0,1}^n to its multilinear coefficients a_S."""
+    m = reduce(np.kron, [np.array([[1.0, 0.0], [-1.0, 1.0]])] * n, np.ones((1, 1)))
+    m.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=None)
+def _subset_sizes(n: int) -> np.ndarray:
+    """|S| for every subset S of n qubits, indexed like a basis state; read-only."""
+    sizes = np.array([bin(s).count("1") for s in range(2**n)])
+    sizes.flags.writeable = False
+    return sizes
+
+
+def _phase_coefficients(f: np.ndarray) -> np.ndarray:
+    """Möbius transform of f on {0,1}^n, applied a block of at most
+    MAX_PLAN_WIDTH qubits at a time, so no memoized matrix exceeds 16x16."""
+    n = width_of(f.size)
+    a = f
+    for lo in range(0, n, MAX_PLAN_WIDTH):
+        width = min(MAX_PLAN_WIDTH, n - lo)
+        a = _mobius(width) @ a.reshape(2**lo, 2**width, -1)
+    return a.ravel()
+
+
 def _diagonal_level(d: np.ndarray, k_max: int, tol: float) -> int | None:
     """Closed-form level of diag(d), or None when some coefficient a_S is
     not within tol of a grid 2^-j fine enough for a level <= k_max."""
-    n = width_of(d.size)
-    a = (np.angle(d / d[0]) / (2 * np.pi)).reshape((2,) * n)
-    for axis in range(n):
-        lo, hi = np.split(a, 2, axis=axis)
-        hi -= lo
-    a = a.ravel()
-    sizes = np.indices((2,) * n).sum(axis=0).ravel()
+    a = _phase_coefficients(np.angle(d / d[0]) / (2 * np.pi))
+    sizes = _subset_sizes(width_of(d.size))
     steps = 2.0 ** np.arange(k_max + 1)[:, None]
     scaled = a * steps
     fits = 2 * np.pi * np.abs(scaled - np.round(scaled)) / steps <= tol

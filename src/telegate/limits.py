@@ -15,7 +15,9 @@ MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
                   once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
-MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n plans).
+MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n plans);
+                  also the widest Pauli whose matrix is memoized, and the widest
+                  block of the diagonal level's Möbius transform.
 """
 from .errors import ValidationError, WidthOverflow
 

@@ -8,18 +8,21 @@ printed phase prefix.  `pauli_from_matrix` recognizes a dense matrix as a
 scaled Pauli; that test is what certifies corrections and Clifford frames.
 
 Qubit 0 is the leftmost tensor factor and the most significant bit of a
-basis index.  All values are immutable.
+basis index.  All values are immutable, matrices included: every array
+`pauli_to_matrix` returns is read-only, and one of at most MAX_PLAN_WIDTH
+qubits is memoized, so every caller asking for that Pauli shares one array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 
 from . import gates
 from .errors import DimensionMismatch, ValidationError
-from .limits import TOL, check_width, width_of
+from .limits import MAX_PLAN_WIDTH, TOL, check_width, width_of
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -38,7 +41,15 @@ class PauliOperator:
     def __post_init__(self):
         if len(self.x_bits) != self.n or len(self.z_bits) != self.n:
             raise DimensionMismatch("bit-vector lengths must equal qubit count")
-        object.__setattr__(self, "phase_quarters", self.phase_quarters % 4)
+        for name in ("x_bits", "z_bits"):
+            bits = getattr(self, name)
+            if any(b not in (0, 1) for b in bits):
+                raise ValidationError(f"{name} must be 0 or 1, got {tuple(bits)}")
+            object.__setattr__(self, name, tuple(int(b) for b in bits))
+        if not isinstance(self.phase_quarters, Integral):
+            raise ValidationError(
+                f"phase_quarters must be an integer, got {self.phase_quarters!r}")
+        object.__setattr__(self, "phase_quarters", int(self.phase_quarters) % 4)
 
 
 def single(n: int, qubit: int, letter: str) -> PauliOperator:
@@ -51,18 +62,33 @@ def single(n: int, qubit: int, letter: str) -> PauliOperator:
 
 
 def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
-    """Exact dense matrix, qubit 0 as the leftmost tensor factor."""
+    """Exact dense matrix, qubit 0 as the leftmost tensor factor.
+
+    The result is read-only.  For p on at most MAX_PLAN_WIDTH qubits it is
+    memoized and shared by every caller; copy it before writing.  A wider
+    Pauli (4^n entries) is built afresh on each call and not retained."""
     check_width(p.n)
+    if p.n <= MAX_PLAN_WIDTH:
+        return _memoized_matrix(p.x_bits, p.z_bits, p.phase_quarters)
+    return _build_matrix(p.x_bits, p.z_bits, p.phase_quarters)
+
+
+def _build_matrix(x_bits, z_bits, phase_quarters) -> np.ndarray:
     factors = []
-    for x, z in zip(p.x_bits, p.z_bits):
+    for x, z in zip(x_bits, z_bits):
         f = np.eye(2, dtype=complex)
         if z:
             f = gates.Z @ f
         if x:
             f = gates.X @ f  # X applied after Z: matrix X^x Z^z
         factors.append(f)
-    m = reduce(np.kron, factors, np.array([[1.0 + 0j]]))
-    return (1j ** p.phase_quarters) * m
+    m = (1j ** phase_quarters) * reduce(np.kron, factors, np.array([[1.0 + 0j]]))
+    m.flags.writeable = False
+    return m
+
+
+# 4^MAX_PLAN_WIDTH entries of 16 bytes: at most 4 KB a matrix, 512 KB in all.
+_memoized_matrix = lru_cache(maxsize=128)(_build_matrix)
 
 
 def x_matrix(bits) -> np.ndarray:

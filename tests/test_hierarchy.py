@@ -6,7 +6,8 @@ import pytest
 
 from telegate import gates
 from telegate.errors import ValidationError
-from telegate.hierarchy import _member, hierarchy_level, is_diagonal_matrix
+from telegate.hierarchy import (_diagonal_level, _member, _phase_coefficients,
+                                hierarchy_level, is_diagonal_matrix)
 from telegate.limits import TOL
 from telegate.pauli import pauli_to_matrix, single
 
@@ -258,6 +259,62 @@ def test_non_dyadic_diagonals_classify_nowhere(rng):
         u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)))
         assert hierarchy_level(u, k_max=8).level is None
         assert _conjugation_level(u, 8) is None
+
+
+# --- the memoized Möbius product against the axis-split transform ------------
+# The split loop was the transform before the memoized matrices replaced it.
+
+def _axis_split_coefficients(f):
+    n = int(f.size).bit_length() - 1
+    a = np.array(f, dtype=float).reshape((2,) * n)
+    for axis in range(n):
+        lo, hi = np.split(a, 2, axis=axis)
+        hi -= lo
+    return a.ravel()
+
+
+def _axis_split_level(d, k_max, tol=TOL):
+    n = int(d.size).bit_length() - 1
+    a = _axis_split_coefficients(np.angle(d / d[0]) / (2 * np.pi))
+    sizes = np.indices((2,) * n).sum(axis=0).ravel()
+    steps = 2.0 ** np.arange(k_max + 1)[:, None]
+    scaled = a * steps
+    fits = 2 * np.pi * np.abs(scaled - np.round(scaled)) / steps <= tol
+    if not fits.any(axis=0).all():
+        return None
+    j = fits.argmax(axis=0)
+    level = int(np.max(np.where(j > 0, j + sizes - 1, 1)))
+    return level if level <= k_max else None
+
+
+def test_mobius_product_matches_the_axis_split_transform(rng):
+    from telegate.recursive import controlled_rotation_spec, rotation_spec
+    ladder = ([rotation_spec(k) for k in range(1, 9)]
+              + [controlled_rotation_spec(1, k) for k in range(2, 9)]
+              + [controlled_rotation_spec(2, k) for k in range(3, 9)])
+    diagonals = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.diag(spec.matrix)
+                 for spec in ladder]
+    for _ in range(200):
+        n, level = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        diagonals.append(np.diag(_dyadic_diagonal(rng, n, level)))
+    near_miss = np.diag(gates.T @ np.diag([1.0, np.exp(1j * 5e-10)]))
+    diagonals.append(near_miss)
+    assert len(diagonals) == 222
+    for d in diagonals:
+        f = np.angle(d / d[0]) / (2 * np.pi)
+        n = int(d.size).bit_length() - 1
+        # each a_S sums at most 2^n terms of size <= 1/2, in another order
+        bound = n * 2**n * np.finfo(float).eps
+        assert np.max(np.abs(_phase_coefficients(f) - _axis_split_coefficients(f))) <= bound
+        assert _diagonal_level(d, 8, TOL) == _axis_split_level(d, 8)
+    assert _diagonal_level(near_miss, 8, TOL) == 3
+
+
+def test_mobius_blocks_match_the_axis_split_transform_past_the_block_width(rng):
+    for n in (5, 6, 9):
+        f = rng.uniform(-0.5, 0.5, 2**n)
+        bound = n * 2**n * np.finfo(float).eps
+        assert np.max(np.abs(_phase_coefficients(f) - _axis_split_coefficients(f))) <= bound
 
 
 def test_phase_error_within_tol_keeps_the_level():

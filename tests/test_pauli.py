@@ -1,12 +1,13 @@
 """Pauli operators: recognition of dense products, matrix round-trips, literals."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from telegate import gates
-from telegate.errors import DimensionMismatch
+from telegate import gates, pauli
+from telegate.errors import DimensionMismatch, ValidationError
 from telegate.pauli import (PauliOperator, format_literal, pauli_from_matrix,
                             pauli_to_matrix, single)
 
@@ -131,3 +132,67 @@ def test_literal_matches_matrix(rng):
         want = prefixes[text[:len(text) - len(body)]] * gates.kron(
             *(gates.matrix_of(letter) for letter in body))
         assert np.max(np.abs(pauli_to_matrix(p) - want)) < 1e-12
+
+
+# --- the memo against the kron chain it replaces ------------------------------
+
+def _kron_chain(p):
+    """A fresh construction, step for step the one the memo wraps, so the
+    bytes (signed zeros included) must match."""
+    factors = []
+    for x, z in zip(p.x_bits, p.z_bits):
+        f = np.eye(2, dtype=complex)
+        if z:
+            f = gates.Z @ f
+        if x:
+            f = gates.X @ f
+        factors.append(f)
+    return (1j ** p.phase_quarters) * reduce(np.kron, factors, np.array([[1.0 + 0j]]))
+
+
+def test_memoized_matrices_are_the_kron_chain_byte_for_byte():
+    count = 0
+    for n in (1, 2, 3, 4):
+        for bare in all_phase_free(n):
+            for phase in range(4):
+                p = PauliOperator(n, bare.x_bits, bare.z_bits, phase)
+                got, want = pauli_to_matrix(p), _kron_chain(p)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), format_literal(p)
+                count += 1
+    assert count == 1360
+
+
+def test_matrices_are_read_only_and_shared():
+    p = PauliOperator(2, (1, 0), (1, 1), 3)
+    m = pauli_to_matrix(p)
+    assert pauli_to_matrix(PauliOperator(2, (1, 0), (1, 1), 3)) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 5.0
+    assert m.tobytes() == _kron_chain(p).tobytes()
+
+
+def test_wide_matrices_are_read_only_and_not_retained():
+    p = PauliOperator(5, (1, 0, 1, 0, 1), (0, 1, 1, 0, 0), 1)
+    held = pauli._memoized_matrix.cache_info().currsize
+    m = pauli_to_matrix(p)
+    assert pauli._memoized_matrix.cache_info().currsize == held
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 5.0
+    assert m.tobytes() == _kron_chain(p).tobytes()
+    assert pauli_to_matrix(p) is not m
+
+
+def test_bits_are_stored_as_int_tuples_and_checked():
+    p = PauliOperator(2, [1, 0], np.array([0, 1]))
+    assert p.x_bits == (1, 0) and p.z_bits == (0, 1)
+    assert all(type(b) is int for b in p.x_bits + p.z_bits)
+    assert pauli_to_matrix(p) is pauli_to_matrix(PauliOperator(2, (1, 0), (0, 1)))
+    for x_bits, z_bits in (((2,), (0,)), ((0,), (-1,)), ((0.5,), (0,))):
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            PauliOperator(1, x_bits, z_bits)
+    q = PauliOperator(1, (1,), (0,), np.int64(5))
+    assert q.phase_quarters == 1 and type(q.phase_quarters) is int
+    with pytest.raises(ValidationError, match="must be an integer"):
+        PauliOperator(1, (1,), (0,), 1.0)
