@@ -8,9 +8,10 @@ The shortcut route starts instead from (I+Q_i)·target, which for the
 standard ancillas is a product state, and measures the single remaining
 stabilizer.
 
-A script runs as a circuit on the simulator's branch walk: one control
-qubit, re-injected as |0> at each step, measures M through H, controlled-M,
-H (`script_circuit`).  `measure_operator` keeps the projector arithmetic,
+A script runs as a preparation from nothing on the simulator's branch walk
+(`script_circuit`): the initial state is injected on the register, and one
+control qubit, re-injected as |0> at each step, measures M through H,
+controlled-M, H.  `measure_operator` keeps the projector arithmetic,
 (I±M)/2, as the reference the test suite checks that gadget against.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .errors import InternalConsistencyError, ValidationError
 from .limits import TOL, VERIFY_TOL, ZERO
 from .simulator import (Branch, StateVector, extract_register_state, run_all_branches,
-                        worst_fidelity, zero_state)
+                        verify_gate_equivalence, zero_state)
 
 
 @dataclass(frozen=True)
@@ -218,12 +219,14 @@ def shortcut_preparation(spec: StabilizerSpec, i: int) -> PreparationScript:
 
 
 def script_circuit(script: PreparationScript) -> Circuit:
-    """The script on n+1 qubits: the register is the symbolic input and
-    qubit n the control.  Step i re-injects the control as |0>, applies H,
+    """The script as a preparation from nothing, on n+1 qubits: the first
+    op injects the initial state on the register [0..n-1], and qubit n is
+    the control.  Step i re-injects the control as |0>, applies H,
     controlled-M and H, measures it into cbit i and applies Q on outcome 1."""
     n = script.initial_state.n
     register = list(range(n))
-    b = CircuitBuilder(n + 1, len(script.steps), ["input"] * n + ["inject"])
+    b = CircuitBuilder(n + 1, len(script.steps), ["inject"] * (n + 1))
+    b.inject(script.initial_state.amplitudes, register)
     for i, (m, q) in enumerate(script.steps):
         b.inject([1.0, 0.0], [n])
         b.gate("H", [n])
@@ -240,16 +243,15 @@ def run_script(script: PreparationScript) -> list[Branch]:
     register = range(script.initial_state.n)
     return [replace(br, measured_values={}, state=None if br.state is None
                     else extract_register_state(br, register))
-            for br in run_all_branches(script_circuit(script), script.initial_state)]
+            for br in run_all_branches(script_circuit(script))]
 
 
-def verify_script(script: PreparationScript,
-                  branches: list[Branch] | None = None) -> tuple[bool, float]:
-    """Worst-case fidelity of all nonzero branches against the target;
-    branches are run_script(script)'s, run here unless given."""
-    worst = worst_fidelity(run_script(script) if branches is None else branches,
-                           script.expected_final)
-    return worst >= 1.0 - VERIFY_TOL, worst
+def verify_script(script: PreparationScript) -> tuple[bool, float]:
+    """Verify script_circuit(script) as a 0-input isometry, the target state
+    as one column on the register: (passed, worst fidelity)."""
+    t = script.expected_final
+    report = verify_gate_equivalence(script_circuit(script), t.amplitudes[:, None], (), range(t.n))
+    return report.passed, report.worst_fidelity
 
 
 def script_to_json(script: PreparationScript) -> str:

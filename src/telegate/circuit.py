@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
+from .clifford import is_unitary
 from .errors import CircuitFormatError, InvalidCircuitError, TelegateError
-from .limits import ZERO, check_width
+from .limits import FLOOR, ZERO, check_width
 
 INPUT_TAGS = ("input", "zero", "inject")
 
@@ -37,6 +38,8 @@ for _amps in STATE_LABELS.values():
 def _as_state(amplitudes) -> np.ndarray:
     arr = np.asarray(amplitudes, dtype=complex).ravel()
     norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        raise InvalidCircuitError(["injected state has non-finite amplitudes"])
     if norm < ZERO:
         raise InvalidCircuitError(["injected state has zero norm"])
     if abs(norm - 1.0) > ZERO:  # keep already-normalized vectors bit-stable
@@ -177,6 +180,8 @@ def _split_gate(name_or_matrix):
     if isinstance(name_or_matrix, str):
         return gates.canonical_name(name_or_matrix), None
     m = np.array(name_or_matrix, dtype=complex)  # a copy: the caller's array stays writeable
+    if not is_unitary(m, FLOOR):  # NaN and infinite entries fail too
+        raise InvalidCircuitError(["gate matrix is not a finite unitary"])
     m.flags.writeable = False
     return None, m
 
@@ -355,13 +360,10 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
     kind = doc.get("op")
     role = doc.get("role")
     if kind == "gate" or kind == "cgate":
-        name = doc.get("name")
-        matrix = None
-        if name is not None:
-            name = gates.canonical_name(name)
+        if doc.get("name") is not None:
+            name, matrix = gates.canonical_name(doc["name"]), None
         elif "matrix" in doc:
-            matrix = matrix_from_doc(doc["matrix"])
-            matrix.flags.writeable = False
+            name, matrix = _split_gate(matrix_from_doc(doc["matrix"]))
         else:
             raise CircuitFormatError(f"op {index}: gate needs 'name' or 'matrix'")
         targets = tuple(int(t) for t in doc["targets"])

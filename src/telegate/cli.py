@@ -23,8 +23,9 @@ from . import gates, hierarchy, recursive, remote, teleport
 from .errors import SynthesisRefusal, TelegateError
 from .limits import FLOOR, TOL, VERIFY_TOL
 from .pauli import format_literal, pauli_from_matrix
-from .simulator import (StateVector, equivalent_up_to_phase, random_state, run_all_branches,
-                        sample_branches, verify_gate_equivalence, worst_fidelity)
+from .simulator import (StateVector, equivalent_up_to_phase, extract_register_state,
+                        random_state, run_all_branches, sample_branches,
+                        verify_gate_equivalence)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -181,9 +182,8 @@ def cmd_ancilla(args) -> int:
         script = ancilla_mod.build_preparation(spec)
     passed = True
     if args.simulate or args.out:  # nothing unverified is written
-        branches = ancilla_mod.run_script(script) if args.simulate else None
-        passed, worst = ancilla_mod.verify_script(script, branches)
-        for br in branches or ():
+        passed, worst = ancilla_mod.verify_script(script)
+        for br in ancilla_mod.run_script(script) if args.simulate else ():
             if br.state is None:
                 print(f"branch {br.bitstring}: p=0 (dead)")
                 continue
@@ -255,8 +255,10 @@ def cmd_remote(args) -> int:
     for _ in range(args.trials):
         psi = random_state(k, rng)
         want = StateVector(k, protocol.target @ psi.amplitudes)
-        worst = min(worst, worst_fidelity(run_all_branches(protocol.circuit, psi), want,
-                                          protocol.out_map))
+        for br in run_all_branches(protocol.circuit, psi):
+            if br.state is not None:
+                got = extract_register_state(br, protocol.out_map)
+                worst = min(worst, equivalent_up_to_phase(want, got)[1])
     ok = trace.report.passed and worst >= 1.0 - args.tol
     print(f"{protocol.name}: {trace.ebits} ebit(s), {trace.cbits_total} cbit(s)"
           f" (alice->bob {trace.cbits_alice_to_bob},"

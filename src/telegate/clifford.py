@@ -28,7 +28,7 @@ class CliffordFrame:
 
 def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 

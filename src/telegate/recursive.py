@@ -22,11 +22,13 @@ discipline.  One node emitter writes that circuit, each repair once; a
 node's own circuit is its segment of it with the children cut out.
 
 Recursive ancilla preparation (the states U|+...+> themselves) measures
-the stabilizers M_i = U_x·X_i through one control qubit per step.  The
-controlled-U_x is realized by the same injection gadget with the coupling
-CNOTs promoted to Toffolis and the pattern repairs promoted to controlled
-diagonals carrying the exact eigenvalue phases, recursing until the
-controlled payload is Clifford.
+the stabilizers M_i = U_x·X_i through one control qubit, re-injected as |0>
+at each step.  The controlled-U_x is realized by the same injection gadget
+with the coupling CNOTs promoted to Toffolis and the pattern repairs
+promoted to controlled diagonals carrying the exact eigenvalue phases,
+recursing until the controlled payload is Clifford.  Each gadget measures
+its magic register before the next injects, so one spare register serves
+them all: at most 2n+1 qubits.
 """
 from __future__ import annotations
 
@@ -38,10 +40,9 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL,
-                     check_width, width_of)
+from .limits import FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, width_of
 from .simulator import (StateVector, apply_matrix, extract_register_state, run_all_branches,
-                        worst_fidelity)
+                        verify_gate_equivalence)
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
 
@@ -423,9 +424,11 @@ class RecursivePreparation:
 
 
 def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
-                        payload: np.ndarray, cond=((), ())) -> ControlledRealization:
+                        spare: list[int], payload: np.ndarray,
+                        cond=((), ())) -> ControlledRealization:
     """Emit ops applying the payload to the register when qubit kappa is
-    |1> and `cond` holds, exactly (the payload's eigenvalue phases included)."""
+    |1> and `cond` holds, exactly (the payload's eigenvalue phases included).
+    Every injection uses `spare`, allocated at the first (empty until then)."""
     n = len(register)
     level = _level_of(payload, "controlled payload")
     if level <= 2:
@@ -434,14 +437,14 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
         return ControlledRealization(payload, level, "direct")
 
     magic = StateVector(n, payload @ _plus_state(n))
-    spare = buf.alloc_qubits(n, "inject")
-    check_width(buf.n_qubits)
+    if not spare:
+        spare += buf.alloc_qubits(n, "inject")
     cbits = buf.alloc_cbits(n)
     emit_inject(buf, magic.amplitudes, register, spare, cbits, controls=[kappa], cond=cond)
     direct_patterns: list[tuple[int, ...]] = []
     children: list[tuple[tuple[int, ...], ControlledRealization]] = []
     for vals, w in _pattern_repairs(payload, keep_phase=True):
-        sub = _realize_controlled(buf, kappa, register, w,
+        sub = _realize_controlled(buf, kappa, register, spare, w,
                                   (cond[0] + tuple(cbits), cond[1] + vals))
         if sub.mode == "direct":
             direct_patterns.append(vals)
@@ -453,35 +456,36 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
 
 def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
     """Prepare U|+...+> from |0...0> by measuring each stabilizer
-    U_x·X_i through a control qubit, with Z_i repairs on -1 outcomes."""
+    U_x·X_i through one control qubit, re-injected as |0> at each step, with
+    Z_i repairs on -1 outcomes: at most 2n+1 qubits."""
     u, n, _ = _checked_spec(spec, "preparation")
 
     target = StateVector(n, u @ _plus_state(n))
-    buf = CircuitBuilder(n, 0, ["zero"] * n)
-    register = list(range(n))
+    buf = CircuitBuilder(n + 1, 0, ["zero"] * n + ["inject"])
+    register, kappa, spare = list(range(n)), n, []
     u_dag = u.conj().T
     steps = []
     for i in range(n):
         x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
         m_i = u @ x_i @ u_dag
         u_x = m_i @ x_i
-        kappa = buf.alloc_qubits(1, "zero")[0]
+        buf.inject([1.0, 0.0], [kappa], role="ancilla-prep")
         buf.gate("H", [kappa], role="ancilla-prep")
         buf.gate("CNOT", [kappa, register[i]], role="E")
-        realization = _realize_controlled(buf, kappa, register, u_x)
+        realization = _realize_controlled(buf, kappa, register, spare, u_x)
         buf.gate("H", [kappa], role="B")
         mbit = buf.alloc_cbits(1)[0]
         buf.measure(kappa, mbit)
         buf.cgate([mbit], [1], "Z", [register[i]], role="D")
         steps.append(PreparationStep(m_i, pauli.pauli_to_matrix(
             pauli.single(n, i, "Z")), u_x, realization.level, realization))
-    check_width(buf.n_qubits)
-    circuit = buf.build()
-    return RecursivePreparation(u, target, tuple(steps), circuit, tuple(register))
+    return RecursivePreparation(u, target, tuple(steps), buf.build(), tuple(register))
 
 
 def verify_preparation(prep: RecursivePreparation,
                        tol: float = VERIFY_TOL) -> tuple[bool, float]:
-    """Run every branch and score register fidelity against the target."""
-    worst = worst_fidelity(run_all_branches(prep.circuit, None), prep.target, prep.register)
-    return worst >= 1.0 - tol, worst
+    """Verify the circuit as a 0-input isometry, the target state as one
+    column on the register: (passed, worst fidelity)."""
+    report = verify_gate_equivalence(prep.circuit, prep.target.amplitudes[:, None], (),
+                                     prep.register, tol=tol)
+    return report.passed, report.worst_fidelity

@@ -18,7 +18,7 @@ a walk of that branch alone, so results do not depend on the cap.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +28,8 @@ from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
-from .limits import (MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL,
-                     ZERO, check_width, width_of)
+from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL,
+                     VERIFY_TOL, ZERO, check_width, width_of)
 
 
 @dataclass(frozen=True)
@@ -381,40 +381,30 @@ def equivalent_up_to_phase(a: StateVector, b: StateVector) -> tuple[bool, float]
     return fidelity >= 1.0 - VERIFY_TOL, fidelity
 
 
-def worst_fidelity(branches: Iterable[Branch], want: StateVector, register=None) -> float:
-    """The lowest fidelity against `want` over the live branches (1.0 when
-    none is live), read off `register` when given, else the whole state."""
-    worst = 1.0
-    for br in branches:
-        if br.state is not None:
-            got = br.state if register is None else extract_register_state(br, register)
-            worst = min(worst, equivalent_up_to_phase(want, got)[1])
-    return worst
-
-
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                             tol: float = VERIFY_TOL) -> EquivalenceReport:
     """Check that every nonzero branch implements u up to a unit scalar.
 
-    The effective operator of each branch is assembled by evolving all
-    computational-basis inputs at once (input qubit j of u lives on circuit
-    qubit in_map[j], and analogously for out_map) and reading the
-    amplitude block where every non-output qubit sits at its measured
-    value.
+    u is an isometry (u†u = I) from the in_map qubits to the out_map ones:
+    a gate, or with no input a state preparation, u the target state as one
+    column.  The effective operator of each branch is assembled by evolving
+    all computational-basis inputs at once (input qubit j of u lives on
+    circuit qubit in_map[j], and analogously for out_map) and reading the
+    amplitude block where every non-output qubit sits at its measured value.
     """
     statuses = _engine_statuses(c)
     in_map = tuple(in_map)
     out_map = tuple(out_map)
     u = np.asarray(u, dtype=complex)
-    k = len(in_map)
-    if len(out_map) != k:
-        raise DimensionMismatch("in_map and out_map must have equal length")
-    if len(set(in_map)) != k or len(set(out_map)) != k:
+    dim = 2 ** len(in_map)
+    if len(set(in_map)) != len(in_map) or len(set(out_map)) != len(out_map):
         raise DimensionMismatch("in_map and out_map entries must be distinct")
     if any(not 0 <= q < c.n_qubits for q in in_map + out_map):
         raise DimensionMismatch("map entries out of range")
-    if u.shape != (2**k, 2**k):
-        raise DimensionMismatch("matrix width does not match in_map")
+    if u.shape != (2 ** len(out_map), dim):
+        raise DimensionMismatch("matrix shape does not match out_map by in_map")
+    if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(dim))) > FLOOR:
+        raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
     if set(in_map) != set(c.symbolic_qubits):
         raise DimensionMismatch("in_map must cover exactly the symbolic-input qubits")
     for q in range(c.n_qubits):
@@ -424,7 +414,6 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                 " would be ill-defined")
 
     n = c.n_qubits
-    dim = 2**k
     cols = np.zeros((2**n, dim), dtype=complex)
     cols[register_offsets(n, in_map), np.arange(dim)] = 1.0
     out_offsets = register_offsets(n, out_map)

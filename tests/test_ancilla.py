@@ -279,11 +279,17 @@ def test_run_script_matches_the_projector_walk(rng):
 
 
 def test_script_circuit_layout():
+    """A preparation from nothing: every qubit is injected, the register
+    first with the initial state, then the control at each step."""
     script = build_preparation(derive_stabilizers(gates.CS, ("H", "H")))
     c = script_circuit(script)
     assert (c.n_qubits, c.n_cbits) == (3, 2)
-    assert c.inputs == ("input", "input", "inject")
+    assert c.inputs == ("inject", "inject", "inject") and c.symbolic_qubits == ()
+    first = c.ops[0]
+    assert first.targets == (0, 1)
+    assert np.array_equal(first.amplitudes, script.initial_state.amplitudes)
     assert [(type(op).__name__, bool(getattr(op, "cond_cbits", ()))) for op in c.ops] == [
+        ("InjectOp", False)] + [
         ("InjectOp", False), ("GateOp", False), ("GateOp", False), ("GateOp", False),
         ("MeasureOp", False), ("GateOp", True)] * 2
 

@@ -354,3 +354,29 @@ def test_inject_label_must_name_its_amplitudes(label):
     b = CircuitBuilder(1, 0, ["inject"]).inject([1, 0], [0], label=label)
     with pytest.raises(InvalidCircuitError, match=f"state label '{label}' does not name"):
         b.build()
+
+
+_NOT_FINITE_UNITARY = [np.zeros((2, 2)), 2 * gates.T, np.array([[np.nan, 0], [0, 1]]),
+                       np.array([[np.inf, 0], [0, 1]]), np.zeros(0)]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE_UNITARY)
+def test_a_gate_matrix_must_be_a_finite_unitary(bad):
+    """The builder and the file reader take matrices through one check, so
+    a gate that loses probability, or holds a NaN, never reaches a branch."""
+    with pytest.raises(InvalidCircuitError, match="gate matrix is not a finite unitary"):
+        CircuitBuilder(1, 0).gate(bad, [0])
+    doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["input"],
+           "ops": [{"op": "gate", "matrix": matrix_doc(bad), "targets": [0]}]}
+    with pytest.raises(InvalidCircuitError, match="gate matrix is not a finite unitary"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0]])
+def test_an_injected_state_must_be_finite(amps):
+    with pytest.raises(InvalidCircuitError, match="injected state has non-finite amplitudes"):
+        CircuitBuilder(1, 0, ["inject"]).inject(amps, [0])
+    doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["inject"],
+           "ops": [{"op": "inject", "state": {"amplitudes": state_doc(amps)}, "targets": [0]}]}
+    with pytest.raises(InvalidCircuitError, match="injected state has non-finite amplitudes"):
+        deserialize(json.dumps(doc))

@@ -294,6 +294,8 @@ def test_nan_tolerance_flag_is_usage_error(capsys, tmp_path):
 
 
 def test_ancilla_simulate_runs_the_branches_once(capsys, monkeypatch):
+    """The verdict comes from verify_script's fold; run_script runs once,
+    for the per-branch lines."""
     from telegate import ancilla
     calls = []
     real = ancilla.run_script
@@ -463,8 +465,52 @@ def test_verify_names_a_malformed_map_flag(capsys, tmp_path, flag):
 
 def test_ancilla_out_writes_nothing_unverified(capsys, monkeypatch, tmp_path):
     from telegate import ancilla
-    monkeypatch.setattr(ancilla, "verify_script", lambda script, branches=None: (False, 0.5))
+    monkeypatch.setattr(ancilla, "verify_script", lambda script: (False, 0.5))
     path = tmp_path / "t.script.json"
     code, out, _ = run(capsys, "ancilla", "T", "--out", str(path))
     assert code == 1 and not path.exists()
     assert out.splitlines()[-1] == "worst fidelity: 0.500000000000 -> FAIL"
+
+
+def _t_with_nan(entry: int) -> np.ndarray:
+    m = np.array(gates.T)
+    m[entry, entry] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("target", [2 * gates.T, _t_with_nan(1)])
+def test_verify_refuses_a_target_that_is_not_a_finite_unitary(capsys, tmp_path, target):
+    """Both used to print PASS: 2·T with p=2.000000 on every branch."""
+    circuit, against = str(tmp_path / "t.json"), tmp_path / "bad.json"
+    assert run(capsys, "synth", "T", "--out", circuit)[0] == 0
+    against.write_text(json.dumps(matrix_doc(target)))
+    code, out, err = run(capsys, "verify", circuit, "--against", str(against))
+    assert code == 2 and out == ""
+    assert err.startswith("error: target is not a finite isometry")
+
+
+def test_verify_refuses_a_circuit_file_with_a_nan_repair(capsys, tmp_path):
+    """A NaN in a repair matrix used to kill its branch silently and PASS."""
+    path = tmp_path / "t.json"
+    assert run(capsys, "synth", "T", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    repair = next(op for op in doc["ops"] if op["op"] == "cgate" and "matrix" in op)
+    repair["matrix"][0][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--against", "T")
+    assert code == 2 and out == ""
+    assert err == "error: invalid circuit: gate matrix is not a finite unitary\n"
+
+
+def test_verify_checks_a_preparation_file_against_its_state(capsys, tmp_path):
+    """A preparation has no input: its target is the state as one column."""
+    from telegate.circuit import serialize
+    from telegate.recursive import controlled_rotation_spec, recursive_ancilla_prep
+    prep = recursive_ancilla_prep(controlled_rotation_spec(1, 4))
+    circuit, target = tmp_path / "prep.json", tmp_path / "target.json"
+    circuit.write_text(serialize(prep.circuit))
+    target.write_text(json.dumps(matrix_doc(prep.target.amplitudes[:, None])))
+    code, out, _ = run(capsys, "verify", str(circuit), "--against", str(target))
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "PASS"
+    assert sum(line.startswith("branch ") for line in lines) == 2**6

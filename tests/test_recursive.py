@@ -1,6 +1,8 @@
 """Recursive expansion: all-branch equivalence, level descent, resources,
 tree/flattened agreement, and recursive magic-state preparation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from telegate.recursive import (controlled_rotation_spec, emit_inject, execute_t
                                 rotation_spec, synth_recursive,
                                 tree_to_json, verify_preparation)
 from telegate.simulator import (basis_state, extract_register_state,
-                                random_state, run_all_branches)
+                                random_state, run_all_branches, verify_gate_equivalence)
 from telegate.teleport import TeleportPlan, emit_teleport
 
 
@@ -416,18 +418,62 @@ def test_recursion_too_large_to_enumerate_is_refused():
         synth_recursive(controlled_rotation_spec(2, 5))
 
 
-def test_preparation_width_refused_before_the_next_inject(monkeypatch):
-    """Each injection allocates n qubits: the refusal comes at the first one
-    past the limit, not after the whole circuit is emitted."""
-    from telegate import recursive
-    from telegate.limits import MAX_QUBITS
-    widths = []
+def test_ccv5_preparation_fits_its_register_and_is_refused_at_verification():
+    """Every injection reuses one spare register, so CCV5's preparation
+    builds on 2n+1 = 7 qubits; its 75 measurements are refused with the
+    count when it is verified."""
+    prep = recursive_ancilla_prep(controlled_rotation_spec(2, 5))
+    assert prep.circuit.n_qubits == 7
+    with pytest.raises(WidthOverflow, match="75 measurements"):
+        verify_preparation(prep)
 
-    def counting_inject(b, *args, **kwargs):
-        widths.append(b.n_qubits)
-        emit_inject(b, *args, **kwargs)
 
-    monkeypatch.setattr(recursive, "emit_inject", counting_inject)
-    with pytest.raises(WidthOverflow, match=f"exceeds the {MAX_QUBITS}-qubit limit"):
-        recursive_ancilla_prep(controlled_rotation_spec(2, 5))
-    assert widths and max(widths) <= MAX_QUBITS
+@pytest.mark.parametrize("spec,width", [
+    (matrix_spec(gates.T, "T"), 2), (rotation_spec(5), 3),
+    (controlled_rotation_spec(1, 4), 5), (controlled_rotation_spec(2, 3), 4),
+    (controlled_rotation_spec(2, 4), 7), (controlled_rotation_spec(1, 5), 5),
+])
+def test_preparation_recycles_one_control_and_one_spare_register(spec, width):
+    """One control qubit, re-injected as |0> at each step, and one spare
+    register, allocated at the first injection: at most 2n+1 qubits."""
+    prep = recursive_ancilla_prep(spec)
+    c = prep.circuit
+    assert c.n_qubits == width <= 2 * spec.n + 1
+    kappa = spec.n
+    assert c.inputs[:kappa + 1] == ("zero",) * kappa + ("inject",)
+    assert all(tag == "inject" for tag in c.inputs[kappa + 1:])
+    resets = [op for op in c.ops if isinstance(op, InjectOp) and op.targets == (kappa,)]
+    assert len(resets) == len(prep.steps)
+
+
+def test_ccv4_preparation_verifies():
+    ok, worst = verify_preparation(recursive_ancilla_prep(controlled_rotation_spec(2, 4)))
+    assert ok and worst >= 1 - 1e-10, worst
+
+
+def test_preparation_with_a_dropped_repair_fails_at_a_named_branch():
+    prep = recursive_ancilla_prep(controlled_rotation_spec(1, 4))
+    ops = list(prep.circuit.ops)
+    first = next(i for i, op in enumerate(ops) if isinstance(op, GateOp) and op.cond_cbits)
+    del ops[first]
+    broken = replace(prep.circuit, ops=tuple(ops))
+    report = verify_gate_equivalence(broken, prep.target.amplitudes[:, None], (),
+                                     prep.register)
+    assert not report.passed and report.failing_branch is not None
+    assert len(report.failing_branch) == 6
+    assert not verify_preparation(replace(prep, circuit=broken))[0]
+
+
+def test_cv5_preparation_verifies_streaming_its_branches():
+    """2^18 branches on 5 qubits: the fold holds one capped stack at a
+    time, not a list of every branch (hundreds of MB)."""
+    import tracemalloc
+    prep = recursive_ancilla_prep(controlled_rotation_spec(1, 5))
+    tracemalloc.start()
+    try:
+        ok, worst = verify_preparation(prep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and worst >= 1 - 1e-10, worst
+    assert peak < 24_000_000, peak

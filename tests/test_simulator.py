@@ -16,7 +16,7 @@ from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, bas
                                 equivalent_up_to_phase, extract_register_state,
                                 random_state, register_offsets,
                                 run_all_branches, state_from,
-                                verify_gate_equivalence, worst_fidelity, zero_state)
+                                verify_gate_equivalence, zero_state)
 from telegate.teleport import build_one_bit_teleport
 
 SQ2 = 1 / np.sqrt(2)
@@ -324,18 +324,6 @@ def test_verification_streams_its_branches():
     assert peak < 3_000_000, peak
 
 
-def test_worst_fidelity_skips_dead_branches_and_reads_the_register():
-    # qubit 1 measured as 1; the register (qubit 0) holds |+>
-    plus_one = state_from([0, SQ2, 0, SQ2])
-    live = Branch((1,), 1.0, plus_one, {0: 1}, {1: 1})
-    dead = Branch((0,), 0.0, None, {0: 0}, {1: 0})
-    plus, zero = state_from([SQ2, SQ2]), zero_state(1)
-    assert worst_fidelity([dead, live], plus, register=(0,)) == pytest.approx(1.0)
-    assert worst_fidelity([dead, live], zero, register=(0,)) == pytest.approx(SQ2)
-    assert worst_fidelity([live], state_from([0, 0, 0, 1])) == pytest.approx(SQ2)
-    assert worst_fidelity([dead], zero) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # the oracle: the depth-first walk the batched engine replaced, and its fold
 
@@ -504,7 +492,8 @@ def suite_circuits():
         spec = ancilla.derive_stabilizers(u, teleport.plan_teleportation(u).a_ops)
         scripts = [ancilla.build_preparation(spec)]
         scripts += [ancilla.shortcut_preparation(spec, i) for i in range(len(spec.pairs))]
-        cases += [(ancilla.script_circuit(s), s.initial_state) for s in scripts]
+        for s in scripts:
+            add(ancilla.script_circuit(s))
     add(_dying_circuit())
     return cases
 
@@ -670,3 +659,80 @@ def test_compact_report_holds_no_bitstring_keys():
         tracemalloc.stop()
     assert report.passed and len(report.branch_weights) == 2**12
     assert held < 250_000, held
+
+
+# ---------------------------------------------------------------------------
+# states through the fold: a preparation is a 0-input isometry
+
+
+def _oracle_worst_fidelity(branches, want, register=None):
+    """The branch-by-branch state score the fold replaced, kept verbatim: the
+    lowest fidelity against `want` over the live branches (1.0 when none is
+    live), read off `register` when given, else the whole state."""
+    worst = 1.0
+    for br in branches:
+        if br.state is not None:
+            got = br.state if register is None else extract_register_state(br, register)
+            worst = min(worst, equivalent_up_to_phase(want, got)[1])
+    return worst
+
+
+def _assert_fold_matches_the_oracle(passed, worst, branches, want, register=None):
+    oracle = _oracle_worst_fidelity(branches, want, register)
+    assert passed == (oracle >= 1.0 - VERIFY_TOL)
+    assert abs(worst - oracle) < 1e-12, (worst, oracle)
+
+
+def test_script_verdict_matches_the_branch_by_branch_score():
+    """Every T/CS/TOFFOLI script: the full one, each shortcut, and CS from a
+    random initial state."""
+    from test_ancilla import _every_script
+    for script in _every_script(np.random.default_rng(5)):
+        passed, worst = ancilla.verify_script(script)
+        _assert_fold_matches_the_oracle(passed, worst, ancilla.run_script(script),
+                                        script.expected_final)
+
+
+def test_preparation_verdict_matches_the_branch_by_branch_score():
+    specs = (recursive.matrix_spec(gates.T, "T"), recursive.rotation_spec(4),
+             recursive.rotation_spec(5), recursive.controlled_rotation_spec(1, 3),
+             recursive.controlled_rotation_spec(1, 4), recursive.controlled_rotation_spec(2, 3))
+    for spec in specs:
+        prep = recursive.recursive_ancilla_prep(spec)
+        passed, worst = recursive.verify_preparation(prep)
+        _assert_fold_matches_the_oracle(passed, worst, run_all_branches(prep.circuit),
+                                        prep.target, prep.register)
+
+
+def test_fold_skips_dead_branches_and_reads_the_register():
+    """The dying circuit with qubit 0 prepared as |+> and kept as the one
+    output: branches die at three depths, and each live one leaves |+> on
+    qubit 0 next to three measured qubits."""
+    dying = _dying_circuit()
+    c = Circuit(4, 4, ("zero",) * 4, (GateOp((0,), name="H"),) + dying.ops)
+    branches = run_all_branches(c)
+    assert any(br.state is None for br in branches)
+    for want, fidelity in ((state_from([SQ2, SQ2]), 1.0), (zero_state(1), SQ2)):
+        report = verify_gate_equivalence(c, want.amplitudes[:, None], (), (0,))
+        assert report.worst_fidelity == pytest.approx(fidelity)
+        assert len(report.branch_weights) == len(branches)
+        _assert_fold_matches_the_oracle(report.passed, report.worst_fidelity, branches,
+                                        want, (0,))
+    assert not report.passed and report.failing_branch is not None
+
+
+def test_a_target_must_be_a_finite_isometry():
+    """A target that gains or loses probability, or holds a NaN, is refused
+    before any branch runs: 2·I used to pass with weight 2 on each branch."""
+    gate = build_one_bit_teleport("X", 1)
+    nan_entry = np.eye(2, dtype=complex)
+    nan_entry[1, 1] = np.nan
+    for bad in (2 * np.eye(2), nan_entry, np.diag([1.0, np.inf]), np.zeros((2, 2))):
+        with pytest.raises(ValidationError, match="not a finite isometry"):
+            verify_gate_equivalence(gate, bad, [0], [1])
+    state = Circuit(4, 4, ("zero",) * 4, _dying_circuit().ops)
+    for bad in (np.array([[1.0], [1.0]]), np.array([[np.nan], [0.0]])):
+        with pytest.raises(ValidationError, match="not a finite isometry"):
+            verify_gate_equivalence(state, bad, (), (0,))
+    with pytest.raises(DimensionMismatch, match="matrix shape"):
+        verify_gate_equivalence(state, np.array([1.0, 0.0]), (), (0,))
