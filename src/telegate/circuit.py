@@ -2,15 +2,17 @@
 controlled), Z-basis measurements, and known-state injection.
 
 Circuits are immutable once built (the builder accumulates and freezes).
-Validation is total: `validate` reports violations as data and never
-raises on structurally well-typed input.  The file format is JSON
+Each op holds read-only copies of its arrays, certified when the op is
+made, however it is built: a gate matrix is a finite unitary, an injected
+state is finite and normalized.  Validation is total: `validate` reports
+violations as data and never raises on structurally well-typed input.  The file format is JSON
 ("telegate-circuit/1"); matrix and state element order follows the global
 convention with qubit 0 as the most significant index bit.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,28 +37,23 @@ for _amps in STATE_LABELS.values():
     _amps.flags.writeable = False
 
 
-def _as_state(amplitudes) -> np.ndarray:
-    arr = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(arr)
-    if not np.isfinite(norm):
-        raise InvalidCircuitError(["injected state has non-finite amplitudes"])
-    if norm < ZERO:
-        raise InvalidCircuitError(["injected state has zero norm"])
-    if abs(norm - 1.0) > ZERO:  # keep already-normalized vectors bit-stable
-        arr = arr / norm
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and bool(np.array_equal(a, b))
+    return a == b
 
 
-def _matrices_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a.shape == b.shape and bool(np.array_equal(a, b))
+class _FieldwiseEq:
+    """Equal to an object of the same type whose fields are equal one by
+    one; arrays compare by shape and entries.  Instances are unhashable."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
-class GateOp:
+class GateOp(_FieldwiseEq):
     """A gate; with a condition, applied only when the cbits read the values."""
 
     targets: tuple[int, ...]
@@ -66,56 +63,55 @@ class GateOp:
     cond_cbits: tuple[int, ...] = ()
     cond_values: tuple[int, ...] = ()
 
-    def __eq__(self, other):
-        return (isinstance(other, GateOp)
-                and self.cond_cbits == other.cond_cbits
-                and self.cond_values == other.cond_values
-                and self.targets == other.targets and self.name == other.name
-                and self.role == other.role and _matrices_equal(self.matrix, other.matrix))
+    def __post_init__(self):
+        if self.matrix is None:
+            return
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays its own
+        if not is_unitary(m, FLOOR):  # NaN and infinite entries fail too
+            raise InvalidCircuitError(["gate matrix is not a finite unitary"])
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def resolved_matrix(self) -> np.ndarray:
         return self.matrix if self.matrix is not None else gates.matrix_of(self.name)
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureOp:
+class MeasureOp(_FieldwiseEq):
     qubit: int
     cbit: int
     role: str | None = None
 
-    def __eq__(self, other):
-        return (isinstance(other, MeasureOp) and self.qubit == other.qubit
-                and self.cbit == other.cbit and self.role == other.role)
-
 
 @dataclass(frozen=True, eq=False)
-class InjectOp:
+class InjectOp(_FieldwiseEq):
     targets: tuple[int, ...]
     amplitudes: np.ndarray = field(repr=False)
     label: str | None = None
     role: str | None = None
 
-    def __eq__(self, other):
-        return (isinstance(other, InjectOp)
-                and self.targets == other.targets and self.label == other.label
-                and self.role == other.role
-                and _matrices_equal(self.amplitudes, other.amplitudes))
+    def __post_init__(self):
+        arr = np.asarray(self.amplitudes, dtype=complex).flatten()
+        norm = np.linalg.norm(arr)
+        if not np.isfinite(norm):
+            raise InvalidCircuitError(["injected state has non-finite amplitudes"])
+        if norm < ZERO:
+            raise InvalidCircuitError(["injected state has zero norm"])
+        if abs(norm - 1.0) > ZERO:  # keep already-normalized vectors bit-stable
+            arr = arr / norm
+        arr.flags.writeable = False
+        object.__setattr__(self, "amplitudes", arr)
 
 
 CircuitOp = GateOp | MeasureOp | InjectOp
 
 
 @dataclass(frozen=True, eq=False)
-class Circuit:
+class Circuit(_FieldwiseEq):
     n_qubits: int
     n_cbits: int
     inputs: tuple[str, ...]
     ops: tuple[CircuitOp, ...]
-
-    def __eq__(self, other):
-        return (isinstance(other, Circuit)
-                and self.n_qubits == other.n_qubits and self.n_cbits == other.n_cbits
-                and self.inputs == other.inputs and self.ops == other.ops)
 
     @property
     def symbolic_qubits(self) -> tuple[int, ...]:
@@ -146,13 +142,15 @@ class CircuitBuilder:
     def cgate(self, cond_cbits, cond_values, name_or_matrix, targets, role=None) -> "CircuitBuilder":
         """A gate applied when the cbits read the values; an empty condition
         applies it always."""
-        name, matrix = _split_gate(name_or_matrix)
-        self.ops.append(GateOp(tuple(targets), name=name, matrix=matrix, role=role,
+        named = isinstance(name_or_matrix, str)
+        self.ops.append(GateOp(tuple(targets),
+                               name=gates.canonical_name(name_or_matrix) if named else None,
+                               matrix=None if named else name_or_matrix, role=role,
                                cond_cbits=tuple(cond_cbits), cond_values=tuple(cond_values)))
         return self
 
     def inject(self, amplitudes, targets, label=None, role=None) -> "CircuitBuilder":
-        self.ops.append(InjectOp(tuple(targets), _as_state(amplitudes), label=label, role=role))
+        self.ops.append(InjectOp(tuple(targets), amplitudes, label=label, role=role))
         return self
 
     def alloc_qubits(self, count: int, tag: str) -> list[int]:
@@ -174,16 +172,6 @@ class CircuitBuilder:
         if violations:
             raise InvalidCircuitError(violations)
         return c
-
-
-def _split_gate(name_or_matrix):
-    if isinstance(name_or_matrix, str):
-        return gates.canonical_name(name_or_matrix), None
-    m = np.array(name_or_matrix, dtype=complex)  # a copy: the caller's array stays writeable
-    if not is_unitary(m, FLOOR):  # NaN and infinite entries fail too
-        raise InvalidCircuitError(["gate matrix is not a finite unitary"])
-    m.flags.writeable = False
-    return None, m
 
 
 def validate(c: Circuit) -> list[str]:
@@ -229,9 +217,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
                 out.append(f"op {k}: gate {op.name} expects {arity} targets")
                 return False
         elif op.matrix is not None:
-            dim = op.matrix.shape[0]
-            if op.matrix.ndim != 2 or op.matrix.shape[0] != op.matrix.shape[1] \
-                    or dim != 2 ** len(targets):
+            if op.matrix.shape[0] != 2 ** len(targets):
                 out.append(f"op {k}: matrix shape does not match {len(targets)} targets")
                 return False
         else:
@@ -363,18 +349,15 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
         if doc.get("name") is not None:
             name, matrix = gates.canonical_name(doc["name"]), None
         elif "matrix" in doc:
-            name, matrix = _split_gate(matrix_from_doc(doc["matrix"]))
+            name, matrix = None, matrix_from_doc(doc["matrix"])
         else:
             raise CircuitFormatError(f"op {index}: gate needs 'name' or 'matrix'")
-        targets = tuple(int(t) for t in doc["targets"])
-        if kind == "gate":
-            return GateOp(targets, name=name, matrix=matrix, role=role)
-        cond = doc.get("cond", {})
-        op = GateOp(targets, name=name, matrix=matrix, role=role,
+        cond = doc.get("cond", {}) if kind == "cgate" else {}
+        op = GateOp(tuple(int(t) for t in doc["targets"]), name=name, matrix=matrix, role=role,
                     cond_cbits=tuple(int(b) for b in cond.get("cbits", [])),
                     cond_values=tuple(int(v) for v in cond.get("equals", [])))
-        if not op.cond_cbits:  # a cgate document must carry its condition
-            raise InvalidCircuitError([f"op {index}: malformed classical condition"])
+        if kind == "cgate" and not op.cond_cbits:  # a cgate document must carry its condition
+            raise InvalidCircuitError(["malformed classical condition"])
         return op
     if kind == "measure":
         return MeasureOp(int(doc["qubit"]), int(doc["cbit"]), role=role)
@@ -389,8 +372,7 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
             amps = state_from_doc(state["amplitudes"])
         else:
             raise CircuitFormatError(f"op {index}: inject needs a label or amplitudes")
-        return InjectOp(tuple(int(t) for t in doc["targets"]), _as_state(amps),
-                        label=label, role=role)
+        return InjectOp(tuple(int(t) for t in doc["targets"]), amps, label=label, role=role)
     raise CircuitFormatError(f"op {index}: unknown op kind {kind!r}")
 
 
@@ -437,6 +419,8 @@ def deserialize(text: str) -> Circuit:
             ops.append(_op_from_doc(op_doc, k))
     except KeyError as exc:
         raise CircuitFormatError(f"missing required field {exc}") from None
+    except InvalidCircuitError as exc:  # an op's own refusal, named by its index
+        raise InvalidCircuitError([f"{where}: {v}" for v in exc.violations]) from None
     except TelegateError:
         raise
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -228,12 +229,7 @@ def cmd_recursive(args) -> int:
             Path(args.out).write_text(recursive.tree_to_json(rc))
         print(f"wrote {args.out}")
     if args.report:
-        Path(args.report).write_text(json.dumps({
-            "ancilla_qubits": rep.ancilla_qubits,
-            "measurements": rep.measurements,
-            "cgates_by_level": rep.cgates_by_level,
-            "depth": rep.depth,
-        }, indent=1))
+        Path(args.report).write_text(json.dumps(dataclasses.asdict(rep), indent=1))
         print(f"wrote {args.report}")
     return EXIT_OK
 

@@ -19,7 +19,9 @@ from .limits import FLOOR, TOL, width_of
 
 @dataclass(frozen=True, eq=False)
 class CliffordFrame:
-    """A certified n-qubit Clifford unitary, with an optional gate name."""
+    """An n-qubit Clifford unitary, with an optional gate name.  A frame is
+    certified only when `clifford_from_matrix` or `tableau_from_gate` made
+    it; the constructor itself checks nothing."""
 
     n: int
     matrix: np.ndarray = field(repr=False)

@@ -1,6 +1,7 @@
 """Circuit IR: validation rules, serialization round-trips, rendering."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from telegate.circuit import (Circuit, CircuitBuilder, GateOp,
                               state_doc, validate)
 from telegate.errors import (CircuitFormatError, ClassificationError, InvalidCircuitError,
                              TelegateError, WidthOverflow)
+from telegate.simulator import verify_gate_equivalence
 from telegate.teleport import build_one_bit_teleport
 
 
@@ -265,16 +267,49 @@ def test_shared_arrays_are_read_only():
 
 
 def test_builder_leaves_the_callers_matrix_writeable():
-    m = np.array(gates.H)
+    """Ops hold their own read-only copies, built directly or by the builder."""
+    m, amps = np.array(gates.H), np.array([1, 0], dtype=complex)
     b = CircuitBuilder(1, 1, ["input"])
     b.gate(m, [0]).measure(0, 0)
     b.alloc_qubits(1, "zero")
     b.cgate([0], [1], m, [1])
-    assert m.flags.writeable
-    for op in (b.ops[0], b.ops[2]):
+    direct, injected = GateOp((0,), matrix=m), InjectOp((0,), amps)
+    c = Circuit(1, 0, ("input",), (direct,))
+    before = verify_gate_equivalence(c, gates.H, [0], [0])
+    assert m.flags.writeable and amps.flags.writeable
+    for op in (b.ops[0], b.ops[2], direct):
         assert not op.matrix.flags.writeable
-    m[0, 0] = 0.0  # the owner's edit does not reach the ops
-    assert b.ops[0].matrix[0, 0] == b.ops[2].matrix[0, 0] == gates.H[0, 0]
+    assert not injected.amplitudes.flags.writeable
+    m[:] = 0.0  # the owner's edits do not reach the ops
+    amps[0] = 0.0
+    assert b.ops[0].matrix[0, 0] == b.ops[2].matrix[0, 0] == direct.matrix[0, 0] == gates.H[0, 0]
+    assert injected.amplitudes[0] == 1.0
+    after = verify_gate_equivalence(c, gates.H, [0], [0])
+    assert after.worst_fidelity == before.worst_fidelity
+    assert dict(after.branch_scalars.items()) == dict(before.branch_scalars.items()) != {}
+
+
+def test_ops_compare_field_by_field():
+    h = np.array(gates.H)
+    m = h.copy()
+    m[1, 1] *= np.exp(1e-15j)  # one entry off by a last-bit phase: still unitary
+    cond = GateOp((0,), name="X", cond_cbits=(0, 1), cond_values=(1, 0))
+    amps = InjectOp((0,), STATE_LABELS["T-ancilla"], label="T-ancilla")
+    for op, twin, other in [
+        (GateOp((0,), matrix=h), GateOp((0,), matrix=gates.H), GateOp((0,), matrix=m)),
+        (GateOp((0,), matrix=h), GateOp((0,), matrix=h), GateOp((0,), name="H")),
+        (cond, replace(cond), replace(cond, cond_values=(1, 1))),
+        (MeasureOp(0, 0), MeasureOp(0, 0), MeasureOp(0, 0, role="M")),
+        (amps, replace(amps), replace(amps, role="anc")),
+        (amps, replace(amps), InjectOp((0,), STATE_LABELS["T-ancilla"])),
+        (Circuit(1, 1, ("input",), (cond,)), Circuit(1, 1, ("input",), (replace(cond),)),
+         Circuit(1, 1, ("input",), (replace(cond, role="R"),))),
+    ]:
+        assert op == twin and not op != twin
+        assert op != other and other != op
+        assert op != (op,) and op != None  # noqa: E711
+        with pytest.raises(TypeError):
+            hash(op)
 
 
 def test_builder_allocates_qubits_and_cbits():
@@ -357,26 +392,37 @@ def test_inject_label_must_name_its_amplitudes(label):
 
 
 _NOT_FINITE_UNITARY = [np.zeros((2, 2)), 2 * gates.T, np.array([[np.nan, 0], [0, 1]]),
-                       np.array([[np.inf, 0], [0, 1]]), np.zeros(0)]
+                       np.array([[np.inf, 0], [0, 1]]), np.zeros(0), 2 * np.eye(2)]
 
 
 @pytest.mark.parametrize("bad", _NOT_FINITE_UNITARY)
 def test_a_gate_matrix_must_be_a_finite_unitary(bad):
-    """The builder and the file reader take matrices through one check, so
-    a gate that loses probability, or holds a NaN, never reaches a branch."""
-    with pytest.raises(InvalidCircuitError, match="gate matrix is not a finite unitary"):
+    """A gate op certifies its matrix however it is made, so a gate that
+    loses probability, or holds a NaN, never reaches a branch."""
+    message = "gate matrix is not a finite unitary"
+    with pytest.raises(InvalidCircuitError, match=message):
         CircuitBuilder(1, 0).gate(bad, [0])
+    with pytest.raises(InvalidCircuitError, match=message):
+        Circuit(1, 1, ("input",), (GateOp((0,), matrix=bad), MeasureOp(0, 0)))
+    with pytest.raises(InvalidCircuitError, match=message):
+        replace(GateOp((0,), matrix=gates.H), matrix=bad)
     doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["input"],
-           "ops": [{"op": "gate", "matrix": matrix_doc(bad), "targets": [0]}]}
-    with pytest.raises(InvalidCircuitError, match="gate matrix is not a finite unitary"):
+           "ops": [{"op": "gate", "name": "H", "targets": [0]},
+                   {"op": "gate", "matrix": matrix_doc(bad), "targets": [0]}]}
+    with pytest.raises(InvalidCircuitError, match=f"^invalid circuit: op 1: {message}$"):
         deserialize(json.dumps(doc))
 
 
-@pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0]])
+@pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0]])
 def test_an_injected_state_must_be_finite(amps):
-    with pytest.raises(InvalidCircuitError, match="injected state has non-finite amplitudes"):
+    """And nonzero: an inject op certifies its amplitudes however it is made."""
+    message = "injected state has " + ("zero norm" if amps == [0.0, 0.0]
+                                       else "non-finite amplitudes")
+    with pytest.raises(InvalidCircuitError, match=message):
         CircuitBuilder(1, 0, ["inject"]).inject(amps, [0])
+    with pytest.raises(InvalidCircuitError, match=message):
+        InjectOp((0,), np.array(amps, dtype=complex))
     doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 0, "inputs": ["inject"],
            "ops": [{"op": "inject", "state": {"amplitudes": state_doc(amps)}, "targets": [0]}]}
-    with pytest.raises(InvalidCircuitError, match="injected state has non-finite amplitudes"):
+    with pytest.raises(InvalidCircuitError, match=f"^invalid circuit: op 0: {message}$"):
         deserialize(json.dumps(doc))

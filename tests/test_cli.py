@@ -499,7 +499,7 @@ def test_verify_refuses_a_circuit_file_with_a_nan_repair(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path), "--against", "T")
     assert code == 2 and out == ""
-    assert err == "error: invalid circuit: gate matrix is not a finite unitary\n"
+    assert err == "error: invalid circuit: op 3: gate matrix is not a finite unitary\n"
 
 
 def test_verify_checks_a_preparation_file_against_its_state(capsys, tmp_path):
