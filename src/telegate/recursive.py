@@ -40,9 +40,9 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, width_of
-from .simulator import (StateVector, apply_matrix, extract_register_state, run_all_branches,
-                        verify_gate_equivalence)
+from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO,
+                     width_of)
+from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
 
@@ -301,42 +301,57 @@ def synth_recursive(spec: GateSpec, flatten: bool = True,
 
 def execute_tree(rc: RecursiveCircuit,
                  input_state: StateVector) -> list[tuple[str, float, StateVector | None]]:
-    """Interpret the tree: a child runs only on branches where its
-    condition bits all read 1.  Returns (bits, probability, state) with the
-    state on the logical register."""
+    """Interpret the tree: a child runs only on paths where its condition
+    bits all read 1.  Returns (bits, probability, state) with the state on
+    the logical register.  One walk per node gives its branch operators
+    K_b; a path entering in state s goes on in K_b·s normalized, with
+    probability ‖K_b·s‖², or ends with no state below ZERO.  Each K_b has
+    probability 2^-n on every input, so no path dies for one input only
+    (one would keep its full record, where a walk of s cut it short)."""
     if rc.root is None:
         out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
         return [("", 1.0, out)]
+    operators: dict[int, list] = {}  # id(node) -> [(bits, K_b, children it triggers)]
 
-    def exec_node(node: RecursiveNode, state: StateVector, is_root: bool):
-        out_reg = tuple(range(node.n, 2 * node.n)) if is_root else tuple(range(node.n))
-        results = []
-        for br in run_all_branches(node.circuit, state):
-            if br.state is None:
-                results.append((br.bits, 0.0, None))
-                continue
-            cur = [(br.bits, br.probability, extract_register_state(br, out_reg))]
-            for rep in node.repairs:
-                if rep.child is None:
-                    continue
-                if not all(br.cbits.get(cb) == v
-                           for cb, v in zip(rep.cond_cbits_local, rep.cond_values)):
-                    continue
-                nxt = []
-                for bits, p, s in cur:
-                    if s is None:
-                        nxt.append((bits, p, s))
-                        continue
-                    if rep.pre_pauli_qubit is not None:
-                        s = apply_matrix(s, gates.X, [rep.pre_pauli_qubit])
-                    for cbits2, cp, cs in exec_node(rep.child, s, False):
-                        nxt.append((bits + cbits2, p * cp, cs))
-                cur = nxt
-            results.extend(cur)
-        return results
+    def branches(node: RecursiveNode) -> list:
+        if id(node) not in operators:
+            c, n = node.circuit, node.n
+            records = [op.cbit for op in c.ops if isinstance(op, MeasureOp)]
+            out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
+            operators[id(node)] = found = []
+            for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
+                k_b = iter(blocks)
+                for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                               stack.live.tolist()):
+                    bits = _bitstring(code, length, len(records))
+                    cbits = dict(zip(records, map(int, bits)))
+                    found.append((bits, next(k_b) if alive else np.zeros((2**n, 2**n)), [
+                        rep for rep in node.repairs if rep.child is not None and all(
+                            cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local,
+                                                                 rep.cond_values))]))
+        return operators[id(node)]
 
-    return [("".join(map(str, bits)), p, s)
-            for bits, p, s in exec_node(rc.root, input_state, True)]
+    def run(node: RecursiveNode, s: np.ndarray) -> list:
+        paths = []
+        for bits, k_b, children in branches(node):
+            v = k_b @ s
+            p = np.vdot(v, v).real
+            paths += descend(children, bits, p, v / np.sqrt(p)) if p >= ZERO else [
+                (bits, 0.0, None)]
+        return paths
+
+    def descend(children: list, bits: str, p: float, s: np.ndarray | None) -> list:
+        """The paths on through each triggered child in turn, after its X half."""
+        if s is None or not children:
+            return [(bits, p, s)]
+        rep = children[0]
+        if rep.pre_pauli_qubit is not None:
+            s = s.reshape(2**rep.pre_pauli_qubit, 2, -1)[:, ::-1].ravel()
+        return [path for bits2, p2, s2 in run(rep.child, s)
+                for path in descend(children[1:], bits + bits2, p * p2, s2)]
+
+    return [(bits, float(p), None if s is None else StateVector(rc.n, s))
+            for bits, p, s in run(rc.root, input_state.amplitudes)]
 
 
 def resource_report(rc: RecursiveCircuit) -> ResourceReport:

@@ -123,7 +123,7 @@ def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
 
 def _mass(rows: np.ndarray) -> np.ndarray:
     """Each row's squared norm, summed in the order np.sum sums one row alone."""
-    squares = np.abs(rows.reshape(len(rows), -1))
+    squares = np.abs(rows.reshape(len(rows), rows[0].size if len(rows) else 0))
     return np.square(squares, out=squares).sum(axis=1)
 
 
@@ -381,30 +381,18 @@ def equivalent_up_to_phase(a: StateVector, b: StateVector) -> tuple[bool, float]
     return fidelity >= 1.0 - VERIFY_TOL, fidelity
 
 
-def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
-                            tol: float = VERIFY_TOL) -> EquivalenceReport:
-    """Check that every nonzero branch implements u up to a unit scalar.
-
-    u is an isometry (u†u = I) from the in_map qubits to the out_map ones:
-    a gate, or with no input a state preparation, u the target state as one
-    column.  The effective operator of each branch is assembled by evolving
-    all computational-basis inputs at once (input qubit j of u lives on
-    circuit qubit in_map[j], and analogously for out_map) and reading the
-    amplitude block where every non-output qubit sits at its measured value.
-    """
+def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.ndarray]]:
+    """Evolve all computational-basis inputs at once (input qubit j on
+    circuit qubit in_map[j]) and yield each `_Stack` with its live rows'
+    branch operators times sqrt(branch probability): the amplitude blocks,
+    out_map rows by in_map columns, where every non-output qubit sits at
+    its measured value."""
     statuses = _engine_statuses(c)
-    in_map = tuple(in_map)
-    out_map = tuple(out_map)
-    u = np.asarray(u, dtype=complex)
-    dim = 2 ** len(in_map)
+    in_map, out_map = tuple(in_map), tuple(out_map)
     if len(set(in_map)) != len(in_map) or len(set(out_map)) != len(out_map):
         raise DimensionMismatch("in_map and out_map entries must be distinct")
     if any(not 0 <= q < c.n_qubits for q in in_map + out_map):
         raise DimensionMismatch("map entries out of range")
-    if u.shape != (2 ** len(out_map), dim):
-        raise DimensionMismatch("matrix shape does not match out_map by in_map")
-    if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(dim))) > FLOOR:
-        raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
     if set(in_map) != set(c.symbolic_qubits):
         raise DimensionMismatch("in_map must cover exactly the symbolic-input qubits")
     for q in range(c.n_qubits):
@@ -414,8 +402,8 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                 " would be ill-defined")
 
     n = c.n_qubits
-    cols = np.zeros((2**n, dim), dtype=complex)
-    cols[register_offsets(n, in_map), np.arange(dim)] = 1.0
+    cols = np.zeros((2**n, 2 ** len(in_map)), dtype=complex)
+    cols[register_offsets(n, in_map), np.arange(cols.shape[1])] = 1.0
     out_offsets = register_offsets(n, out_map)
     records = [op for op in c.ops if isinstance(op, MeasureOp)]
     width = len(records)
@@ -424,17 +412,36 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     measured = [q for q in range(n) if q not in out_map]
     record_bit = np.array([last[q] for q in measured], dtype=np.int64)
     index_weight = np.array([1 << (n - 1 - q) for q in measured], dtype=np.int64)
+    for stack in _enumerate(c, cols):
+        live = stack.codes[stack.live]
+        base = ((live[:, None] >> record_bit) & 1) @ index_weight
+        yield stack, stack.cols[np.arange(len(live))[:, None], base[:, None] + out_offsets]
 
+
+def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
+                            tol: float = VERIFY_TOL) -> EquivalenceReport:
+    """Check that every nonzero branch implements u up to a unit scalar.
+
+    u is an isometry (u†u = I) from the in_map qubits to the out_map ones:
+    a gate, or with no input a state preparation, u the target state as one
+    column.  The fold over `branch_operators`; with every branch dead,
+    none is scored and the check fails at worst fidelity 0.
+    """
+    in_map, out_map = tuple(in_map), tuple(out_map)
+    u = np.asarray(u, dtype=complex)
+    dim = 2 ** len(in_map)
+    if u.shape != (2 ** len(out_map), dim):
+        raise DimensionMismatch("matrix shape does not match out_map by in_map")
+    if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(dim))) > FLOOR:
+        raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
+
+    width = sum(isinstance(op, MeasureOp) for op in c.ops)
     parts = []
     worst = 1.0
     failing = None
     sqrt_dim = np.sqrt(dim)
     u_dagger = u.conj().T
-    for stack in _enumerate(c, cols):
-        live = stack.codes[stack.live]
-        base = ((live[:, None] >> record_bit) & 1) @ index_weight
-        # each row's effective operator times sqrt(branch probability)
-        blocks = stack.cols[np.arange(len(live))[:, None], base[:, None] + out_offsets]
+    for stack, blocks in branch_operators(c, in_map, out_map):
         total_mass = _mass(stack.cols)
         ok = total_mass / dim >= ZERO
         coeff = np.trace(np.matmul(u_dagger, blocks[ok]), axis1=1, axis2=2) / dim
@@ -460,6 +467,8 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                 if worst < 1.0 - tol:
                     failing = _bitstring(int(stack.codes[rows[i]]), width, width)
     codes, lengths, weights, scalars, scored = (np.concatenate(a) for a in zip(*parts))
+    if not scored.any():
+        worst, failing = 0.0, _bitstring(int(codes[0]), int(lengths[0]), width)
     return EquivalenceReport(
         passed=worst >= 1.0 - tol, worst_fidelity=float(worst), failing_branch=failing,
         branch_scalars=BranchMap(codes, lengths, width, scalars, scored),

@@ -6,16 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from telegate import gates
+from telegate import gates, simulator
 from telegate.circuit import CircuitBuilder, GateOp, InjectOp, MeasureOp
-from telegate.errors import ValidationError, WidthOverflow
+from telegate.errors import InvalidCircuitError, ValidationError, WidthOverflow
 from telegate.hierarchy import hierarchy_level
-from telegate.recursive import (controlled_rotation_spec, emit_inject, execute_tree,
-                                matrix_spec, recursive_ancilla_prep, resource_report,
-                                rotation_spec, synth_recursive,
+from telegate.recursive import (RecursiveNode, controlled_rotation_spec, emit_inject,
+                                execute_tree, matrix_spec, recursive_ancilla_prep,
+                                resource_report, rotation_spec, synth_recursive,
                                 tree_to_json, verify_preparation)
-from telegate.simulator import (basis_state, extract_register_state,
-                                random_state, run_all_branches, verify_gate_equivalence)
+from telegate.simulator import (StateVector, apply_matrix, basis_state, branch_operators,
+                                extract_register_state, random_state, run_all_branches,
+                                verify_gate_equivalence)
 from telegate.teleport import TeleportPlan, emit_teleport
 
 
@@ -477,3 +478,113 @@ def test_cv5_preparation_verifies_streaming_its_branches():
         tracemalloc.stop()
     assert ok and worst >= 1 - 1e-10, worst
     assert peak < 24_000_000, peak
+
+
+def _oracle_execute_tree(rc, input_state):
+    """Reference: the tree interpreter that re-ran a node's circuit for every
+    parent branch that triggered it, kept verbatim."""
+    if rc.root is None:
+        out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
+        return [("", 1.0, out)]
+
+    def exec_node(node: RecursiveNode, state: StateVector, is_root: bool):
+        out_reg = tuple(range(node.n, 2 * node.n)) if is_root else tuple(range(node.n))
+        results = []
+        for br in run_all_branches(node.circuit, state):
+            if br.state is None:
+                results.append((br.bits, 0.0, None))
+                continue
+            cur = [(br.bits, br.probability, extract_register_state(br, out_reg))]
+            for rep in node.repairs:
+                if rep.child is None:
+                    continue
+                if not all(br.cbits.get(cb) == v
+                           for cb, v in zip(rep.cond_cbits_local, rep.cond_values)):
+                    continue
+                nxt = []
+                for bits, p, s in cur:
+                    if s is None:
+                        nxt.append((bits, p, s))
+                        continue
+                    if rep.pre_pauli_qubit is not None:
+                        s = apply_matrix(s, gates.X, [rep.pre_pauli_qubit])
+                    for cbits2, cp, cs in exec_node(rep.child, s, False):
+                        nxt.append((bits + cbits2, p * cp, cs))
+                cur = nxt
+            results.extend(cur)
+        return results
+
+    return [("".join(map(str, bits)), p, s)
+            for bits, p, s in exec_node(rc.root, input_state, True)]
+
+
+TREES = [pytest.param(spec, flatten, id=spec.label) for spec, flatten in (
+    (rotation_spec(4), True), (rotation_spec(5), True), (controlled_rotation_spec(1, 4), True),
+    (controlled_rotation_spec(2, 3), True), (controlled_rotation_spec(2, 4), True),
+    (controlled_rotation_spec(1, 5), False))]
+
+
+def _nodes(node):
+    yield node
+    for rep in node.repairs:
+        if rep.child is not None:
+            yield from _nodes(rep.child)
+
+
+@pytest.mark.parametrize("spec,flatten", TREES)
+def test_tree_execution_matches_the_per_branch_interpreter(spec, flatten, rng):
+    rc = synth_recursive(spec, flatten=flatten)
+    inputs = [random_state(rc.n, rng) for _ in range(3)] + [basis_state(rc.n, 2**rc.n - 1)]
+    for psi in inputs:
+        got, want = execute_tree(rc, psi), _oracle_execute_tree(rc, psi)
+        assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
+        for (_, p, s), (_, wp, ws) in zip(got, want):
+            assert abs(p - wp) < 1e-12
+            assert (s is None) == (ws is None)
+            if s is not None:
+                assert np.max(np.abs(s.amplitudes - ws.amplitudes)) < 1e-12
+
+
+def test_tree_execution_walks_each_node_once(monkeypatch, rng):
+    rc = synth_recursive(controlled_rotation_spec(2, 4), flatten=False)
+    walks = []
+    enumerate_ = simulator._enumerate
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_enumerate", counted)
+    paths = execute_tree(rc, random_state(rc.n, rng))
+    assert len(paths) == 729
+    assert len(walks) == len(list(_nodes(rc.root))) == 4
+    assert {id(c) for c in walks} == {id(node.circuit) for node in _nodes(rc.root)}
+
+
+def test_tree_execution_refuses_an_invalid_node_circuit(rng):
+    """Each node's walk is guarded: a child whose circuit gates a measured
+    qubit is refused, not run."""
+    rc = synth_recursive(controlled_rotation_spec(2, 4), flatten=False)
+    i, rep = next((i, rep) for i, rep in enumerate(rc.root.repairs) if rep.child is not None)
+    child = rep.child
+    measured = min(child.circuit.measured_qubits())
+    bad = replace(child.circuit, ops=child.circuit.ops + (GateOp((measured,), name="H"),))
+    repairs = list(rc.root.repairs)
+    repairs[i] = replace(rep, child=replace(child, circuit=bad))
+    broken = replace(rc, root=replace(rc.root, repairs=tuple(repairs)))
+    with pytest.raises(InvalidCircuitError, match="measured qubit"):
+        execute_tree(broken, random_state(rc.n, rng))
+
+
+@pytest.mark.parametrize("spec,flatten", TREES)
+def test_every_node_branch_has_probability_two_to_the_minus_n(spec, flatten):
+    """K_b†K_b = 2^-n·I for every branch of every node: each branch has
+    probability 2^-n on every input, so no path of `execute_tree` dies."""
+    rc = synth_recursive(spec, flatten=flatten)
+    for node in _nodes(rc.root):
+        n, c = node.n, node.circuit
+        out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
+        for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
+            assert stack.live.all()
+            for k_b in blocks:
+                assert np.max(np.abs(k_b.conj().T @ k_b - np.eye(2**n) / 2**n)) < 1e-12

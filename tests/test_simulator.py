@@ -721,6 +721,39 @@ def test_fold_skips_dead_branches_and_reads_the_register():
     assert not report.passed and report.failing_branch is not None
 
 
+def _zeroed(op):
+    """The op with its frozen matrix swapped for zeros, which no public
+    path can build: an op certifies its matrix unitary."""
+    object.__setattr__(op, "matrix", np.zeros_like(op.matrix))
+    return op
+
+
+def test_a_fold_with_no_scored_branch_fails():
+    """Every branch dead is no pass: worst fidelity 0, the first branch
+    named, whether the lone branch ends with zero norm or every branch dies
+    at a measurement.  The same circuit left intact reports as the
+    depth-first fold does."""
+    intact = Circuit(1, 0, ("input",), (GateOp((0,), matrix=gates.H),))
+    report = verify_gate_equivalence(intact, gates.H, [0], [0])
+    passed, worst, failing, scalars, weights = _oracle_report(intact, gates.H, [0], [0])
+    assert (report.passed, report.worst_fidelity, report.failing_branch) == (
+        passed, worst, failing)
+    assert report.passed and report.worst_fidelity > 1.0 - 1e-12
+    assert dict(report.branch_scalars.items()) == scalars
+    assert dict(report.branch_weights.items()) == weights
+    alone = Circuit(1, 0, ("input",), (_zeroed(GateOp((0,), matrix=gates.H)),))
+    report = verify_gate_equivalence(alone, gates.H, [0], [0])
+    assert (report.passed, report.worst_fidelity, report.failing_branch) == (False, 0.0, "")
+    assert dict(report.branch_weights.items()) == {"": 0.0}
+    assert len(report.branch_scalars) == 0
+    measured = Circuit(2, 1, ("input", "zero"),
+                       (_zeroed(GateOp((0,), matrix=gates.H)), MeasureOp(0, 0)))
+    report = verify_gate_equivalence(measured, np.eye(2), [0], [1])
+    assert (report.passed, report.worst_fidelity, report.failing_branch) == (False, 0.0, "0")
+    assert dict(report.branch_weights.items()) == {"0": 0.0, "1": 0.0}
+    assert len(report.branch_scalars) == 0
+
+
 def test_a_target_must_be_a_finite_isometry():
     """A target that gains or loses probability, or holds a NaN, is refused
     before any branch runs: 2·I used to pass with weight 2 on each branch."""
