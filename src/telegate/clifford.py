@@ -28,11 +28,15 @@ class CliffordFrame:
     name: str | None = None
 
 
-def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
+def is_isometry(m: np.ndarray, tol: float = TOL) -> bool:
+    """Whether m†m = I within tol; NaN, infinite and overflowing entries fail, silently."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
-        return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    with np.errstate(all="ignore"):
+        return m.ndim == 2 and bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) <= tol)
+
+
+def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
+    return np.ndim(m) == 2 and np.shape(m)[0] == np.shape(m)[1] and is_isometry(m, tol)
 
 
 def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordFrame | None:

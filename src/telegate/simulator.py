@@ -10,11 +10,11 @@ initial states, not an error.
 A branch is a block of unnormalized columns, which lets the gate-equivalence
 checker evolve all computational-basis inputs in a single pass and assemble
 each branch's effective operator.  `_enumerate`, the package's one
-exhaustive walk, carries a stack of branches through each op at once and
-yields each stack as it completes, in depth-first order: a verification
-folds over 2^m branches a stack at a time without holding them, and
-`MAX_STACK_AMPLITUDES` caps the stack.  Each branch gets the arithmetic of
-a walk of that branch alone, so results do not depend on the cap.
+exhaustive walk, carries a stack of branches through each op at once, each
+row over its present qubits only (a measured qubit leaves the row), and
+yields each stack in depth-first order: a verification folds over 2^m
+branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the stack.
+Each branch gets the arithmetic of a walk of it alone, whatever the cap.
 """
 from __future__ import annotations
 
@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
+from .clifford import is_isometry
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
-from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL,
+from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES,
                      VERIFY_TOL, ZERO, check_width, width_of)
 
 
@@ -127,36 +128,29 @@ def _mass(rows: np.ndarray) -> np.ndarray:
     return np.square(squares, out=squares).sum(axis=1)
 
 
-def _inject(cols: np.ndarray, targets: tuple[int, ...], amplitudes: np.ndarray,
-            n: int) -> np.ndarray:
-    """Replace the (definite, disentangled) target-qubit state in every row
-    of a (rows, 2**n, m) stack."""
-    k = len(targets)
-    rows = np.arange(len(cols))
-    order, undo = target_axes(targets, n)
-    moved = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
-    shape = moved.shape
-    moved = moved.reshape(len(cols), 2**k, -1)
-    mass = _mass(moved.reshape(-1, moved.shape[2])).reshape(len(cols), 2**k)
-    total = mass.sum(axis=1)
-    s_star = mass.argmax(axis=1)
-    if (total - mass[rows, s_star] > TOL * np.maximum(total, 1.0)).any():
-        raise ValidationError(
-            "inject targets are not in a definite basis state at this point")
-    live = amplitudes[None, :, None] * moved[rows, s_star][:, None, :]
-    return live.reshape(shape).transpose(undo).reshape(cols.shape)
+def _insert(cols: np.ndarray, before: tuple, after: tuple, new, amplitudes=None) -> np.ndarray:
+    """Rows over the `before` qubits as rows over `after`, which adds the
+    `new` ones: in the state `amplitudes` (in `new` order), else at |0>."""
+    rows, m = len(cols), cols.shape[-1]
+    if amplitudes is None:
+        t = np.zeros((rows, 2 ** len(new)) + cols.shape[1:], dtype=complex)
+        t[:, 0] = cols
+    else:
+        t = amplitudes[None, :, None, None] * cols[:, None]
+    _, undo = target_axes([after.index(q) for q in new], len(after))
+    return t.reshape((rows,) + (2,) * len(after) + (m,)).transpose(undo).reshape(rows, -1, m)
 
 
-def _measure(cols: np.ndarray, qubit: int,
+def _measure(cols: np.ndarray, at: int | None,
              codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Split each row into its outcome-0 and outcome-1 children, side by
-    side; children whose norm is below ZERO leave the stack.  Returns the
-    live children, their records and the records of the dead ones."""
-    t = cols.reshape(len(cols), 2**qubit, 2, -1)
-    children = np.zeros((len(cols), 2) + t.shape[1:], dtype=complex)
-    children[:, 0, :, 0] = t[:, :, 0]
-    children[:, 1, :, 1] = t[:, :, 1]
-    children = children.reshape((-1,) + cols.shape[1:])
+    side, without axis `at` (None: an untouched qubit, at |0>); children of
+    norm below ZERO leave.  Returns the live ones, their records, the dead records."""
+    if at is None:
+        t = np.stack([cols, np.zeros_like(cols)], axis=1)
+    else:
+        t = cols.reshape(len(cols), 2**at, 2, -1).swapaxes(1, 2)
+    children = t.reshape(2 * len(cols), -1, cols.shape[-1])
     alive = _mass(children) >= ZERO
     codes = (2 * codes[:, None] + np.arange(2)).ravel()
     if alive.all():
@@ -169,16 +163,33 @@ class _Stack:
     """Consecutive branches in walk order.  A branch's record is its
     outcome bits read as a binary number of `width` digits; a dead branch's
     record ends at the measurement where it died and is padded with zeros.
-    `cols` holds the live branches' unnormalized columns, (live, 2**n, m)."""
+    `cols` holds the live branches' unnormalized columns over the `present`
+    qubits; `shifts` maps each measured qubit to its last record bit."""
 
     codes: np.ndarray
     lengths: np.ndarray
     live: np.ndarray
     cols: np.ndarray
+    present: tuple[int, ...]
+    shifts: dict[int, int]
+
+    def rows_over(self, register) -> np.ndarray:
+        """The live rows over `register`, which holds every present qubit:
+        one not present sits at its last recorded outcome, or at |0>."""
+        register, live = tuple(register), self.codes[self.live]
+        if register == self.present:
+            return self.cols
+        k, rows = len(register), np.arange(len(live))[:, None]
+        base = sum((((live >> self.shifts[q]) & 1) << (k - 1 - i) for i, q in enumerate(register)
+                    if q not in self.present and q in self.shifts), np.zeros_like(live))
+        out = np.zeros((len(live), 2**k, self.cols.shape[-1]), dtype=complex)
+        out[rows, base[:, None] + register_offsets(
+            k, [register.index(q) for q in self.present])] = self.cols
+        return out
 
 
 def _stack(cols: np.ndarray, codes: np.ndarray, dead: list[tuple[int, int]],
-           width: int) -> _Stack:
+           width: int, present: tuple[int, ...], shifts: dict[int, int]) -> _Stack:
     lengths = np.full(len(codes), width, dtype=np.int8)
     live = np.ones(len(codes), dtype=bool)
     if dead:
@@ -187,7 +198,7 @@ def _stack(cols: np.ndarray, codes: np.ndarray, dead: list[tuple[int, int]],
         live = np.concatenate([live, np.zeros(len(dead), dtype=bool)])
         order = np.argsort(codes, kind="stable")
         codes, lengths, live = codes[order], lengths[order], live[order]
-    return _Stack(codes, lengths, live, cols)
+    return _Stack(codes, lengths, live, cols, present, shifts)
 
 
 def _enumerate(c: Circuit, cols: np.ndarray,
@@ -195,40 +206,50 @@ def _enumerate(c: Circuit, cols: np.ndarray,
     """Breadth-first over a stack of branches, yielding each stack in walk
     order: outcome 0 before outcome 1, a dead branch where it died.
 
-    The stack starts as the one branch `cols`, a (2**n, m) block, and holds
-    its rows as a (rows, 2**n, m) array.  A gate is one apply over every
-    row; a classically controlled gate applies to the rows whose record
-    matches (a cbit not yet written matches nothing); an inject checks
-    every row.  A measurement splits each row into its two children, next
-    to each other, unless that would take the stack past `cap` amplitudes:
-    then the lower half of the stack is walked on and the upper half waits
-    its turn.  Memory follows the cap rather than 2^m, and the order is the
-    depth-first one.  Each row gets the arithmetic of a walk of that branch
-    alone, so the figures do not depend on the cap."""
-    n = c.n_qubits
-    records = [op for op in c.ops if isinstance(op, MeasureOp)]
+    A row holds the present qubits only, in qubit order: the inputs and
+    each qubit touched since its last measurement, a set fixed by the op.
+    The stack starts as the one branch `cols`, a (2**k, m) block over the k
+    inputs.  A gate applies to every row, or to the rows whose record
+    matches its condition (an unwritten cbit matches nothing); a qubit it
+    first touches joins at |0>, an inject's join in its state.  A
+    measurement splits each row into its two children, side by side,
+    without the measured axis, unless the stack would pass `cap`
+    amplitudes (rows of the widest layout): then the lower half walks on,
+    the upper half waits.  Memory follows the cap, not 2^m; the order and
+    each row's arithmetic are those of a depth-first walk of one branch."""
+    records, layout = [], [c.symbolic_qubits]
+    for op in c.ops:  # the qubits present before each op, and after the last
+        if isinstance(op, MeasureOp):
+            records.append(op)
+            layout.append(tuple(q for q in layout[-1] if q != op.qubit))
+        else:
+            layout.append(tuple(sorted(set(layout[-1]).union(op.targets))))
     width = len(records)
     position = {op.cbit: p for p, op in enumerate(records)}
-    max_rows = max(2, cap // cols.size)
+    shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
+    max_rows = max(2, cap // (cols.shape[-1] << max(map(len, layout))))
     # op index, record length, rows, live records, dead (padded record, length)
     pending = [(0, 0, cols[None], np.zeros(1, dtype=np.int64), [])]
     while pending:
         k, j, cols, codes, dead = pending.pop()
         while k < len(c.ops) and len(codes):
-            op = c.ops[k]
+            op, before, after = c.ops[k], layout[k], layout[k + 1]
             if isinstance(op, GateOp):
+                if before != after:
+                    cols = _insert(cols, before, after, [q for q in after if q not in before])
+                targets = tuple(after.index(q) for q in op.targets)
                 match = np.ones(len(codes), dtype=bool) if op.cond_cbits else None
                 for b, v in zip(op.cond_cbits, op.cond_values):
                     p = position.get(b, width)  # a cbit not yet written matches nothing
                     match &= p < j and (codes >> (j - 1 - p)) & 1 == v
                 if match is None or match.all():
-                    cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
+                    cols = apply_to_columns(cols, op.resolved_matrix(), targets, len(after))
                 elif match.any():
                     cols = cols.copy()
                     cols[match] = apply_to_columns(cols[match], op.resolved_matrix(),
-                                                   op.targets, n)
+                                                   targets, len(after))
             elif isinstance(op, InjectOp):
-                cols = _inject(cols, op.targets, op.amplitudes, n)
+                cols = _insert(cols, before, after, op.targets, op.amplitudes)
             elif isinstance(op, MeasureOp):
                 if 2 * len(codes) > max_rows:
                     half = len(codes) // 2
@@ -238,11 +259,14 @@ def _enumerate(c: Circuit, cols: np.ndarray,
                     cols, codes = cols[:half], codes[:half]
                     dead = [d for d in dead if d[0] < split]
                     continue
-                cols, codes, died = _measure(cols, op.qubit, codes)
+                at = before.index(op.qubit) if op.qubit in before else None
+                cols, codes, died = _measure(cols, at, codes)
                 j += 1
                 dead += [(code << (width - j), j) for code in died]
             k += 1
-        yield _stack(cols, codes << (width - j), dead, width)
+        if not len(codes):  # every row died: no rows, over the last layout
+            cols = np.zeros((0, 2 ** len(layout[-1]), cols.shape[-1]), dtype=complex)
+        yield _stack(cols, codes << (width - j), dead, width, layout[-1], shifts)
 
 
 def _bitstring(code: int, length: int, width: int) -> str:
@@ -316,20 +340,14 @@ def _engine_statuses(c: Circuit) -> list[str]:
 
 
 def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
-    symbolic = c.symbolic_qubits
-    k = len(symbolic)
+    k = len(c.symbolic_qubits)
     if k == 0:
         if input_state is not None:
             raise DimensionMismatch("circuit has no symbolic inputs")
-        cols = np.zeros((2**c.n_qubits, 1), dtype=complex)
-        cols[0, 0] = 1.0
-        return cols
+        return np.ones((1, 1), dtype=complex)
     if input_state is None or input_state.n != k:
-        raise DimensionMismatch(
-            f"input must cover the {k} symbolic-input qubits")
-    cols = np.zeros((2**c.n_qubits, 1), dtype=complex)
-    cols[register_offsets(c.n_qubits, symbolic), 0] = input_state.amplitudes
-    return cols
+        raise DimensionMismatch(f"input must cover the {k} symbolic-input qubits")
+    return input_state.amplitudes.reshape(-1, 1)
 
 
 def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list[Branch]:
@@ -339,7 +357,7 @@ def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list
     width = len(records)
     branches = []
     for stack in _enumerate(c, _initial_columns(c, input_state)):
-        live = iter(stack.cols)
+        live = iter(stack.rows_over(range(c.n_qubits)))
         for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
                                        stack.live.tolist()):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
@@ -401,21 +419,9 @@ def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.n
                 f"qubit {q} is neither an output nor measured; branch operators"
                 " would be ill-defined")
 
-    n = c.n_qubits
-    cols = np.zeros((2**n, 2 ** len(in_map)), dtype=complex)
-    cols[register_offsets(n, in_map), np.arange(cols.shape[1])] = 1.0
-    out_offsets = register_offsets(n, out_map)
-    records = [op for op in c.ops if isinstance(op, MeasureOp)]
-    width = len(records)
-    last = {op.qubit: width - 1 - p for p, op in enumerate(records)}
-    # each measured qubit's final value: its record bit and its basis-index weight
-    measured = [q for q in range(n) if q not in out_map]
-    record_bit = np.array([last[q] for q in measured], dtype=np.int64)
-    index_weight = np.array([1 << (n - 1 - q) for q in measured], dtype=np.int64)
-    for stack in _enumerate(c, cols):
-        live = stack.codes[stack.live]
-        base = ((live[:, None] >> record_bit) & 1) @ index_weight
-        yield stack, stack.cols[np.arange(len(live))[:, None], base[:, None] + out_offsets]
+    order = register_offsets(len(in_map), [c.symbolic_qubits.index(q) for q in in_map])
+    for stack in _enumerate(c, np.eye(len(order), dtype=complex)[order].T):
+        yield stack, stack.rows_over(out_map)
 
 
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
@@ -432,7 +438,7 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     dim = 2 ** len(in_map)
     if u.shape != (2 ** len(out_map), dim):
         raise DimensionMismatch("matrix shape does not match out_map by in_map")
-    if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(dim))) > FLOOR:
+    if not is_isometry(u, FLOOR):
         raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
 
     width = sum(isinstance(op, MeasureOp) for op in c.ops)

@@ -514,3 +514,70 @@ def test_verify_checks_a_preparation_file_against_its_state(capsys, tmp_path):
     lines = out.splitlines()
     assert code == 0 and lines[-1] == "PASS"
     assert sum(line.startswith("branch ") for line in lines) == 2**6
+
+
+def _mutations(doc, rnd: "random.Random"):
+    """One random edit of a JSON document: a node set to null, NaN, 1e308,
+    2^63, a wrong type or an empty list, or a field or list entry deleted
+    or duplicated."""
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and rnd.random() < 0.7:
+        parent, key = node, rnd.choice(list(node) if isinstance(node, dict)
+                                       else range(len(node)))
+        node = parent[key]
+    if parent is None:
+        return rnd.choice([None, [], {}, "x", 1e308])
+    kind = rnd.randrange(8)
+    if kind == 6:
+        del parent[key]
+    elif kind == 7:
+        if isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(node)))
+        else:
+            parent[key + "_copy" if isinstance(key, str) else key] = node
+    else:
+        parent[key] = [None, float("nan"), 1e308, 2**63, "x", []][kind]
+    return doc
+
+
+def test_mutated_input_files_exit_cleanly(capsys, tmp_path):
+    """A seeded sweep of damaged circuit and matrix files: every run exits
+    0, 1 or 2, raises nothing, records no numpy warning, and a usage exit
+    names the problem on its first stderr line."""
+    import random
+    import warnings
+    from telegate.circuit import to_document
+    from telegate.teleport import synthesize_teleported_gate
+
+    rnd = random.Random(2024)
+    circuit = to_document(synthesize_teleported_gate(gates.T).circuit)
+    cases = []
+    for i in range(240):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(_mutations(circuit, rnd)))
+        cases.append(["verify", str(path), "--against", "T"])
+    for i in range(120):
+        base = matrix_doc(rnd.choice([gates.T, gates.CS, gates.H]))
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps({"matrix": _mutations(base, rnd)}))
+        cases.append([rnd.choice(["hierarchy", "synth", "ancilla", "recursive"]), str(path)])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    cases += [[command, str(path)] for command in ("hierarchy", "synth")]
+    cases.append(["verify", str(tmp_path / "c0.json"), "--against", str(path)])
+    codes = set()
+    for argv in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        _, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (
+            argv, [str(w.message) for w in caught])
+        if code == 2:
+            assert err.startswith("error:"), (argv, err)
+    assert codes == {0, 1, 2}

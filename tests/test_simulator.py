@@ -9,7 +9,8 @@ import pytest
 
 from telegate import ancilla, gates, recursive, remote, simulator, teleport
 from telegate.circuit import Circuit, CircuitBuilder, GateOp, InjectOp, MeasureOp
-from telegate.errors import DimensionMismatch, ValidationError, WidthOverflow
+from telegate.errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
+                             WidthOverflow)
 from telegate.gates import apply_to_columns
 from telegate.limits import MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
 from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, basis_state,
@@ -396,10 +397,18 @@ def _enumerate_depth_first(c, cols):
     return walk(0, cols, (), {}, {})
 
 
+def _full_columns(c, cols):
+    """A block over the symbolic inputs as one over every qubit, each other
+    qubit at |0>: the depth-first walk's starting block."""
+    full = np.zeros((2**c.n_qubits, cols.shape[1]), dtype=complex)
+    full[register_offsets(c.n_qubits, c.symbolic_qubits)] = cols
+    return full
+
+
 def _oracle_branches(c, psi):
     """run_all_branches over the depth-first walk."""
     branches = []
-    for raw in _enumerate_depth_first(c, simulator._initial_columns(c, psi)):
+    for raw in _enumerate_depth_first(c, _full_columns(c, simulator._initial_columns(c, psi))):
         live = raw.cols is not None
         p = float(np.sum(np.abs(raw.cols) ** 2)) if live else 0.0
         state = StateVector(c.n_qubits, raw.cols[:, 0]) if live else None
@@ -513,11 +522,12 @@ def _measurements(c):
 
 
 def _flat_stacks(c, cols, cap=MAX_STACK_AMPLITUDES):
-    """Every branch the batched walk yields: (outcome bits, columns or None)."""
+    """Every branch the batched walk yields from a block over the symbolic
+    inputs: (outcome bits, columns over every qubit or None)."""
     width = _measurements(c)
     out = []
     for stack in simulator._enumerate(c, cols, cap):
-        live = iter(stack.cols)
+        live = iter(stack.rows_over(range(c.n_qubits)))
         for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
                                        stack.live.tolist()):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
@@ -540,7 +550,8 @@ def test_batched_walk_under_a_small_cap_matches_the_depth_first_walk(suite_circu
         if _measurements(c) > 8:
             continue
         cols = simulator._initial_columns(c, psi)
-        want = [(raw.bits, raw.cols) for raw in _enumerate_depth_first(c, cols)]
+        want = [(raw.bits, raw.cols)
+                for raw in _enumerate_depth_first(c, _full_columns(c, cols))]
         small = _flat_stacks(c, cols, cap=1)
         assert [bits for bits, _ in small] == [bits for bits, _ in want]
         for (_, g), (_, w) in zip(small, want):
@@ -558,10 +569,9 @@ def test_operator_mode_walk_matches_the_depth_first_walk(suite_circuits):
     for c, _ in suite_circuits:
         if _measurements(c) > 8:
             continue
-        n, k = c.n_qubits, len(c.symbolic_qubits)
-        cols = np.zeros((2**n, 2**k), dtype=complex)
-        cols[register_offsets(n, c.symbolic_qubits), np.arange(2**k)] = 1.0
-        want = [(raw.bits, raw.cols) for raw in _enumerate_depth_first(c, cols)]
+        cols = np.eye(2 ** len(c.symbolic_qubits), dtype=complex)
+        want = [(raw.bits, raw.cols)
+                for raw in _enumerate_depth_first(c, _full_columns(c, cols))]
         for cap in (MAX_STACK_AMPLITUDES, 1):
             got = _flat_stacks(c, cols, cap)
             assert [bits for bits, _ in got] == [bits for bits, _ in want]
@@ -571,21 +581,79 @@ def test_operator_mode_walk_matches_the_depth_first_walk(suite_circuits):
                     assert np.max(np.abs(g - w)) < 1e-12
 
 
-def test_inject_check_fails_when_one_row_is_not_definite():
-    """After qubit 0 is measured, qubit 1 is |0> on outcome 0 but |+> on
-    outcome 1: both walks refuse the inject."""
+def test_an_inject_onto_an_active_qubit_is_refused_at_every_entry():
+    """Validation, not the walk, keeps an inject off a qubit still in play:
+    every engine entry refuses it before walking."""
+    c = Circuit(2, 0, ("input", "zero"),
+                (GateOp((1,), name="H"), InjectOp((1,), np.array([1.0, 0.0]))))
+    cnot = gates.CNOT[:, [0, 2]]  # |x> -> |xx>, an isometry onto both qubits
+    with pytest.raises(InvalidCircuitError, match="inject target 1"):
+        run_all_branches(c, zero_state(1))
+    with pytest.raises(InvalidCircuitError, match="inject target 1"):
+        verify_gate_equivalence(c, cnot, [0], [0, 1])
+    with pytest.raises(InvalidCircuitError, match="inject target 1"):
+        next(simulator.branch_operators(c, [0], [0, 1]))
+
+
+def _edge_circuits():
+    """(name, circuit, isometry, in_map, out_map): the walk's edge paths."""
+    b = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+    b.gate("H", [0]).gate("CNOT", [0, 1]).measure(1, 0)
+    b.gate("H", [2])                      # qubit 2 first touched after a measurement
+    b.gate("CNOT", [2, 0]).cgate([0], [1], "X", [0]).measure(2, 1)
+    yield "fresh after a measurement", b.build(), gates.H, (0,), (0,)
     b = CircuitBuilder(2, 1, ["input", "zero"])
-    b.measure(0, 0)
-    b.inject([1.0, 0.0], [1])
-    c = b.build()
-    entangled = np.array([[0.5], [0.0], [0.5], [0.5]]) * np.sqrt(4 / 3)
-    with pytest.raises(ValidationError, match="definite basis state"):
-        list(_enumerate_depth_first(c, entangled))
-    with pytest.raises(ValidationError, match="definite basis state"):
-        list(simulator._enumerate(c, entangled))
-    # with qubit 1 at |0> on both rows the same circuit runs
-    product = np.array([[SQ2], [0.0], [SQ2], [0.0]])
-    assert [bits for bits, _ in _flat_stacks(c, product)] == [(0,), (1,)]
+    b.measure(1, 0).gate("T", [0])        # qubit 1 never touched: outcome 1 dies
+    yield "untouched qubit measured", b.build(), gates.T, (0,), (0,)
+    copy = gates.CNOT[:, [0, 2]]
+    b = CircuitBuilder(2, 1, ["input", "zero"])
+    b.gate("H", [0]).gate("CNOT", [0, 1]).measure(0, 0)
+    yield "measured output", b.build(), copy, (0,), (0, 1)
+    b = CircuitBuilder(3, 0, ["input", "zero", "inject"])
+    b.gate("H", [0])                      # qubits 1 and 2 stay at |0>, outputs anyway
+    yield "untouched outputs", b.build(), np.kron(copy, [[1], [0]]), (0,), (1, 0, 2)
+    b = CircuitBuilder(2, 2, ["input", "zero"])
+    b.gate("H", [1]).gate("CNOT", [1, 0]).measure(1, 0).cgate([0], [1], "X", [0])
+    b.inject([SQ2, 1j * SQ2], [1])        # onto the measured qubit, after the repair
+    b.gate("CNOT", [1, 0]).measure(1, 1)
+    yield "inject after a repair", b.build(), np.eye(2), (0,), (0,)
+    b = CircuitBuilder(3, 2, ["input", "input", "zero"])
+    b.gate("CNOT", [1, 2]).measure(0, 0).measure(2, 1)
+    yield "unsorted maps", b.build(), gates.SWAP, (1, 0), (1, 0)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _edge_circuits()])
+def test_edge_paths_match_the_depth_first_walk(name, rng):
+    """Rows that leave out measured and untouched qubits give the branches
+    and the report of the depth-first walk over whole registers, and the
+    same bits under any cap."""
+    c, u, in_map, out_map = next(case[1:] for case in _edge_circuits() if case[0] == name)
+    k = len(c.symbolic_qubits)
+    for psi in (random_state(k, rng), basis_state(k, 0), basis_state(k, 2**k - 1)):
+        _assert_same_branches(run_all_branches(c, psi), _oracle_branches(c, psi))
+    report = verify_gate_equivalence(c, u, in_map, out_map)
+    passed, worst, failing, scalars, weights = _oracle_report(c, u, in_map, out_map)
+    assert (report.passed, report.failing_branch) == (passed, failing)
+    assert abs(report.worst_fidelity - worst) < 1e-12
+    assert list(report.branch_weights) == list(weights)
+    assert list(report.branch_scalars) == list(scalars)
+    for got, want in ((report.branch_weights, weights), (report.branch_scalars, scalars)):
+        assert np.max(np.abs(np.subtract(got.values(), list(want.values()))), initial=0) < 1e-12
+    small, default = _flat_stacks(c, np.eye(2**k), cap=1), _flat_stacks(c, np.eye(2**k))
+    assert [bits for bits, _ in small] == [bits for bits, _ in default]
+    for (_, a), (_, b) in zip(small, default):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_rows_that_all_die_before_the_last_op_still_fold():
+    """The walk stops once every row is dead; the stack it yields still has
+    rows of the final width, so the fold and the listing go through."""
+    c = Circuit(2, 1, ("input", "zero"), (_zeroed(GateOp((0,), matrix=gates.H)),
+                                          MeasureOp(0, 0), GateOp((1,), name="H")))
+    report = verify_gate_equivalence(c, gates.H, [0], [1])
+    assert (report.passed, report.worst_fidelity, report.failing_branch) == (False, 0.0, "0")
+    assert dict(report.branch_weights.items()) == {"0": 0.0, "1": 0.0}
+    assert [b.state for b in run_all_branches(c, zero_state(1))] == [None, None]
 
 
 def _tampered(c):
