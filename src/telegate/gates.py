@@ -58,11 +58,22 @@ def target_axes(targets, n: int) -> tuple[list[int], list[int]]:
     return order, undo
 
 
+def stacked_product(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """matrix @ block for each (a, c) block of a stack, each with the bits of
+    its product alone: one product with the row axis moved into the columns
+    when c >= 4, else one per block (BLAS sums narrower products another way)."""
+    rows, a, c = stack.shape
+    if c < 4:
+        return np.matmul(matrix, stack)
+    flat = matrix @ stack.transpose(1, 0, 2).reshape(a, rows * c)
+    return flat.reshape(len(matrix), rows, c).transpose(1, 0, 2)
+
+
 def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
                      n: int) -> np.ndarray:
     """Apply a k-qubit gate on the listed targets to every column of an
-    n-qubit (2**n, m) block, identity elsewhere.  A (rows, 2**n, m) stack of
-    blocks is done block by block, each with the arithmetic it gets alone."""
+    n-qubit (2**n, m) block, identity elsewhere.  A (rows, 2**n, m) stack
+    is one `stacked_product`: one product when 2**(n-k)·m >= 4."""
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise DimensionMismatch("gate matrix does not match target count")
@@ -70,7 +81,7 @@ def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, .
         raise DimensionMismatch(f"bad targets {targets} for width {n}")
     order, undo = target_axes(targets, n)
     tensor = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
-    flat = np.matmul(matrix, tensor.reshape(len(tensor), 2**k, -1))
+    flat = stacked_product(matrix, tensor.reshape(len(tensor), 2**k, -1))
     return flat.reshape(tensor.shape).transpose(undo).reshape(cols.shape)
 
 

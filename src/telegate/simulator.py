@@ -27,7 +27,7 @@ from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
 from .clifford import is_isometry
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
-from .gates import apply_to_columns, matrix_of, target_axes
+from .gates import apply_to_columns, matrix_of, stacked_product, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES,
                      VERIFY_TOL, ZERO, check_width, width_of)
@@ -208,28 +208,36 @@ def _enumerate(c: Circuit, cols: np.ndarray,
 
     A row holds the present qubits only, in qubit order: the inputs and
     each qubit touched since its last measurement, a set fixed by the op.
-    The stack starts as the one branch `cols`, a (2**k, m) block over the k
-    inputs.  A gate applies to every row, or to the rows whose record
-    matches its condition (an unwritten cbit matches nothing); a qubit it
-    first touches joins at |0>, an inject's join in its state.  A
-    measurement splits each row into its two children, side by side,
-    without the measured axis, unless the stack would pass `cap`
+    The stack starts as a copy of the one branch `cols`, a (2**k, m) block
+    over the k inputs; a repair writes its rows in place, and no yielded
+    stack is written again.  A gate applies to every row, or to the rows
+    whose record matches its condition, compiled to a (mask, value): Python
+    ints decide when the first and last records agree on every bit read.
+    A qubit a gate first touches joins at |0>, an inject's join in its
+    state.  A measurement splits each row into its two children, side by
+    side, without the measured axis, unless the stack would pass `cap`
     amplitudes (rows of the widest layout): then the lower half walks on,
     the upper half waits.  Memory follows the cap, not 2^m; the order and
     each row's arithmetic are those of a depth-first walk of one branch."""
-    records, layout = [], [c.symbolic_qubits]
-    for op in c.ops:  # the qubits present before each op, and after the last
+    records, position, layout, conditions = [], {}, [c.symbolic_qubits], {}
+    for k, op in enumerate(c.ops):  # the qubits present before each op, and after the last
         if isinstance(op, MeasureOp):
+            position[op.cbit] = len(records)
             records.append(op)
             layout.append(tuple(q for q in layout[-1] if q != op.qubit))
-        else:
-            layout.append(tuple(sorted(set(layout[-1]).union(op.targets))))
+            continue
+        layout.append(tuple(sorted(set(layout[-1]).union(op.targets))))
+        if isinstance(op, GateOp) and op.cond_cbits:  # validation: each cbit read is written
+            read = set(zip(op.cond_cbits, op.cond_values))
+            bits = {1 << (len(records) - 1 - position[b]): v for b, v in read}
+            # one cbit read as both 0 and 1 never fires: -1 matches no record
+            value = sum(bit * v for bit, v in bits.items()) if len(bits) == len(read) else -1
+            conditions[k] = sum(bits), value
     width = len(records)
-    position = {op.cbit: p for p, op in enumerate(records)}
     shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
     max_rows = max(2, cap // (cols.shape[-1] << max(map(len, layout))))
     # op index, record length, rows, live records, dead (padded record, length)
-    pending = [(0, 0, cols[None], np.zeros(1, dtype=np.int64), [])]
+    pending = [(0, 0, cols[None].copy(), np.zeros(1, dtype=np.int64), [])]
     while pending:
         k, j, cols, codes, dead = pending.pop()
         while k < len(c.ops) and len(codes):
@@ -238,14 +246,12 @@ def _enumerate(c: Circuit, cols: np.ndarray,
                 if before != after:
                     cols = _insert(cols, before, after, [q for q in after if q not in before])
                 targets = tuple(after.index(q) for q in op.targets)
-                match = np.ones(len(codes), dtype=bool) if op.cond_cbits else None
-                for b, v in zip(op.cond_cbits, op.cond_values):
-                    p = position.get(b, width)  # a cbit not yet written matches nothing
-                    match &= p < j and (codes >> (j - 1 - p)) & 1 == v
-                if match is None or match.all():
-                    cols = apply_to_columns(cols, op.resolved_matrix(), targets, len(after))
-                elif match.any():
-                    cols = cols.copy()
+                mask, value = conditions.get(k, (0, 0))
+                lo, hi = (int(codes[0]), int(codes[-1])) if mask else (0, 0)
+                if not mask & ((1 << (lo ^ hi).bit_length()) - 1):  # codes are sorted
+                    if lo & mask == value:
+                        cols = apply_to_columns(cols, op.resolved_matrix(), targets, len(after))
+                elif (match := codes & mask == value).any():
                     cols[match] = apply_to_columns(cols[match], op.resolved_matrix(),
                                                    targets, len(after))
             elif isinstance(op, InjectOp):
@@ -424,6 +430,12 @@ def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.n
         yield stack, stack.rows_over(out_map)
 
 
+def _spread(values: np.ndarray, where: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(where), dtype=values.dtype)
+    out[where] = values
+    return out
+
+
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                             tol: float = VERIFY_TOL) -> EquivalenceReport:
     """Check that every nonzero branch implements u up to a unit scalar.
@@ -450,28 +462,29 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     for stack, blocks in branch_operators(c, in_map, out_map):
         total_mass = _mass(stack.cols)
         ok = total_mass / dim >= ZERO
-        coeff = np.trace(np.matmul(u_dagger, blocks[ok]), axis1=1, axis2=2) / dim
+        product = stacked_product(u_dagger, blocks if ok.all() else blocks[ok])
+        # a transposed product's trace sums in another order: make it contiguous
+        coeff = np.trace(np.ascontiguousarray(product), axis1=1, axis2=2) / dim
         # hypot, float_power and part-wise division are the arithmetic of
         # Python's abs, ** and / on one complex coefficient: the report
         # matches a branch-by-branch fold bit for bit
         size = np.hypot(coeff.real, coeff.imag)
-        rows = np.flatnonzero(stack.live)[ok]
-        weights = np.zeros(len(stack.codes))
-        weights[rows] = np.float_power(size, 2)
-        scalars = np.zeros(len(stack.codes), dtype=complex)
+        weights = np.float_power(size, 2)
+        scalars = np.empty(len(coeff), dtype=complex)
         divisor = np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
-        scalars.real[rows] = coeff.real / divisor
-        scalars.imag[rows] = coeff.imag / divisor
-        scored = np.zeros(len(stack.codes), dtype=bool)
-        scored[rows] = True
+        scalars.real, scalars.imag = coeff.real / divisor, coeff.imag / divisor
+        scored = stack.live.copy()
+        scored[scored] = ok
+        if not scored.all():  # zeros on the dead and unscored rows
+            weights, scalars = (_spread(a, scored) for a in (weights, scalars))
         parts.append((stack.codes, stack.lengths, weights, scalars, scored))
-        if len(rows):
+        if len(size):
             fidelity = size * dim / (sqrt_dim * np.sqrt(total_mass[ok]))
             i = int(fidelity.argmin())
             if fidelity[i] < worst:
                 worst = float(fidelity[i])
                 if worst < 1.0 - tol:
-                    failing = _bitstring(int(stack.codes[rows[i]]), width, width)
+                    failing = _bitstring(int(stack.codes[scored][i]), width, width)
     codes, lengths, weights, scalars, scored = (np.concatenate(a) for a in zip(*parts))
     if not scored.any():
         worst, failing = 0.0, _bitstring(int(codes[0]), int(lengths[0]), width)

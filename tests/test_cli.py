@@ -516,6 +516,32 @@ def test_verify_checks_a_preparation_file_against_its_state(capsys, tmp_path):
     assert sum(line.startswith("branch ") for line in lines) == 2**6
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["T", "TOFFOLI", "CCV4 preparation"])
+def test_verify_listing_matches_its_recorded_bytes(capsys, tmp_path, name):
+    """`verify` prints every branch's weight and scalar; a scalar's zero
+    part keeps its sign, so a product that drifts in its last bit shows
+    here.  The listings were recorded from these same commands; the CCV4
+    preparation's 4,096 branches are stored gzipped."""
+    import gzip
+    from telegate.circuit import serialize
+    from telegate.recursive import controlled_rotation_spec, recursive_ancilla_prep
+    circuit = tmp_path / "circuit.json"
+    if name == "CCV4 preparation":
+        prep = recursive_ancilla_prep(controlled_rotation_spec(2, 4))
+        circuit.write_text(serialize(prep.circuit))
+        against = tmp_path / "target.json"
+        against.write_text(json.dumps(matrix_doc(prep.target.amplitudes[:, None])))
+        want = gzip.decompress((GOLDEN / "verify_ccv4_prep.out.gz").read_bytes()).decode()
+    else:
+        assert run(capsys, "synth", name, "--out", str(circuit))[0] == 0
+        against, want = name, (GOLDEN / f"verify_{name.lower()}.out").read_text()
+    code, out, _ = run(capsys, "verify", str(circuit), "--against", str(against))
+    assert code == 0 and out == want
+
+
 def _mutations(doc, rnd: "random.Random"):
     """One random edit of a JSON document: a node set to null, NaN, 1e308,
     2^63, a wrong type or an empty list, or a field or list entry deleted

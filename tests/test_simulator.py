@@ -298,6 +298,44 @@ def test_embed_on_shared_kernel_matches_former_body():
                                       _embed_by_former_body(m, targets, n)), (n, targets)
 
 
+def _apply_to_one_block(cols, matrix, targets, n):
+    """The kernel's arithmetic on one (2**n, m) block alone: one np.matmul."""
+    order, undo = gates.target_axes(targets, n)
+    tensor = cols.reshape([1] + [2] * n + [cols.shape[-1]]).transpose(order)
+    flat = np.matmul(matrix, tensor.reshape(1, 2 ** len(targets), -1))
+    return flat.reshape(tensor.shape).transpose(undo).reshape(cols.shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_product_per_stack_gives_each_block_its_own_bits(k):
+    """A stack takes one product when each block has at least 4 columns
+    past the targets and one per block below that; either way every block
+    gets the bits it gets alone, in the gate kernel and in the fold's u†·block."""
+    rng = np.random.default_rng(k)
+    matrix = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+    for width in (1, 2, 4, 8):  # columns per block past the targets
+        n = k + (width > 1)  # one qubit besides the targets once there is room
+        targets = tuple(int(t) for t in rng.permutation(n)[:k])
+        for rows in (1, 2, 3, 17, 256):
+            stack = (rng.standard_normal((rows, 2**n, width >> (n - k)))
+                     + 1j * rng.standard_normal((rows, 2**n, width >> (n - k))))
+            got = apply_to_columns(stack, matrix, targets, n)
+            for r in range(rows):
+                want = _apply_to_one_block(stack[r], matrix, targets, n)
+                assert np.array_equal(got[r], want), (width, rows, r)
+                assert np.array_equal(apply_to_columns(stack[r], matrix, targets, n), want)
+    for din in (1, 2, 4, 8):  # the fold: u† (din x dout) times (dout x din) blocks
+        dout = 2**k
+        u_dagger = (rng.standard_normal((din, dout)) + 1j * rng.standard_normal((din, dout)))
+        for rows in (1, 2, 3, 17, 256):
+            blocks = (rng.standard_normal((rows, dout, din))
+                      + 1j * rng.standard_normal((rows, dout, din)))
+            got = gates.stacked_product(u_dagger, blocks)
+            assert np.array_equal(got, np.matmul(u_dagger, blocks)), (din, rows)
+            for r in range(rows):
+                assert np.array_equal(got[r], u_dagger @ blocks[r]), (din, rows, r)
+
+
 def test_state_from_refuses_a_non_power_of_two():
     with pytest.raises(ValidationError, match="dimension 3 is not a power of two"):
         state_from([1.0, 0.0, 0.0])
@@ -620,6 +658,23 @@ def _edge_circuits():
     b = CircuitBuilder(3, 2, ["input", "input", "zero"])
     b.gate("CNOT", [1, 2]).measure(0, 0).measure(2, 1)
     yield "unsorted maps", b.build(), gates.SWAP, (1, 0), (1, 0)
+    b = CircuitBuilder(2, 1, ["input", "zero"])
+    b.gate("H", [1]).measure(1, 0).cgate([0, 0], [1, 0], "X", [0])
+    yield "a cbit read as 0 and as 1", b.build(), np.eye(2), (0,), (0,)
+    b = CircuitBuilder(2, 1, ["input", "zero"])
+    b.gate("CNOT", [0, 1]).gate("H", [0]).measure(0, 0)
+    b.cgate([0, 0], [1, 1], "Z", [1])     # one-bit Z teleport, its repair read twice
+    yield "a cbit read twice alike", b.build(), np.eye(2), (0,), (1,)
+    b = CircuitBuilder(4, 3, ["input", "zero", "zero", "zero"])
+    for q in (1, 2, 3):
+        b.gate("H", [q]).measure(q, q - 1)
+    b.cgate([0, 2], [1, 0], "S", [0])     # under cap=1, each stack splits on cbit 2
+    b.cgate([0, 1], [1, 1], "T", [0])     # bits every row of a small stack shares
+    yield "an early and a late bit", b.build(), np.eye(2), (0,), (0,)
+    b = CircuitBuilder(3, 2, ["input", "zero", "zero"])
+    b.measure(1, 0)                       # |0>: record "1" dies here
+    b.gate("H", [2]).measure(2, 1).cgate([0, 1], [0, 1], "Z", [0])
+    yield "a condition beside dead records", b.build(), gates.Z, (0,), (0,)
 
 
 @pytest.mark.parametrize("name", [case[0] for case in _edge_circuits()])
@@ -654,6 +709,27 @@ def test_rows_that_all_die_before_the_last_op_still_fold():
     assert (report.passed, report.worst_fidelity, report.failing_branch) == (False, 0.0, "0")
     assert dict(report.branch_weights.items()) == {"0": 0.0, "1": 0.0}
     assert [b.state for b in run_all_branches(c, zero_state(1))] == [None, None]
+
+
+def test_the_walk_writes_no_yielded_stack_and_not_the_callers_block():
+    """Repairs write the walk's own rows in place: every yielded stack
+    still holds, after the walk, what it held when yielded, and a read-only
+    block passed in comes back untouched.  The first measurement of an
+    input would otherwise leave rows that view the caller's block."""
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    b = CircuitBuilder(2, 1, ["input", "input"])
+    b.measure(0, 0).cgate([0], [1], "X", [1])
+    rng = np.random.default_rng(3)
+    for c in (rc.flattened, _dying_circuit(), b.build()):
+        k = len(c.symbolic_qubits)
+        block = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+        block.flags.writeable = False
+        kept = block.copy()
+        for cap in (MAX_STACK_AMPLITUDES, 1):
+            seen = [(stack, stack.cols.copy()) for stack in simulator._enumerate(c, block, cap)]
+            for stack, cols in seen:
+                assert np.array_equal(stack.cols, cols)
+        assert np.array_equal(block, kept)
 
 
 def _tampered(c):
