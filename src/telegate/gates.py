@@ -14,6 +14,7 @@ from .errors import ClassificationError, DimensionMismatch
 from .limits import width_of
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+_CLEAN = np.ones(2)  # stacked_product's reset dot
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,12 +62,18 @@ def target_axes(targets, n: int) -> tuple[list[int], list[int]]:
 def stacked_product(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """matrix @ block for each (a, c) block of a stack, each with the bits of
     its product alone: one product with the row axis moved into the columns
-    when c >= 4, else one per block (BLAS sums narrower products another way)."""
+    when c >= 4, else one per block (BLAS sums narrower products another way).
+    A BLAS dot follows: OpenBLAS's AVX-512 zgemm can leave the upper vector
+    state dirty, which slows the numpy reductions after it (trace, row sums)
+    6-14x until a BLAS call clears it; elsewhere the dot costs about 1 us."""
     rows, a, c = stack.shape
     if c < 4:
-        return np.matmul(matrix, stack)
-    flat = matrix @ stack.transpose(1, 0, 2).reshape(a, rows * c)
-    return flat.reshape(len(matrix), rows, c).transpose(1, 0, 2)
+        out = np.matmul(matrix, stack)
+    else:
+        flat = matrix @ stack.transpose(1, 0, 2).reshape(a, rows * c)
+        out = flat.reshape(len(matrix), rows, c).transpose(1, 0, 2)
+    _CLEAN.dot(_CLEAN)
+    return out
 
 
 def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],

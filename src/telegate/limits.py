@@ -7,9 +7,9 @@ TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
 FLOOR             recognition and unitarity input checks are never tighter.
 MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
-MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds, counted on
-                  the widest row the walk reaches: 256 rows of 16x4 columns, the
-                  level-5 check's shape.  A wider row gets fewer rows, never fewer than two.
+MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds after any op:
+                  256 rows of 16x4 columns, the level-5 check's shape.  A single
+                  row over the cap still walks.
 MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
                   conjugation route (non-diagonal gates) each level conjugates
                   once more and compounds the rounding error.

@@ -13,8 +13,9 @@ each branch's effective operator.  `_enumerate`, the package's one
 exhaustive walk, carries a stack of branches through each op at once, each
 row over its present qubits only (a measured qubit leaves the row), and
 yields each stack in depth-first order: a verification folds over 2^m
-branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the stack.
-Each branch gets the arithmetic of a walk of it alone, whatever the cap.
+branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the amplitudes
+a stack of more than one row holds after any op.  Each branch gets the
+arithmetic of a walk of it alone, whatever the cap.
 """
 from __future__ import annotations
 
@@ -215,10 +216,12 @@ def _enumerate(c: Circuit, cols: np.ndarray,
     ints decide when the first and last records agree on every bit read.
     A qubit a gate first touches joins at |0>, an inject's join in its
     state.  A measurement splits each row into its two children, side by
-    side, without the measured axis, unless the stack would pass `cap`
-    amplitudes (rows of the widest layout): then the lower half walks on,
-    the upper half waits.  Memory follows the cap, not 2^m; the order and
-    each row's arithmetic are those of a depth-first walk of one branch."""
+    side, without the measured axis.  A stack of more than one row whose
+    next op would pass `cap` amplitudes (its rows, twice that for a
+    measurement, over the layout after the op) splits first: the lower half
+    walks on, the upper half waits; a single row walks on whole.  Memory
+    follows the cap, not 2^m; the order and each row's arithmetic are
+    those of a depth-first walk of one branch."""
     records, position, layout, conditions = [], {}, [c.symbolic_qubits], {}
     for k, op in enumerate(c.ops):  # the qubits present before each op, and after the last
         if isinstance(op, MeasureOp):
@@ -235,13 +238,21 @@ def _enumerate(c: Circuit, cols: np.ndarray,
             conditions[k] = sum(bits), value
     width = len(records)
     shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
-    max_rows = max(2, cap // (cols.shape[-1] << max(map(len, layout))))
     # op index, record length, rows, live records, dead (padded record, length)
     pending = [(0, 0, cols[None].copy(), np.zeros(1, dtype=np.int64), [])]
     while pending:
         k, j, cols, codes, dead = pending.pop()
         while k < len(c.ops) and len(codes):
             op, before, after = c.ops[k], layout[k], layout[k + 1]
+            grow = 2 if isinstance(op, MeasureOp) else 1
+            if len(codes) > 1 and (grow * len(codes) * cols.shape[-1] << len(after)) > cap:
+                half = len(codes) // 2
+                split = int(codes[half]) << (width - j)
+                pending.append((k, j, cols[half:].copy(), codes[half:],
+                                [d for d in dead if d[0] >= split]))
+                cols, codes = cols[:half], codes[:half]
+                dead = [d for d in dead if d[0] < split]
+                continue
             if isinstance(op, GateOp):
                 if before != after:
                     cols = _insert(cols, before, after, [q for q in after if q not in before])
@@ -257,14 +268,6 @@ def _enumerate(c: Circuit, cols: np.ndarray,
             elif isinstance(op, InjectOp):
                 cols = _insert(cols, before, after, op.targets, op.amplitudes)
             elif isinstance(op, MeasureOp):
-                if 2 * len(codes) > max_rows:
-                    half = len(codes) // 2
-                    split = int(codes[half]) << (width - j)
-                    pending.append((k, j, cols[half:].copy(), codes[half:],
-                                    [d for d in dead if d[0] >= split]))
-                    cols, codes = cols[:half], codes[:half]
-                    dead = [d for d in dead if d[0] < split]
-                    continue
                 at = before.index(op.qubit) if op.qubit in before else None
                 cols, codes, died = _measure(cols, at, codes)
                 j += 1

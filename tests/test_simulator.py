@@ -3,6 +3,7 @@ and the two circuit identities that anchor the teleport derivations (the
 two-CNOT swap against |0>, and measure-then-classically-control)."""
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ def test_one_product_per_stack_gives_each_block_its_own_bits(k):
     for din in (1, 2, 4, 8):  # the fold: u† (din x dout) times (dout x din) blocks
         dout = 2**k
         u_dagger = (rng.standard_normal((din, dout)) + 1j * rng.standard_normal((din, dout)))
-        for rows in (1, 2, 3, 17, 256):
+        for rows in (1, 2, 3, 17, 256, 1024):
             blocks = (rng.standard_normal((rows, dout, din))
                       + 1j * rng.standard_normal((rows, dout, din)))
             got = gates.stacked_product(u_dagger, blocks)
@@ -581,9 +582,9 @@ def test_batched_walk_matches_the_depth_first_walk(suite_circuits):
 
 
 def test_batched_walk_under_a_small_cap_matches_the_depth_first_walk(suite_circuits):
-    """A cap of two rows splits the stack at every measurement past the
-    first; branch order, dead records and every amplitude stay the same,
-    bit for bit, as under the default cap."""
+    """A cap of one amplitude splits every stack down to single rows before
+    any op that widens a row or measures; branch order, dead records and
+    every amplitude stay the same, bit for bit, as under the default cap."""
     for c, psi in suite_circuits:
         if _measurements(c) > 8:
             continue
@@ -617,6 +618,82 @@ def test_operator_mode_walk_matches_the_depth_first_walk(suite_circuits):
                 assert (g is None) == (w is None)
                 if w is not None:
                     assert np.max(np.abs(g - w)) < 1e-12
+
+
+def _record_stack_sizes(monkeypatch) -> list:
+    """Record each call of the walk's three row-making steps as (rows it
+    got, rows it made, amplitudes per row made); returns the live record."""
+    made = []
+
+    def recording(step, rows_of):
+        def wrapped(cols, *args):
+            out = step(cols, *args)
+            rows = rows_of(out)
+            made.append((len(cols), len(rows), rows[0].size if len(rows) else 0))
+            return out
+        return wrapped
+
+    for name, rows_of in (("_measure", lambda out: out[0]), ("_insert", lambda out: out),
+                          ("apply_to_columns", lambda out: out)):
+        monkeypatch.setattr(simulator, name, recording(getattr(simulator, name), rows_of))
+    return made
+
+
+def test_the_cap_bounds_every_stack(suite_circuits, monkeypatch):
+    """After every op, a stack that held more than one row holds at most
+    `cap` amplitudes: the walk splits before any op that would pass it.
+    Only a single row over the cap walks on whole.  At the default cap the
+    level-5 check's stacks are full: 256 of them, and 16 for CCV4."""
+    cv5 = recursive.synth_recursive(recursive.controlled_rotation_spec(1, 5), flatten=True)
+    ccv4 = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    made = _record_stack_sizes(monkeypatch)
+    cases = [(c, cap) for c, _ in suite_circuits for cap in (1, 64, 4096, MAX_STACK_AMPLITUDES)]
+    # smaller caps on CV5's 2^18 branches take seconds each
+    cases += [(cv5.flattened, cap) for cap in (4096, MAX_STACK_AMPLITUDES)]
+    for c, cap in cases:
+        made.clear()
+        for _ in simulator._enumerate(c, np.eye(2 ** len(c.symbolic_qubits), dtype=complex), cap):
+            pass
+        assert made
+        for rows_in, rows, size in made:
+            assert rows * size <= cap or rows_in == 1, (cap, rows_in, rows, size)
+    for rc, count in ((cv5, 256), (ccv4, 16)):
+        assert sum(1 for _ in simulator.branch_operators(rc.flattened, rc.in_map,
+                                                         rc.out_map)) == count
+
+
+def test_a_split_falls_before_a_measurement_of_an_untouched_qubit(monkeypatch):
+    """Measuring a present qubit keeps a stack's amplitude count; measuring
+    one no gate has touched doubles it, so a stack at the cap splits first."""
+    b = CircuitBuilder(3, 2, ["input", "input", "zero"])
+    b.gate("H", [0]).measure(0, 0).measure(2, 1)
+    c = b.build()
+    cols = np.eye(4, dtype=complex)
+    made = _record_stack_sizes(monkeypatch)
+    stacks = list(simulator._enumerate(c, cols, 16))
+    # H on one row of 16; qubit 0 measured into two rows of 8, at the cap;
+    # qubit 2 measured in each half alone, its outcome 1 dead
+    assert made == [(1, 1, 16), (1, 2, 8), (1, 1, 8), (1, 1, 8)]
+    assert [stack.codes.tolist() for stack in stacks] == [[0b00, 0b01], [0b10, 0b11]]
+    whole = list(simulator._enumerate(c, cols))
+    assert len(whole) == 1
+    assert np.array_equal(np.concatenate([stack.cols for stack in stacks]), whole[0].cols)
+
+
+def test_the_fold_is_the_same_under_any_cap(monkeypatch):
+    """CCV4's report, passing and with a repair removed, is the same bit for
+    bit with every branch its own stack, with 256 stacks and with 16."""
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    walk = simulator._enumerate
+    for c in (rc.flattened, _tampered(rc.flattened)):
+        reports = []
+        for cap in (1, 1024, MAX_STACK_AMPLITUDES):
+            monkeypatch.setattr(simulator, "_enumerate", partial(walk, cap=cap))
+            r = verify_gate_equivalence(c, rc.gate, rc.in_map, rc.out_map)
+            reports.append((r.passed, r.worst_fidelity, r.failing_branch,
+                            r.branch_scalars.items(), r.branch_weights.items()))
+        assert reports[0] == reports[1] == reports[2]
+    assert not reports[0][0] and reports[0][2] is not None  # the tampered check fails
 
 
 def test_an_inject_onto_an_active_qubit_is_refused_at_every_entry():
