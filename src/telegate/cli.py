@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -266,9 +267,9 @@ def cmd_remote(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # TELEGATE_TOL replaces both defaults: recognition (TOL) and verification.
-    raw = os.environ.get("TELEGATE_TOL")
+@lru_cache(maxsize=8)  # one per TELEGATE_TOL value; a refused value raises, so is never kept
+def build_parser(raw: str | None) -> argparse.ArgumentParser:
+    # TELEGATE_TOL (raw) replaces both defaults: recognition (TOL) and verification.
     try:
         tol, verify_tol = (tolerance(raw),) * 2 if raw else (TOL, VERIFY_TOL)
     except ValueError:
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(os.environ.get("TELEGATE_TOL")).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except TelegateError as exc:

@@ -62,12 +62,13 @@ def target_axes(targets, n: int) -> tuple[list[int], list[int]]:
 def stacked_product(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """matrix @ block for each (a, c) block of a stack, each with the bits of
     its product alone: one product with the row axis moved into the columns
-    when c >= 4, else one per block (BLAS sums narrower products another way).
+    when c >= 4 and rows > 2, else one per block (BLAS sums narrower products
+    another way, and on two blocks the transposes cost more than they save).
     A BLAS dot follows: OpenBLAS's AVX-512 zgemm can leave the upper vector
     state dirty, which slows the numpy reductions after it (trace, row sums)
     6-14x until a BLAS call clears it; elsewhere the dot costs about 1 us."""
     rows, a, c = stack.shape
-    if c < 4:
+    if c < 4 or rows <= 2:
         out = np.matmul(matrix, stack)
     else:
         flat = matrix @ stack.transpose(1, 0, 2).reshape(a, rows * c)
@@ -80,7 +81,7 @@ def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, .
                      n: int) -> np.ndarray:
     """Apply a k-qubit gate on the listed targets to every column of an
     n-qubit (2**n, m) block, identity elsewhere.  A (rows, 2**n, m) stack
-    is one `stacked_product`: one product when 2**(n-k)·m >= 4."""
+    is one `stacked_product`: one product when 2**(n-k)·m >= 4 and rows > 2."""
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise DimensionMismatch("gate matrix does not match target count")
@@ -90,6 +91,16 @@ def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, .
     tensor = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
     flat = stacked_product(matrix, tensor.reshape(len(tensor), 2**k, -1))
     return flat.reshape(tensor.shape).transpose(undo).reshape(cols.shape)
+
+
+def monomial(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(source, phase) with (matrix @ v)[a] = phase[a]·v[source[a]] when the
+    matrix has one nonzero per row and column, each exactly 1, -1, i or -i,
+    so that product is exact; else None."""
+    source = (matrix != 0).argmax(axis=1)
+    phase = matrix[np.arange(len(matrix)), source]
+    exact = np.count_nonzero(matrix) == len(set(source.tolist())) == len(matrix)
+    return (source, phase) if exact and np.isin(phase, (1, -1, 1j, -1j)).all() else None
 
 
 def embed(matrix: np.ndarray, targets, n: int) -> np.ndarray:

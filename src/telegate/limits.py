@@ -1,6 +1,7 @@
 """The numeric policy: every tolerance and size limit of the package, once.
 
 ZERO              a norm or branch probability below this counts as zero.
+ZERO_MARGIN       the relative band around ZERO where a quick norm test defers.
 VERIFY_TOL        the fidelity margin every branch verification must clear.
 TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
                   and commuting-plan checks.
@@ -22,6 +23,7 @@ MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n pla
 from .errors import ValidationError, WidthOverflow
 
 ZERO = 1e-12
+ZERO_MARGIN = 1e-9
 VERIFY_TOL = 1e-10
 TOL = 1e-9
 FLOOR = 1e-8

@@ -16,11 +16,18 @@ yields each stack in depth-first order: a verification folds over 2^m
 branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the amplitudes
 a stack of more than one row holds after any op.  Each branch gets the
 arithmetic of a walk of it alone, whatever the cap.
+
+A gate of one 1, -1, i or -i per row and column (`gates.monomial`: X, Z,
+S, CZ, CNOT, TOFFOLI) is an exact gather and phase multiply, 352 of the
+level-5 check's 703 gate steps; its 351 diagonal repairs are a rounding off
+±1, ±i and stay on the product.  A measurement (690 there) tests death by
+sums of re² + im², deferring to `_mass` within ZERO_MARGIN of ZERO.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +35,10 @@ from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
 from .clifford import is_isometry
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
-from .gates import apply_to_columns, matrix_of, stacked_product, target_axes
+from .gates import apply_to_columns, matrix_of, monomial, stacked_product, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES,
-                     VERIFY_TOL, ZERO, check_width, width_of)
+                     VERIFY_TOL, ZERO, ZERO_MARGIN, check_width, width_of)
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,35 @@ def _mass(rows: np.ndarray) -> np.ndarray:
     return np.square(squares, out=squares).sum(axis=1)
 
 
+def _apply(cols: np.ndarray, matrix: np.ndarray, targets: tuple, n: int) -> np.ndarray:
+    """`apply_to_columns`, but an exact monomial gate is one gather over the
+    row axis and one multiply by its phases (a diagonal's in place)."""
+    gather = _row_gather(matrix.tobytes(), len(matrix), targets, n)
+    if gather is None:
+        return apply_to_columns(cols, matrix, targets, n)
+    source, phase = gather
+    cols = cols if source is None else cols.take(source, axis=1)
+    if phase is not None:
+        cols *= phase
+    return cols
+
+
+@lru_cache(maxsize=256)
+def _row_gather(matrix: bytes, dim: int, targets: tuple, n: int):
+    """The gate's `monomial` over rows of n qubits, or None: the indices to
+    take (None: no move) and a (2**n, 1) phase column (None: all 1)."""
+    exact = monomial(np.frombuffer(matrix, dtype=complex).reshape(dim, dim))
+    if exact is None:
+        return None
+    local = register_offsets(n, targets)
+    at = register_offsets(n, [q for q in range(n) if q not in targets])[:, None] + local
+    source, phase = np.empty(2**n, dtype=np.intp), np.empty((2**n, 1), dtype=complex)
+    source[at], phase[at, 0] = at[:, exact[0]], exact[1]
+    source.flags.writeable = phase.flags.writeable = False  # shared by every caller
+    return (None if (source == np.arange(2**n)).all() else source,
+            None if (phase == 1).all() else phase)
+
+
 def _insert(cols: np.ndarray, before: tuple, after: tuple, new, amplitudes=None) -> np.ndarray:
     """Rows over the `before` qubits as rows over `after`, which adds the
     `new` ones: in the state `amplitudes` (in `new` order), else at |0>."""
@@ -152,7 +188,10 @@ def _measure(cols: np.ndarray, at: int | None,
     else:
         t = cols.reshape(len(cols), 2**at, 2, -1).swapaxes(1, 2)
     children = t.reshape(2 * len(cols), -1, cols.shape[-1])
-    alive = _mass(children) >= ZERO
+    parts = np.ascontiguousarray(children).reshape(len(children), -1).view(float)
+    alive = (mass := np.einsum("ij,ij->i", parts, parts)) >= ZERO  # sums of re² + im²
+    if (near := np.abs(mass - ZERO) <= ZERO_MARGIN * ZERO).any():  # as `_mass` decides
+        alive[near] = _mass(children[near]) >= ZERO
     codes = (2 * codes[:, None] + np.arange(2)).ravel()
     if alive.all():
         return children, codes, []
@@ -261,10 +300,9 @@ def _enumerate(c: Circuit, cols: np.ndarray,
                 lo, hi = (int(codes[0]), int(codes[-1])) if mask else (0, 0)
                 if not mask & ((1 << (lo ^ hi).bit_length()) - 1):  # codes are sorted
                     if lo & mask == value:
-                        cols = apply_to_columns(cols, op.resolved_matrix(), targets, len(after))
+                        cols = _apply(cols, op.resolved_matrix(), targets, len(after))
                 elif (match := codes & mask == value).any():
-                    cols[match] = apply_to_columns(cols[match], op.resolved_matrix(),
-                                                   targets, len(after))
+                    cols[match] = _apply(cols[match], op.resolved_matrix(), targets, len(after))
             elif isinstance(op, InjectOp):
                 cols = _insert(cols, before, after, op.targets, op.amplitudes)
             elif isinstance(op, MeasureOp):

@@ -13,6 +13,7 @@ import telegate
 from telegate import gates
 from telegate.circuit import deserialize, matrix_doc
 from telegate.cli import main
+from telegate.limits import TOL
 
 
 def run(capsys, *argv):
@@ -284,6 +285,29 @@ def test_out_of_range_tolerance_env_is_usage_error(capsys, monkeypatch, value, a
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "TELEGATE_TOL" in err
+
+
+def test_each_tolerance_env_value_gets_its_own_parser_default(capsys, monkeypatch):
+    """The parser is built once per TELEGATE_TOL value: calls under
+    different values each see their own --tol default, and a refused value
+    is refused again rather than remembered as a parser."""
+    from telegate import hierarchy
+    seen = []
+    real = hierarchy.hierarchy_level
+
+    def spy(u, **kwargs):
+        seen.append(kwargs["tol"])
+        return real(u, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "hierarchy_level", spy)
+    for value in ("1e-6", "1e-3", "abc", "1e-6", "abc"):
+        monkeypatch.setenv("TELEGATE_TOL", value)
+        code, _, err = run(capsys, "hierarchy", "T")
+        assert code == (2 if value == "abc" else 0), value
+        assert ("TELEGATE_TOL" in err) == (value == "abc")
+    monkeypatch.delenv("TELEGATE_TOL")
+    assert run(capsys, "hierarchy", "T")[0] == 0
+    assert seen == [1e-6, 1e-3, 1e-6, TOL]
 
 
 def test_nan_tolerance_flag_is_usage_error(capsys, tmp_path):

@@ -337,6 +337,69 @@ def test_one_product_per_stack_gives_each_block_its_own_bits(k):
                 assert np.array_equal(got[r], u_dagger @ blocks[r]), (din, rows, r)
 
 
+def _clifford_diagonal(k, rng):
+    """diag(i^q(x)) for a random quadratic form q mod 4: S, Z, CZ powers and a phase."""
+    x = (np.arange(2**k)[:, None] >> np.arange(k)[::-1]) & 1
+    linear, pairs = rng.integers(4, size=k), np.triu(rng.integers(2, size=(k, k)), 1)
+    q = rng.integers(4) + x @ linear + 2 * np.einsum("xj,jl,xl->x", x, pairs, x)
+    return 1j ** (q % 4)
+
+
+def test_exact_monomial_gates_gather_the_products_bits():
+    """The walk's gate step sends an exact monomial gate (one nonzero per row
+    and column, each 1, -1, i or -i) to a gather and a phase multiply: every
+    library gate, times 1, -1, i or -i, and random Clifford diagonals give
+    `apply_to_columns`'s bits on random targets of 1 to 6 qubits, on every
+    row of a stack or on a random subset.  T, H, CH, Q, a random unitary and
+    a diagonal a rounding away from S stay on the product."""
+    rng = np.random.default_rng(19)
+    gathered = {"I", "X", "Y", "Z", "S", "S†", "CNOT", "CZ", "SWAP", "CS", "CS†", "TOFFOLI"}
+    assert {name for name in gates.GATE_NAMES
+            if gates.monomial(gates.matrix_of(name)) is not None} == gathered
+    unitary = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    for m in (gates.T, gates.H, gates.CH, gates.Q, unitary, np.diag([1, 1j + 1e-16])):
+        assert gates.monomial(m) is None
+    matrices = [phase * gates.matrix_of(name) for name in gates.GATE_NAMES
+                for phase in (1, -1, 1j, -1j)]
+    matrices += [np.diag(_clifford_diagonal(k, rng)) for k in (1, 2, 3) for _ in range(4)]
+    for m in matrices:
+        k = len(m).bit_length() - 1
+        for n in range(k, 7):
+            targets = tuple(int(t) for t in rng.permutation(n)[:k])
+            for rows in (1, 3, 256):
+                m_cols = int(rng.choice([1, 2, 4]))
+                stack = (rng.standard_normal((rows, 2**n, m_cols))
+                         + 1j * rng.standard_normal((rows, 2**n, m_cols)))
+                want = apply_to_columns(stack, m, targets, n)
+                assert np.array_equal(simulator._apply(stack.copy(), m, targets, n), want)
+                match = rng.random(rows) < 0.5
+                match[rng.integers(rows)] = True  # the walk skips a gate no row matches
+                got, want = stack.copy(), stack.copy()
+                got[match] = simulator._apply(got[match], m, targets, n)
+                want[match] = apply_to_columns(stack[match], m, targets, n)
+                assert np.array_equal(got, want), (m, targets, n, rows)
+
+
+def test_a_measurement_decides_death_as_the_exact_mass_does():
+    """Children whose squared norm sits at ZERO to within rounding are
+    decided by `_mass` itself, so every verdict is the exact one, also
+    where a plain sum of squares falls on the other side of ZERO."""
+    rng = np.random.default_rng(5)
+    cols = rng.standard_normal((64, 8, 2)) + 1j * rng.standard_normal((64, 8, 2))
+    scale = [1] * 40 + [1 - 1e-15, 1 + 1e-15, 1 - 1e-10, 1 + 1e-10, 0.5, 2, 0] * 2
+    for r, s in enumerate(scale):  # each row's outcome-1 child, qubit 1 of 3
+        child = cols[r].reshape(2, 2, 2, 2)[:, 1]
+        child *= np.sqrt(ZERO * s / simulator._mass(child[None])[0])
+    children, codes, dead = simulator._measure(cols, 1, np.arange(len(cols)))
+    split = cols.reshape(-1, 2, 2, 2, 2).swapaxes(1, 2).reshape(-1, 4, 2)
+    alive = simulator._mass(split) >= ZERO
+    parts = split.reshape(len(split), -1).view(float)
+    assert ((np.sum(parts * parts, axis=1) >= ZERO) != alive).any()
+    assert codes.tolist() == np.flatnonzero(alive).tolist()
+    assert dead == np.flatnonzero(~alive).tolist()
+    assert np.array_equal(children, split[alive])
+
+
 def test_state_from_refuses_a_non_power_of_two():
     with pytest.raises(ValidationError, match="dimension 3 is not a power of two"):
         state_from([1.0, 0.0, 0.0])
@@ -622,7 +685,8 @@ def test_operator_mode_walk_matches_the_depth_first_walk(suite_circuits):
 
 def _record_stack_sizes(monkeypatch) -> list:
     """Record each call of the walk's three row-making steps as (rows it
-    got, rows it made, amplitudes per row made); returns the live record."""
+    got, rows it made, amplitudes per row made); returns the live record.
+    A gate step is `_apply`, a product or a gather."""
     made = []
 
     def recording(step, rows_of):
@@ -634,7 +698,7 @@ def _record_stack_sizes(monkeypatch) -> list:
         return wrapped
 
     for name, rows_of in (("_measure", lambda out: out[0]), ("_insert", lambda out: out),
-                          ("apply_to_columns", lambda out: out)):
+                          ("_apply", lambda out: out)):
         monkeypatch.setattr(simulator, name, recording(getattr(simulator, name), rows_of))
     return made
 
