@@ -5,7 +5,8 @@ ZERO_MARGIN       the relative band around ZERO where a quick norm test defers.
 VERIFY_TOL        the fidelity margin every branch verification must clear.
 TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
                   and commuting-plan checks.
-FLOOR             recognition and unitarity input checks are never tighter.
+FLOOR             the least tol of unitarity input checks, the plan check and a synthesis's
+                  repair and factor checks; hierarchy and Clifford recognition use tol itself.
 MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
 MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds after any op:
@@ -16,9 +17,9 @@ MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
                   once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
-MAX_PLAN_WIDTH    the widest gate whose X/Z teleport plans are searched (2^n plans);
-                  also the widest Pauli whose matrix is memoized, and the widest
-                  block of the diagonal level's Möbius transform.
+MAX_PLAN_WIDTH    the widest gate given an automatic teleport plan (a wider one would
+                  reach the unbounded conjugation route); also the widest memoized
+                  Pauli matrix and the widest block of the diagonal level's Möbius transform.
 """
 from .errors import ValidationError, WidthOverflow
 

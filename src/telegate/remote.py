@@ -127,6 +127,22 @@ def _ebits(layout: PartyLayout) -> int:
                if len({layout.parties[q] for q in r.targets}) > 1)
 
 
+def _bell_teleport(b: CircuitBuilder, src: int, half: int, dest: int,
+                   cbits: tuple[int, int], retain_z: bool = False) -> None:
+    """Teleport src onto dest through the EPR pair (half, dest) by a Bell
+    measurement: CNOT(src, half), H(src), measure src into cbits[0] and
+    repair Z on dest, measure half into cbits[1] and repair X on dest.
+    retain_z also repairs Z on half, which its measurement makes moot."""
+    b.gate("CNOT", [src, half], role="E")
+    b.gate("H", [src], role="B")
+    b.measure(src, cbits[0])
+    if retain_z:
+        b.cgate([cbits[0]], [1], "Z", [half], role="D")
+    b.cgate([cbits[0]], [1], "Z", [dest], role="D")
+    b.measure(half, cbits[1])
+    b.cgate([cbits[1]], [1], "X", [dest], role="D")
+
+
 def build_two_bit_teleportation(variant: str,
                                 retain_irrelevant: bool = False) -> Protocol:
     """Send one qubit from Alice to Bob through a shared EPR pair.
@@ -161,14 +177,7 @@ def build_two_bit_teleportation(variant: str,
         post.measure(1, 1)
         post.cgate([1], [1], "Z", [2], role="D")
     else:
-        post.gate("CNOT", [0, 1], role="E")
-        post.gate("H", [0], role="B")
-        post.measure(0, 0)
-        if retain_irrelevant:
-            post.cgate([0], [1], "Z", [1], role="D")
-        post.cgate([0], [1], "Z", [2], role="D")
-        post.measure(1, 1)
-        post.cgate([1], [1], "X", [2], role="D")
+        _bell_teleport(post, 0, 1, 2, (0, 1), retain_irrelevant)
 
     return Protocol(f"teleport2-{variant.lower()}", post.build(), layout,
                     pre.build(), pre_layout, np.eye(2, dtype=complex), (0,), (2,))
@@ -214,22 +223,9 @@ def build_remote_cnot(variant: str) -> Protocol:
         pre_layout = PartyLayout(parties, ())
 
         def body(b: CircuitBuilder):
-            # teleport beta (q1, Bob) onto q3 (Alice)
-            b.gate("CNOT", [1, 2], role="E")
-            b.gate("H", [1], role="B")
-            b.measure(1, 0)
-            b.cgate([0], [1], "Z", [3], role="D")
-            b.measure(2, 1)
-            b.cgate([1], [1], "X", [3], role="D")
-            # local CNOT at Alice
-            b.gate("CNOT", [0, 3], role="U")
-            # teleport the result (q3, Alice) onto q5 (Bob)
-            b.gate("CNOT", [3, 4], role="E")
-            b.gate("H", [3], role="B")
-            b.measure(3, 2)
-            b.cgate([2], [1], "Z", [5], role="D")
-            b.measure(4, 3)
-            b.cgate([3], [1], "X", [5], role="D")
+            _bell_teleport(b, 1, 2, 3, (0, 1))  # beta (q1, Bob) onto q3 (Alice)
+            b.gate("CNOT", [0, 3], role="U")  # local CNOT at Alice
+            _bell_teleport(b, 3, 4, 5, (2, 3))  # the result (q3, Alice) onto q5 (Bob)
 
         post = CircuitBuilder(6, 4, ["input", "input", "inject", "inject",
                                      "inject", "inject"])

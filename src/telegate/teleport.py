@@ -15,7 +15,6 @@ verifies all measurement branches against the target before returning.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +163,6 @@ def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
         f" diagonal-times-X within level {k_hint - 1}")
 
 
-def _coupling(kind: str, data: int, receiver: int) -> tuple[int, int]:
-    """(control, target) of one qubit's coupling CNOT: an X teleport controls
-    on the receiver, a Z teleport on the data."""
-    return (receiver, data) if kind == "X" else (data, receiver)
-
-
 def emit_teleport(b: CircuitBuilder, plan: TeleportPlan, data, receiver, cbits,
                   ancilla=None) -> None:
     """Append plan's teleport skeleton from data onto receiver: the A layer
@@ -186,7 +179,8 @@ def emit_teleport(b: CircuitBuilder, plan: TeleportPlan, data, receiver, cbits,
     if g is not None:
         b.gate(g.name if g.name in gates.GATE_NAMES else g.matrix, data, role="A")
     for kind, d, r in zip(plan.kinds, data, receiver, strict=True):
-        b.gate("CNOT", _coupling(kind, d, r), role="E")
+        # an X teleport's CNOT controls on the receiver, a Z teleport's on the data
+        b.gate("CNOT", (r, d) if kind == "X" else (d, r), role="E")
     for q, name in zip(data, plan.b_ops, strict=True):
         if name != "I":
             b.gate(name, [q], role="B")
@@ -226,39 +220,35 @@ def build_generalized_teleport(g: CliffordFrame) -> Circuit:
     return b.build()
 
 
-def _e_layer(kinds: tuple[str, ...]) -> np.ndarray:
-    """The CNOT layer on [data 0..n-1 | ancilla n..2n-1] as a dense matrix."""
-    n = len(kinds)
-    total = np.eye(2 ** (2 * n), dtype=complex)
-    for i, kind in enumerate(kinds):
-        total = gates.embed(gates.CNOT, _coupling(kind, i, n + i), 2 * n) @ total
-    return total
+def _commutes_on(u: np.ndarray, qubit: int, kind: str, tol: float) -> bool:
+    """Whether u commutes with what qubit's coupling CNOT shows the receiver,
+    its control |1><1| in an X teleport and its target X in a Z teleport:
+    the commutator's largest entry is below max(tol, FLOOR)."""
+    side = np.diag([0j, 1]) if kind == "X" else gates.X
+    p = gates.embed(side, (qubit,), width_of(u.shape[0]))
+    return bool(np.max(np.abs(u @ p - p @ u)) < max(tol, FLOOR))
 
 
 def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = TOL) -> bool:
-    """Entrywise test that the extended gate commutes with the CNOT layer."""
-    n = width_of(u.shape[0])
-    if len(kinds) != n:
-        raise ValidationError("plan width mismatch")
-    e = _e_layer(kinds)
-    u_ext = gates.embed(u, tuple(range(n, 2 * n)), 2 * n)
-    return bool(np.max(np.abs(u_ext @ e - e @ u_ext)) < tol)
+    """Whether u on the receivers commutes with the CNOT layer of kinds.  The
+    couplings act on disjoint qubit pairs, so this holds exactly when it
+    holds qubit by qubit (Gottesman & Chuang 1999)."""
+    if len(kinds) != width_of(u.shape[0]):
+        raise DimensionMismatch("plan width does not match the gate")
+    return all(_commutes_on(u, i, kind, tol) for i, kind in enumerate(kinds))
 
 
 def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
-    """Search all X/Z assignments, preferring all-X then fewer Z qubits."""
+    """X on each qubit where that commutes, else Z, else None.  Qubits are
+    independent, so this is the one commuting plan with the fewest Z."""
     u = np.asarray(u, dtype=complex)
-    if not clifford_mod.is_unitary(u, tol=FLOOR):
+    if not clifford_mod.is_unitary(u, tol=max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
     n = width_of(u.shape[0])
     if n > MAX_PLAN_WIDTH:
-        raise ValidationError(f"plan search is exhaustive and limited to width {MAX_PLAN_WIDTH}")
-    assignments = sorted(itertools.product("XZ", repeat=n),
-                         key=lambda ks: (ks.count("Z"), ks))
-    for kinds in assignments:
-        if plan_commutes(u, tuple(kinds), tol=tol):
-            return TeleportPlan(tuple(kinds))
-    return None
+        raise ValidationError(f"teleport plans are limited to width {MAX_PLAN_WIDTH}")
+    kinds = tuple(next((k for k in "XZ" if _commutes_on(u, i, k, tol)), None) for i in range(n))
+    return None if None in kinds else TeleportPlan(kinds)
 
 
 def _synthesize(u: np.ndarray, plan: TeleportPlan, v: np.ndarray,
@@ -299,19 +289,16 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
 
     The circuit injects U·A|0...0>, runs the CNOT layer and measurements,
     and repairs with the classified U·D_i·U† (canonical phases dropped at
-    emission).  Only an explicit plan is checked against the CNOT layer."""
+    emission).  An explicit plan must pass plan_commutes, as an automatic one does."""
     if not 1 <= k_hint <= MAX_HIERARCHY_LEVEL:
         raise ValidationError(f"k_hint must be between 1 and {MAX_HIERARCHY_LEVEL}, got {k_hint}")
     u = np.asarray(u, dtype=complex)
-    n = width_of(u.shape[0])
     if plan is None:
         plan = plan_teleportation(u, tol=tol)
         if plan is None:
             raise SynthesisRefusal(
                 "no X/Z assignment commutes with the CNOT layer for this gate")
-    elif plan.n != n:
-        raise SynthesisRefusal("plan width does not match the gate")
-    elif not plan_commutes(u, plan.kinds, tol=max(tol, FLOOR)):
+    elif not plan_commutes(u, plan.kinds, tol=tol):
         raise SynthesisRefusal(
             f"plan {plan.describe()} does not commute with the CNOT layer")
     verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, hierarchy.DEFAULT_K_MAX))

@@ -372,6 +372,12 @@ def test_sandwich_of_the_wrong_width_is_usage_error(capsys):
     assert err.startswith("error:") and "act on 1, 1 and 1 qubits; the gate acts on 2" in err
 
 
+def test_plan_of_the_wrong_width_is_usage_error(capsys):
+    code, out, err = run(capsys, "synth", "T", "--plan", "XZ")
+    assert code == 2 and out == ""
+    assert err == "error: plan width does not match the gate\n"
+
+
 def test_synth_matrix_file_with_a_diagonal_pauli_correction(capsys, tmp_path):
     path = tmp_path / "v4.json"
     path.write_text(json.dumps({"matrix": matrix_doc(np.diag([1, np.exp(1j * np.pi / 8)]))}))

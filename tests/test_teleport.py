@@ -1,5 +1,6 @@
-"""Teleportation primitives, plan search, and gate synthesis."""
+"""Teleportation primitives, plans, and gate synthesis."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -9,10 +10,12 @@ from telegate import gates
 from telegate.circuit import CircuitBuilder, GateOp
 from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import DimensionMismatch, SynthesisRefusal
+from telegate.hierarchy import hierarchy_level
+from telegate.limits import FLOOR, TOL
 from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
                                 random_state, run_all_branches,
                                 verify_gate_equivalence, zero_state)
-from telegate.teleport import (TeleportPlan, _e_layer, build_generalized_teleport,
+from telegate.teleport import (TeleportPlan, build_generalized_teleport,
                                build_one_bit_teleport, emit_teleport, plan_commutes,
                                peel_x_pattern, plan_teleportation, synthesize_sandwiched,
                                synthesize_teleported_gate)
@@ -91,7 +94,7 @@ def test_generalized_s_frame_is_identity_channel():
     assert report.passed and len(report.branch_weights) == 2
 
 
-# --- plan search -------------------------------------------------------------
+# --- plans -------------------------------------------------------------------
 
 def test_plan_for_t_is_x():
     assert plan_teleportation(gates.T).describe() == "X"
@@ -142,6 +145,96 @@ def test_commutation_soundness_exhaustive(name):
         assert plan_commutes(u, tuple(kinds)) == _oracle_commutes(u, kinds), kinds
 
 
+# --- the dense oracle --------------------------------------------------------
+# The plan rule read off the whole CNOT layer on [data | receiver] as a 4^n
+# matrix, with every X/Z assignment searched, fewest Z first: the reference
+# that the per-qubit test must match.
+
+@functools.lru_cache(maxsize=None)
+def _e_layer(kinds):
+    """The CNOT layer on [data 0..n-1 | receiver n..2n-1] as a dense matrix."""
+    n = len(kinds)
+    total = np.eye(2 ** (2 * n), dtype=complex)
+    for i, kind in enumerate(kinds):
+        pair = (n + i, i) if kind == "X" else (i, n + i)
+        total = gates.embed(gates.CNOT, pair, 2 * n) @ total
+    total.flags.writeable = False
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _e_permutation(kinds):
+    """_e_layer(kinds) is a permutation matrix: e @ m is m[rows] and m @ e is
+    m[:, cols], entry for entry the dense products."""
+    e = _e_layer(kinds)
+    return e.argmax(axis=1), e.argmax(axis=0)
+
+
+def _dense_commutes(u_ext, kinds, tol=TOL):
+    """Entrywise test that u_ext, u on the receivers, commutes with _e_layer(kinds)."""
+    rows, cols = _e_permutation(kinds)
+    return bool(np.max(np.abs(u_ext[:, cols] - u_ext[rows, :])) < max(tol, FLOOR))
+
+
+def _assert_plans_match_the_oracle(u, label):
+    n = int(round(np.log2(u.shape[0])))
+    u_ext = np.kron(np.eye(2**n), u)  # the receivers are the low index bits
+    dense = {kinds: _dense_commutes(u_ext, kinds) for kinds in itertools.product("XZ", repeat=n)}
+    for kinds, verdict in dense.items():
+        assert plan_commutes(u, kinds) == verdict, (label, kinds)
+    # the sorted search: all-X first, then fewer Z, then lexicographic
+    searched = sorted(dense, key=lambda ks: (ks.count("Z"), ks))
+    want = next((kinds for kinds in searched if dense[kinds]), None)
+    plan = plan_teleportation(u)
+    assert (None if plan is None else plan.kinds) == want, label
+
+
+def test_plans_match_the_oracle_on_library_gates():
+    for name in gates.GATE_NAMES:
+        _assert_plans_match_the_oracle(gates.matrix_of(name), name)
+
+
+@pytest.mark.parametrize("first", gates.GATE_NAMES)
+def test_plans_match_the_oracle_on_kronecker_pairs(first):
+    a = gates.matrix_of(first)
+    for second in gates.GATE_NAMES:
+        b = gates.matrix_of(second)
+        if a.shape[0] * b.shape[0] <= 16:
+            _assert_plans_match_the_oracle(gates.kron(a, b), f"{first}⊗{second}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plans_match_the_oracle_on_random_diagonals(n, rng):
+    for trial in range(4):
+        d = np.diag(np.exp(2j * np.pi * rng.random(2**n)))
+        _assert_plans_match_the_oracle(d, f"diagonal {trial}")
+        # H on a random subset of qubits: some qubits then need a Z teleport
+        on = rng.random(n) < 0.5
+        h = gates.kron(*(gates.H if bit else gates.I2 for bit in on))
+        _assert_plans_match_the_oracle(h @ d @ h, f"H{on.astype(int)} diagonal {trial}")
+
+
+def test_automatic_and_explicit_plans_share_one_tolerance():
+    # T·R_x(4e-9) couples its receiver by 2e-9, between TOL and FLOOR: both
+    # routes accept the X plan, and the synthesis refuses both the same way.
+    theta = 4e-9
+    u = gates.T @ (np.cos(theta / 2) * gates.I2 - 1j * np.sin(theta / 2) * gates.X)
+    assert plan_commutes(u, ("X",))
+    assert plan_teleportation(u).kinds == ("X",)
+    with pytest.raises(SynthesisRefusal) as auto:
+        synthesize_teleported_gate(u)
+    with pytest.raises(SynthesisRefusal) as explicit:
+        synthesize_teleported_gate(u, TeleportPlan(("X",)))
+    assert str(auto.value) == str(explicit.value)
+
+
+def test_plan_unitarity_check_takes_the_callers_tolerance():
+    u = gates.T.copy()
+    u[1, 1] *= 1 + 1e-7  # u†u is 2e-7 off the identity
+    assert hierarchy_level(u, tol=1e-6).level == 3
+    assert plan_teleportation(u, tol=1e-6).kinds == ("X",)
+
+
 # --- synthesis ---------------------------------------------------------------
 
 def test_synthesize_t():
@@ -190,6 +283,8 @@ def test_synthesize_toffoli():
 def test_synthesis_rejects_non_commuting_plan():
     with pytest.raises(SynthesisRefusal):
         synthesize_teleported_gate(gates.TOFFOLI, TeleportPlan(("Z", "X", "X")))
+    with pytest.raises(DimensionMismatch, match="plan width does not match the gate"):
+        synthesize_teleported_gate(gates.T, TeleportPlan(("X", "Z")))
 
 
 def test_synthesis_refuses_gate_without_plan():
@@ -366,8 +461,8 @@ def test_generalized_teleport_matches_hand_written_ops(frame):
 
 @pytest.mark.parametrize("kinds", [k for n in (1, 2) for k in itertools.product("XZ", repeat=n)])
 def test_emitted_coupling_is_the_e_layer(kinds):
-    """The emitter's CNOTs and the commutation check's dense layer share one
-    orientation: their product over [data | receiver] is _e_layer."""
+    """The emitter's CNOTs are the oracle's dense layer, and a gate on the
+    receivers commutes with their product exactly when plan_commutes says so."""
     n = len(kinds)
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["zero"] * n)
     emit_teleport(b, TeleportPlan(kinds), range(n), range(n, 2 * n), range(n))
@@ -376,6 +471,12 @@ def test_emitted_coupling_is_the_e_layer(kinds):
         if op.role == "E":
             total = gates.embed(gates.CNOT, op.targets, 2 * n) @ total
     assert np.array_equal(total, _e_layer(kinds))
+    for name in gates.GATE_NAMES:
+        u = gates.matrix_of(name)
+        if u.shape[0] == 2**n:
+            u_ext = gates.embed(u, tuple(range(n, 2 * n)), 2 * n)
+            dense = np.max(np.abs(u_ext @ total - total @ u_ext)) < max(TOL, FLOOR)
+            assert dense == plan_commutes(u, kinds), name
 
 
 def test_emitter_refuses_mismatched_registers():
