@@ -64,9 +64,10 @@ def stacked_product(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
     its product alone: one product with the row axis moved into the columns
     when c >= 4 and rows > 2, else one per block (BLAS sums narrower products
     another way, and on two blocks the transposes cost more than they save).
-    A BLAS dot follows: OpenBLAS's AVX-512 zgemm can leave the upper vector
-    state dirty, which slows the numpy reductions after it (trace, row sums)
-    6-14x until a BLAS call clears it; elsewhere the dot costs about 1 us."""
+    The gate kernel's one product.  A BLAS dot follows: OpenBLAS's AVX-512
+    zgemm can leave the upper vector state dirty, which slows the numpy
+    reductions after it (the walk's and the fold's row sums) 6-14x until a
+    BLAS call clears it; elsewhere the dot costs about 1 us."""
     rows, a, c = stack.shape
     if c < 4 or rows <= 2:
         out = np.matmul(matrix, stack)

@@ -1,7 +1,6 @@
 """The numeric policy: every tolerance and size limit of the package, once.
 
 ZERO              a norm or branch probability below this counts as zero.
-ZERO_MARGIN       the relative band around ZERO where a quick norm test defers.
 VERIFY_TOL        the fidelity margin every branch verification must clear.
 TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
                   and commuting-plan checks.
@@ -17,14 +16,13 @@ MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
                   once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
-MAX_PLAN_WIDTH    the widest gate given an automatic teleport plan (a wider one would
+MAX_PLAN_WIDTH    the widest gate given any teleport plan (a wider one would
                   reach the unbounded conjugation route); also the widest memoized
                   Pauli matrix and the widest block of the diagonal level's Möbius transform.
 """
 from .errors import ValidationError, WidthOverflow
 
 ZERO = 1e-12
-ZERO_MARGIN = 1e-9
 VERIFY_TOL = 1e-10
 TOL = 1e-9
 FLOOR = 1e-8

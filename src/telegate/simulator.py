@@ -20,8 +20,9 @@ arithmetic of a walk of it alone, whatever the cap.
 A gate of one 1, -1, i or -i per row and column (`gates.monomial`: X, Z,
 S, CZ, CNOT, TOFFOLI) is an exact gather and phase multiply, 352 of the
 level-5 check's 703 gate steps; its 351 diagonal repairs are a rounding off
-±1, ±i and stay on the product.  A measurement (690 there) tests death by
-sums of re² + im², deferring to `_mass` within ZERO_MARGIN of ZERO.
+±1, ±i and stay on the product.  `_mass`, each row's sum of re² + im², is
+the one squared norm: a measurement (690 there) decides death by it, and
+it gives each branch's probability and the fold's norms.
 """
 from __future__ import annotations
 
@@ -35,10 +36,10 @@ from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
 from .clifford import is_isometry
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
-from .gates import apply_to_columns, matrix_of, monomial, stacked_product, target_axes
+from .gates import apply_to_columns, matrix_of, monomial, target_axes
 # MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES,
-                     VERIFY_TOL, ZERO, ZERO_MARGIN, check_width, width_of)
+                     VERIFY_TOL, ZERO, check_width, width_of)
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,9 @@ def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
 
 
 def _mass(rows: np.ndarray) -> np.ndarray:
-    """Each row's squared norm, summed in the order np.sum sums one row alone."""
-    squares = np.abs(rows.reshape(len(rows), rows[0].size if len(rows) else 0))
-    return np.square(squares, out=squares).sum(axis=1)
+    """Each row's squared norm: the sum of re² + im² over its entries."""
+    parts = np.ascontiguousarray(rows).reshape(len(rows), rows[0].size if len(rows) else 0)
+    return np.einsum("ij,ij->i", parts.view(float), parts.view(float))
 
 
 def _apply(cols: np.ndarray, matrix: np.ndarray, targets: tuple, n: int) -> np.ndarray:
@@ -188,10 +189,7 @@ def _measure(cols: np.ndarray, at: int | None,
     else:
         t = cols.reshape(len(cols), 2**at, 2, -1).swapaxes(1, 2)
     children = t.reshape(2 * len(cols), -1, cols.shape[-1])
-    parts = np.ascontiguousarray(children).reshape(len(children), -1).view(float)
-    alive = (mass := np.einsum("ij,ij->i", parts, parts)) >= ZERO  # sums of re² + im²
-    if (near := np.abs(mass - ZERO) <= ZERO_MARGIN * ZERO).any():  # as `_mass` decides
-        alive[near] = _mass(children[near]) >= ZERO
+    alive = _mass(children) >= ZERO
     codes = (2 * codes[:, None] + np.arange(2)).ravel()
     if alive.all():
         return children, codes, []
@@ -405,14 +403,14 @@ def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list
     branches = []
     for stack in _enumerate(c, _initial_columns(c, input_state)):
         live = iter(stack.rows_over(range(c.n_qubits)))
+        mass = iter(_mass(stack.cols).tolist())
         for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
                                        stack.live.tolist()):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
             cbits = {op.cbit: bit for op, bit in zip(records, bits)}
             measured = {op.qubit: bit for op, bit in zip(records, bits)}
             if alive:
-                col = next(live)[:, 0]
-                p, state = float(np.sum(np.abs(col) ** 2)), StateVector(c.n_qubits, col)
+                p, state = next(mass), StateVector(c.n_qubits, next(live)[:, 0])
             else:
                 p, state = 0.0, None
             branches.append(Branch(bits, p, state, cbits, measured))
@@ -499,21 +497,15 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     worst = 1.0
     failing = None
     sqrt_dim = np.sqrt(dim)
-    u_dagger = u.conj().T
+    u_conj = u.conj()
     for stack, blocks in branch_operators(c, in_map, out_map):
         total_mass = _mass(stack.cols)
         ok = total_mass / dim >= ZERO
-        product = stacked_product(u_dagger, blocks if ok.all() else blocks[ok])
-        # a transposed product's trace sums in another order: make it contiguous
-        coeff = np.trace(np.ascontiguousarray(product), axis1=1, axis2=2) / dim
-        # hypot, float_power and part-wise division are the arithmetic of
-        # Python's abs, ** and / on one complex coefficient: the report
-        # matches a branch-by-branch fold bit for bit
-        size = np.hypot(coeff.real, coeff.imag)
-        weights = np.float_power(size, 2)
-        scalars = np.empty(len(coeff), dtype=complex)
-        divisor = np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
-        scalars.real, scalars.imag = coeff.real / divisor, coeff.imag / divisor
+        # tr(u†·block) / dim, summed entry by entry
+        coeff = np.einsum("ij,rij->r", u_conj, blocks if ok.all() else blocks[ok]) / dim
+        size = np.abs(coeff)
+        weights = size * size
+        scalars = coeff / np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
         scored = stack.live.copy()
         scored[scored] = ok
         if not scored.all():  # zeros on the dead and unscored rows

@@ -223,9 +223,14 @@ def build_generalized_teleport(g: CliffordFrame) -> Circuit:
 def _commutes_on(u: np.ndarray, qubit: int, kind: str, tol: float) -> bool:
     """Whether u commutes with what qubit's coupling CNOT shows the receiver,
     its control |1><1| in an X teleport and its target X in a Z teleport:
-    the commutator's largest entry is below max(tol, FLOOR)."""
+    the commutator's largest entry is below max(tol, FLOOR).  Automatic and
+    explicit plans both pass here, so here a gate wider than MAX_PLAN_WIDTH
+    is refused."""
+    n = width_of(u.shape[0])
+    if n > MAX_PLAN_WIDTH:
+        raise ValidationError(f"teleport plans are limited to width {MAX_PLAN_WIDTH}")
     side = np.diag([0j, 1]) if kind == "X" else gates.X
-    p = gates.embed(side, (qubit,), width_of(u.shape[0]))
+    p = gates.embed(side, (qubit,), n)
     return bool(np.max(np.abs(u @ p - p @ u)) < max(tol, FLOOR))
 
 
@@ -244,10 +249,8 @@ def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
     u = np.asarray(u, dtype=complex)
     if not clifford_mod.is_unitary(u, tol=max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
-    n = width_of(u.shape[0])
-    if n > MAX_PLAN_WIDTH:
-        raise ValidationError(f"teleport plans are limited to width {MAX_PLAN_WIDTH}")
-    kinds = tuple(next((k for k in "XZ" if _commutes_on(u, i, k, tol)), None) for i in range(n))
+    kinds = tuple(next((k for k in "XZ" if _commutes_on(u, i, k, tol)), None)
+                  for i in range(width_of(u.shape[0])))
     return None if None in kinds else TeleportPlan(kinds)
 
 

@@ -79,6 +79,17 @@ def test_synth_explicit_plan_pattern(capsys):
     assert code == 1 and "refused" in err
 
 
+def test_synth_refuses_a_plan_wider_than_the_limit(capsys, tmp_path):
+    """TOFFOLI⊗CNOT acts on 5 qubits: the automatic and the explicit plan
+    route both refuse it before any synthesis."""
+    path = tmp_path / "tof_cnot.json"
+    path.write_text(json.dumps(matrix_doc(gates.kron(gates.TOFFOLI, gates.CNOT))))
+    for plan in ("auto", "XXZXZ"):
+        code, out, err = run(capsys, "synth", str(path), "--plan", plan)
+        assert (code, out) == (2, ""), plan
+        assert err.startswith("error: teleport plans are limited to width 4"), plan
+
+
 def test_verify_sampling_convenience(capsys, tmp_path):
     out_file = tmp_path / "t.json"
     run(capsys, "synth", "T", "--out", str(out_file))

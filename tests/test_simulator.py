@@ -311,7 +311,7 @@ def _apply_to_one_block(cols, matrix, targets, n):
 def test_one_product_per_stack_gives_each_block_its_own_bits(k):
     """A stack takes one product when each block has at least 4 columns
     past the targets and one per block below that; either way every block
-    gets the bits it gets alone, in the gate kernel and in the fold's u†·block."""
+    gets the bits it gets alone, in the gate kernel and for a non-square matrix."""
     rng = np.random.default_rng(k)
     matrix = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
     for width in (1, 2, 4, 8):  # columns per block past the targets
@@ -325,7 +325,7 @@ def test_one_product_per_stack_gives_each_block_its_own_bits(k):
                 want = _apply_to_one_block(stack[r], matrix, targets, n)
                 assert np.array_equal(got[r], want), (width, rows, r)
                 assert np.array_equal(apply_to_columns(stack[r], matrix, targets, n), want)
-    for din in (1, 2, 4, 8):  # the fold: u† (din x dout) times (dout x din) blocks
+    for din in (1, 2, 4, 8):  # a (din x dout) matrix times (dout x din) blocks
         dout = 2**k
         u_dagger = (rng.standard_normal((din, dout)) + 1j * rng.standard_normal((din, dout)))
         for rows in (1, 2, 3, 17, 256, 1024):
@@ -380,10 +380,10 @@ def test_exact_monomial_gates_gather_the_products_bits():
                 assert np.array_equal(got, want), (m, targets, n, rows)
 
 
-def test_a_measurement_decides_death_as_the_exact_mass_does():
-    """Children whose squared norm sits at ZERO to within rounding are
-    decided by `_mass` itself, so every verdict is the exact one, also
-    where a plain sum of squares falls on the other side of ZERO."""
+def test_a_measurement_decides_death_by_the_one_mass():
+    """A measurement keeps a child exactly when `_mass` puts it at ZERO or
+    above, also for children within rounding of ZERO, and each live
+    branch's probability is `_mass` of its row alone, bit for bit."""
     rng = np.random.default_rng(5)
     cols = rng.standard_normal((64, 8, 2)) + 1j * rng.standard_normal((64, 8, 2))
     scale = [1] * 40 + [1 - 1e-15, 1 + 1e-15, 1 - 1e-10, 1 + 1e-10, 0.5, 2, 0] * 2
@@ -393,11 +393,15 @@ def test_a_measurement_decides_death_as_the_exact_mass_does():
     children, codes, dead = simulator._measure(cols, 1, np.arange(len(cols)))
     split = cols.reshape(-1, 2, 2, 2, 2).swapaxes(1, 2).reshape(-1, 4, 2)
     alive = simulator._mass(split) >= ZERO
-    parts = split.reshape(len(split), -1).view(float)
-    assert ((np.sum(parts * parts, axis=1) >= ZERO) != alive).any()
     assert codes.tolist() == np.flatnonzero(alive).tolist()
     assert dead == np.flatnonzero(~alive).tolist()
     assert np.array_equal(children, split[alive])
+    c = recursive.synth_recursive(recursive.controlled_rotation_spec(1, 4)).flattened
+    psi = random_state(len(c.symbolic_qubits), rng)
+    rows = [row for stack in simulator._enumerate(c, simulator._initial_columns(c, psi))
+            for row in stack.cols]
+    live = [b.probability for b in run_all_branches(c, psi) if b.state is not None]
+    assert len(live) > 1 and live == [simulator._mass(row[None])[0] for row in rows]
 
 
 def test_state_from_refuses_a_non_power_of_two():
@@ -541,7 +545,8 @@ def _oracle_report(c, u, in_map, out_map, tol=VERIFY_TOL):
         for q, shift in measured_shifts:
             base |= raw.measured_values[q] << shift
         block = raw.cols[base + out_offsets, :]
-        coeff = complex(np.trace(u.conj().T @ block) / dim)
+        coeff = complex(np.einsum("ij,rij->r", u.conj(), block[None])[0] / dim)
+        assert abs(coeff - np.trace(u.conj().T @ block) / dim) < 1e-15  # the trace, as a check
         fidelity = abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass))
         weights[bits] = float(abs(coeff) ** 2)
         scalars[bits] = coeff / abs(coeff) if abs(coeff) > 0 else 0.0 + 0j
