@@ -11,8 +11,9 @@ stabilizer.
 A script runs as a preparation from nothing on the simulator's branch walk
 (`script_circuit`): the initial state is injected on the register, and one
 control qubit, re-injected as |0> at each step, measures M through H,
-controlled-M, H.  `measure_operator` keeps the projector arithmetic,
-(I±M)/2, as the reference the test suite checks that gadget against.
+controlled-M, H, the step `emit_stabilizer_step` writes here and for the
+recursive preparation alike.  `measure_operator` keeps the projector
+arithmetic, (I±M)/2, as the reference the test suite checks that gadget against.
 """
 from __future__ import annotations
 
@@ -218,22 +219,32 @@ def shortcut_preparation(spec: StabilizerSpec, i: int) -> PreparationScript:
                              warnings=warnings)
 
 
+def emit_stabilizer_step(b: CircuitBuilder, kappa: int, controlled_m, repair, targets):
+    """Append one stabilizer measurement through the control kappa: inject |0>, H,
+    `controlled_m()` (which appends the controlled-M and whose value is returned),
+    H, measure kappa into a new cbit, and `repair` on `targets` when it reads 1."""
+    b.inject([1.0, 0.0], [kappa], role="ancilla-prep")
+    b.gate("H", [kappa], role="ancilla-prep")
+    realized = controlled_m()
+    b.gate("H", [kappa], role="B")
+    mbit = b.alloc_cbits(1)[0]
+    b.measure(kappa, mbit)
+    b.cgate([mbit], [1], repair, targets, role="D")
+    return realized
+
+
 def script_circuit(script: PreparationScript) -> Circuit:
     """The script as a preparation from nothing, on n+1 qubits: the first
     op injects the initial state on the register [0..n-1], and qubit n is
-    the control.  Step i re-injects the control as |0>, applies H,
-    controlled-M and H, measures it into cbit i and applies Q on outcome 1."""
+    the control.  Step i measures M through the control into cbit i and
+    applies Q on outcome 1."""
     n = script.initial_state.n
     register = list(range(n))
-    b = CircuitBuilder(n + 1, len(script.steps), ["inject"] * (n + 1))
+    b = CircuitBuilder(n + 1, 0, ["inject"] * (n + 1))
     b.inject(script.initial_state.amplitudes, register)
-    for i, (m, q) in enumerate(script.steps):
-        b.inject([1.0, 0.0], [n])
-        b.gate("H", [n])
-        b.gate(gates.controlled(m), [n] + register)
-        b.gate("H", [n])
-        b.measure(n, i)
-        b.cgate([i], [1], q, register)
+    for m, q in script.steps:
+        emit_stabilizer_step(b, n, lambda: b.gate(gates.controlled(m), [n] + register, role="U"),
+                             q, register)
     return b.build()
 
 

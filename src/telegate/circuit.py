@@ -190,12 +190,11 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
             out.append(f"inputs: unknown tag {tag!r} on qubit {q}")
             return out, []
 
-    # Per-qubit status: 'fresh', 'pending' (awaiting Inject), 'active', 'measured'.
-    status = ["pending" if tag == "inject" else "fresh" for tag in c.inputs]
-    tags = list(c.inputs)
+    # Qubit status: 'fresh' (|0>), 'pending' (to inject), 'active' (in a branch row), 'measured'.
+    status = [{"input": "active", "inject": "pending"}.get(tag, "fresh") for tag in c.inputs]
     written_cbits: set[int] = set()
 
-    def targets_ok(k: int, op, targets) -> bool:
+    def targets_ok(k: int, targets) -> bool:
         ok = True
         if len(set(targets)) != len(targets):
             out.append(f"op {k}: repeated targets {targets}")
@@ -227,8 +226,6 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
 
     def touch_gate(k: int, targets):
         for q in targets:
-            if not (0 <= q < c.n_qubits):
-                continue
             if status[q] == "measured":
                 out.append(f"op {k}: gate on measured qubit {q} without re-injection"
                            " (single-measurement discipline)")
@@ -251,7 +248,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
             for v in op.cond_values:
                 if v not in (0, 1):
                     out.append(f"op {k}: condition values must be bits")
-            if targets_ok(k, op, op.targets) and gate_shape_ok(k, op, op.targets):
+            if targets_ok(k, op.targets) and gate_shape_ok(k, op, op.targets):
                 touch_gate(k, op.targets)
         elif isinstance(op, MeasureOp):
             if not (0 <= op.qubit < c.n_qubits):
@@ -270,7 +267,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
             status[op.qubit] = "measured"
             written_cbits.add(op.cbit)
         elif isinstance(op, InjectOp):
-            if not targets_ok(k, op, op.targets):
+            if not targets_ok(k, op.targets):
                 continue
             if op.amplitudes.shape != (2 ** len(op.targets),):
                 out.append(f"op {k}: injected state length does not match targets")
@@ -279,7 +276,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
             if named.shape != op.amplitudes.shape or np.max(np.abs(named - op.amplitudes)) > ZERO:
                 out.append(f"op {k}: state label {op.label!r} does not name these amplitudes")
             for q in op.targets:
-                if status[q] == "active" or (status[q] == "fresh" and tags[q] == "input"):
+                if status[q] == "active":
                     out.append(f"op {k}: inject target {q} must be fixed-|0> or"
                                " measured-and-retired")
                 status[q] = "active"

@@ -23,12 +23,13 @@ node's own circuit is its segment of it with the children cut out.
 
 Recursive ancilla preparation (the states U|+...+> themselves) measures
 the stabilizers M_i = U_x·X_i through one control qubit, re-injected as |0>
-at each step.  The controlled-U_x is realized by the same injection gadget
-with the coupling CNOTs promoted to Toffolis and the pattern repairs
-promoted to controlled diagonals carrying the exact eigenvalue phases,
-recursing until the controlled payload is Clifford.  Each gadget measures
-its magic register before the next injects, so one spare register serves
-them all: at most 2n+1 qubits.
+at each step by `ancilla.emit_stabilizer_step`, the one writer of that
+step.  The controlled-U_x is realized by the same injection gadget with the
+coupling CNOTs promoted to Toffolis and the pattern repairs promoted to
+controlled diagonals carrying the exact eigenvalue phases, recursing until
+the controlled payload is Clifford.  Each gadget measures its magic register
+before the next injects, so one spare register serves them all: at most
+2n+1 qubits.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates, hierarchy, pauli
+from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO,
@@ -51,8 +53,8 @@ from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_o
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A diagonal gate given as a rotation, controlled rotation, product,
-    or explicit matrix; `hierarchy_level` is the level authority."""
+    """A diagonal gate given as a rotation, controlled rotation or explicit
+    matrix; `hierarchy_level` is the level authority."""
 
     matrix: np.ndarray = field(repr=False)
     label: str
@@ -415,7 +417,6 @@ class ControlledRealization:
     payload: np.ndarray = field(repr=False)
     level: int
     mode: str  # "direct" | "injected"
-    magic: StateVector | None = None
     direct_patterns: tuple[tuple[int, ...], ...] = ()
     children: tuple[tuple[tuple[int, ...], "ControlledRealization"], ...] = ()
 
@@ -423,9 +424,7 @@ class ControlledRealization:
 @dataclass(frozen=True)
 class PreparationStep:
     m: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
     u_x: np.ndarray = field(repr=False)
-    u_x_level: int
     realization: ControlledRealization
 
 
@@ -451,11 +450,11 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
                   role="D" if cond[0] else "U")
         return ControlledRealization(payload, level, "direct")
 
-    magic = StateVector(n, payload @ _plus_state(n))
+    magic = StateVector(n, payload @ _plus_state(n)).amplitudes
     if not spare:
         spare += buf.alloc_qubits(n, "inject")
     cbits = buf.alloc_cbits(n)
-    emit_inject(buf, magic.amplitudes, register, spare, cbits, controls=[kappa], cond=cond)
+    emit_inject(buf, magic, register, spare, cbits, controls=[kappa], cond=cond)
     direct_patterns: list[tuple[int, ...]] = []
     children: list[tuple[tuple[int, ...], ControlledRealization]] = []
     for vals, w in _pattern_repairs(payload, keep_phase=True):
@@ -465,8 +464,8 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
             direct_patterns.append(vals)
         else:
             children.append((vals, sub))
-    return ControlledRealization(payload, level, "injected", magic,
-                                 tuple(direct_patterns), tuple(children))
+    return ControlledRealization(payload, level, "injected", tuple(direct_patterns),
+                                 tuple(children))
 
 
 def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
@@ -484,16 +483,12 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
         x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
         m_i = u @ x_i @ u_dag
         u_x = m_i @ x_i
-        buf.inject([1.0, 0.0], [kappa], role="ancilla-prep")
-        buf.gate("H", [kappa], role="ancilla-prep")
-        buf.gate("CNOT", [kappa, register[i]], role="E")
-        realization = _realize_controlled(buf, kappa, register, spare, u_x)
-        buf.gate("H", [kappa], role="B")
-        mbit = buf.alloc_cbits(1)[0]
-        buf.measure(kappa, mbit)
-        buf.cgate([mbit], [1], "Z", [register[i]], role="D")
-        steps.append(PreparationStep(m_i, pauli.pauli_to_matrix(
-            pauli.single(n, i, "Z")), u_x, realization.level, realization))
+
+        def controlled_m() -> ControlledRealization:
+            buf.gate("CNOT", [kappa, register[i]], role="E")
+            return _realize_controlled(buf, kappa, register, spare, u_x)
+        realization = emit_stabilizer_step(buf, kappa, controlled_m, "Z", [register[i]])
+        steps.append(PreparationStep(m_i, u_x, realization))
     return RecursivePreparation(u, target, tuple(steps), buf.build(), tuple(register))
 
 

@@ -37,9 +37,8 @@ from .clifford import is_isometry
 from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                      WidthOverflow)
 from .gates import apply_to_columns, matrix_of, monomial, target_axes
-# MAX_QUBITS is unused here but re-exported: callers read the width cap here too.
-from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_QUBITS, MAX_STACK_AMPLITUDES,
-                     VERIFY_TOL, ZERO, check_width, width_of)
+from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_STACK_AMPLITUDES, VERIFY_TOL, ZERO,
+                     check_width, width_of)
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,8 @@ _INJECT_0 = InjectOp((0,), np.array([1, 0], dtype=complex))
     (Circuit(1, 0, ("inject",), (InjectOp((0,), np.array([1, 0, 0, 0], dtype=complex)),)),
      "op 0: injected state length does not match targets", InvalidCircuitError),
     (Circuit(1, 0, ("input",), ("H",)), "op 0: unknown op variant str", None),
+    (Circuit(1, 0, ("input",), (_INJECT_0,)),
+     "op 0: inject target 0 must be fixed-|0> or measured-and-retired", InvalidCircuitError),
 ])
 def test_each_violation_is_reported(c, message, load_error):
     assert any(message in v for v in validate(c)), validate(c)

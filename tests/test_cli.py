@@ -236,7 +236,7 @@ def test_malformed_tolerance_env_is_usage_error(capsys, monkeypatch):
 
 def test_verify_refuses_circuit_above_width_limit(capsys, tmp_path):
     from telegate.circuit import CircuitBuilder, serialize
-    from telegate.simulator import MAX_QUBITS
+    from telegate.limits import MAX_QUBITS
     n = MAX_QUBITS + 1
     b = CircuitBuilder(n, n - 1, ["input"] + ["zero"] * (n - 1))
     for q in range(1, n):

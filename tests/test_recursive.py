@@ -371,7 +371,7 @@ def test_t_preparation_is_base_level():
     prep = recursive_ancilla_prep(matrix_spec(gates.T, "T"))
     (step,) = prep.steps
     # the stabilizer payload is e^{-i pi/4} S: Clifford, performed directly
-    assert step.u_x_level == 2
+    assert step.realization.level == 2
     assert step.realization.mode == "direct"
     sx = gates.S @ gates.X
     assert np.max(np.abs(step.m - np.exp(-1j * np.pi / 4) * sx)) < 1e-12
@@ -380,7 +380,7 @@ def test_t_preparation_is_base_level():
 def test_level4_preparation_expands_controlled_t():
     prep = recursive_ancilla_prep(rotation_spec(4))
     (step,) = prep.steps
-    assert step.u_x_level == 3
+    assert step.realization.level == 3
     assert step.realization.mode == "injected"
     fit = np.trace(gates.T.conj().T @ step.u_x) / 2
     assert np.max(np.abs(step.u_x - fit * gates.T)) < 1e-10
@@ -393,7 +393,7 @@ def test_cs_preparation_two_base_level_steps():
     prep = recursive_ancilla_prep(controlled_rotation_spec(1, 3))
     assert len(prep.steps) == 2
     for step in prep.steps:
-        assert step.u_x_level <= 2
+        assert step.realization.level <= 2
         assert step.realization.mode == "direct"
 
 

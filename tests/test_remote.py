@@ -126,25 +126,23 @@ def test_audit_flags_undeclared_spanning_injection():
 
 
 def test_pre_and_post_rewrite_branch_operators_identical():
+    """Branch for branch the same scalar, except that a two-bit teleport
+    omits the repair on the register it measures next: that flips the
+    sign by (-1)^(c0·c1), on branch 11 only."""
     cases = [
-        (build_two_bit_teleportation("XZ", retain_irrelevant=True),
-         build_two_bit_teleportation("XZ", retain_irrelevant=True).pre_rewrite,
-         np.eye(2, dtype=complex), (0,), (2,)),
-        (build_two_bit_teleportation("ZX", retain_irrelevant=True),
-         build_two_bit_teleportation("ZX", retain_irrelevant=True).pre_rewrite,
-         np.eye(2, dtype=complex), (0,), (2,)),
-        (build_remote_cnot("direct"), build_remote_cnot("direct").pre_rewrite,
-         gates.CNOT, (0, 3), (1, 2)),
-        (build_remote_cnot("four_step"), build_remote_cnot("four_step").pre_rewrite,
-         gates.CNOT, (0, 1), (0, 5)),
+        (build_two_bit_teleportation("XZ"), gates.I2, (0,), (2,), True),
+        (build_two_bit_teleportation("ZX"), gates.I2, (0,), (2,), True),
+        (build_remote_cnot("direct"), gates.CNOT, (0, 3), (1, 2), False),
+        (build_remote_cnot("four_step"), gates.CNOT, (0, 1), (0, 5), False),
     ]
-    for protocol, pre, target, in_map, out_map in cases:
+    for protocol, target, in_map, out_map, omits_repair in cases:
         rep_post = verify_gate_equivalence(protocol.circuit, target, in_map, out_map)
-        rep_pre = verify_gate_equivalence(pre, target, in_map, out_map)
+        rep_pre = verify_gate_equivalence(protocol.pre_rewrite, target, in_map, out_map)
         assert rep_post.passed and rep_pre.passed
         assert set(rep_post.branch_scalars) == set(rep_pre.branch_scalars)
         for bits, scalar in rep_pre.branch_scalars.items():
-            assert abs(scalar - rep_post.branch_scalars[bits]) < 1e-10
+            sign = (-1) ** (int(bits[0]) * int(bits[1])) if omits_repair else 1
+            assert abs(sign * scalar - rep_post.branch_scalars[bits]) < 1e-10
 
 
 def test_cbit_counted_once_per_consumer():

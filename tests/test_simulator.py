@@ -13,8 +13,8 @@ from telegate.circuit import Circuit, CircuitBuilder, GateOp, InjectOp, MeasureO
 from telegate.errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
                              WidthOverflow)
 from telegate.gates import apply_to_columns
-from telegate.limits import MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
-from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, basis_state,
+from telegate.limits import MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
+from telegate.simulator import (Branch, StateVector, apply_gate, basis_state,
                                 equivalent_up_to_phase, extract_register_state,
                                 random_state, register_offsets,
                                 run_all_branches, state_from,
@@ -22,6 +22,7 @@ from telegate.simulator import (MAX_QUBITS, Branch, StateVector, apply_gate, bas
 from telegate.teleport import build_one_bit_teleport
 
 SQ2 = 1 / np.sqrt(2)
+EPS = np.finfo(float).eps
 
 
 def test_apply_hadamard():
@@ -547,9 +548,16 @@ def _oracle_report(c, u, in_map, out_map, tol=VERIFY_TOL):
         block = raw.cols[base + out_offsets, :]
         coeff = complex(np.einsum("ij,rij->r", u.conj(), block[None])[0] / dim)
         assert abs(coeff - np.trace(u.conj().T @ block) / dim) < 1e-15  # the trace, as a check
-        fidelity = abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass))
-        weights[bits] = float(abs(coeff) ** 2)
-        scalars[bits] = coeff / abs(coeff) if abs(coeff) > 0 else 0.0 + 0j
+        # the fold's numpy modulus and division: Python's abs and / can differ in the last bit
+        coeffs = np.array([coeff])
+        size = np.abs(coeffs)
+        scalar = complex((coeffs / np.where(size > 0, size, 1.0))[0])
+        size = float(size[0])
+        assert abs(size - abs(coeff)) <= 2 * EPS * abs(coeff)
+        assert abs(scalar - (coeff / abs(coeff) if abs(coeff) > 0 else 0.0)) <= 2 * EPS
+        fidelity = size * dim / (sqrt_dim * np.sqrt(total_mass))
+        weights[bits] = size * size
+        scalars[bits] = scalar
         if fidelity < worst:
             worst = fidelity
             if fidelity < 1.0 - tol:
@@ -890,10 +898,12 @@ def _tampered(c):
 def test_compact_report_matches_the_depth_first_fold():
     rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
     assert _measurements(rc.flattened) == 12
-    for c in (rc.flattened, _tampered(rc.flattened)):
-        report = verify_gate_equivalence(c, rc.gate, rc.in_map, rc.out_map)
-        passed, worst, failing, scalars, weights = _oracle_report(
-            c, rc.gate, rc.in_map, rc.out_map)
+    tampered = _tampered(rc.flattened)
+    # the phased target gives every branch a general complex coefficient
+    for c, u in ((rc.flattened, rc.gate), (tampered, rc.gate),
+                 (tampered, np.exp(0.3j) * rc.gate)):
+        report = verify_gate_equivalence(c, u, rc.in_map, rc.out_map)
+        passed, worst, failing, scalars, weights = _oracle_report(c, u, rc.in_map, rc.out_map)
         assert report.passed == passed
         assert abs(report.worst_fidelity - worst) < 1e-12
         assert report.failing_branch == failing
@@ -907,7 +917,7 @@ def test_compact_report_matches_the_depth_first_fold():
             assert abs(report.branch_scalars[bits] - s) < 1e-12
         assert dict(report.branch_scalars.items()) == scalars  # bit for bit
         assert report.branch_weights.values() == list(weights.values())
-    assert not passed and failing is not None  # the tampered run fails
+    assert not passed and failing is not None  # the tampered runs fail
 
 
 def test_compact_report_keeps_dead_branches_and_refuses_assignment():

@@ -170,16 +170,22 @@ def _e_permutation(kinds):
     return e.argmax(axis=1), e.argmax(axis=0)
 
 
-def _dense_commutes(u_ext, kinds, tol=TOL):
-    """Entrywise test that u_ext, u on the receivers, commutes with _e_layer(kinds)."""
+def _dense_commutes(u_ext, kinds, ue, eu, tol=TOL):
+    """Entrywise test that u_ext, u on the receivers, commutes with _e_layer(kinds);
+    ue and eu are u_ext-shaped buffers the two products are gathered into."""
     rows, cols = _e_permutation(kinds)
-    return bool(np.max(np.abs(u_ext[:, cols] - u_ext[rows, :])) < max(tol, FLOOR))
+    np.take(u_ext, cols, axis=1, out=ue, mode="clip")  # the indices are in range: no buffering
+    np.take(u_ext, rows, axis=0, out=eu, mode="clip")
+    ue -= eu
+    return bool(np.max(np.abs(ue)) < max(tol, FLOOR))
 
 
 def _assert_plans_match_the_oracle(u, label):
     n = int(round(np.log2(u.shape[0])))
     u_ext = np.kron(np.eye(2**n), u)  # the receivers are the low index bits
-    dense = {kinds: _dense_commutes(u_ext, kinds) for kinds in itertools.product("XZ", repeat=n)}
+    ue, eu = np.empty_like(u_ext), np.empty_like(u_ext)
+    dense = {kinds: _dense_commutes(u_ext, kinds, ue, eu)
+             for kinds in itertools.product("XZ", repeat=n)}
     for kinds, verdict in dense.items():
         assert plan_commutes(u, kinds) == verdict, (label, kinds)
     # the sorted search: all-X first, then fewer Z, then lexicographic
