@@ -4,15 +4,18 @@ controlled), Z-basis measurements, and known-state injection.
 Circuits are immutable once built (the builder accumulates and freezes).
 Each op holds read-only copies of its arrays, certified when the op is
 made, however it is built: a gate matrix is a finite unitary, an injected
-state is finite and normalized.  Validation is total: `validate` reports
-violations as data and never raises on structurally well-typed input.  The file format is JSON
-("telegate-circuit/1"); matrix and state element order follows the global
-convention with qubit 0 as the most significant index bit.
+state is finite and normalized.  One pass, `_validate`, steps each qubit's
+status, once per circuit (`Circuit.status`).  It is total: `validate`
+reports violations as data, and `Circuit.check` raises them.  The file
+format is JSON ("telegate-circuit/1"); matrix and state element order
+follows the global convention with qubit 0 as the most significant index bit.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +109,16 @@ class InjectOp(_FieldwiseEq):
 CircuitOp = GateOp | MeasureOp | InjectOp
 
 
+class QubitStatus(NamedTuple):
+    """A circuit's violations, each qubit's status after the last op ('fresh'
+    at |0>, 'pending' to inject, 'active' in a branch row, or 'measured'), the
+    active qubits before each op and after the last, and the measurements."""
+    violations: tuple[str, ...]
+    final: tuple[str, ...]
+    layout: tuple[tuple[int, ...], ...]
+    records: tuple[MeasureOp, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit(_FieldwiseEq):
     n_qubits: int
@@ -113,12 +126,27 @@ class Circuit(_FieldwiseEq):
     inputs: tuple[str, ...]
     ops: tuple[CircuitOp, ...]
 
+    def __post_init__(self):  # tuples, so the cached pass cannot go stale
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "ops", tuple(self.ops))
+
+    @cached_property
+    def status(self) -> QubitStatus:
+        return _validate(self)
+
+    def check(self) -> "Circuit":
+        """This circuit; raises InvalidCircuitError with every violation."""
+        if self.status.violations:
+            raise InvalidCircuitError(self.status.violations)
+        return self
+
     @property
     def symbolic_qubits(self) -> tuple[int, ...]:
         return tuple(q for q, tag in enumerate(self.inputs) if tag == "input")
 
     def measured_qubits(self) -> set[int]:
-        return {op.qubit for op in self.ops if isinstance(op, MeasureOp)}
+        """The qubits measured after the last op: a re-injected one is not."""
+        return {q for q, s in enumerate(self.status.final) if s == "measured"}
 
 
 class CircuitBuilder:
@@ -167,32 +195,24 @@ class CircuitBuilder:
         return list(range(base, base + count))
 
     def build(self) -> Circuit:
-        c = Circuit(self.n_qubits, self.n_cbits, tuple(self.inputs), tuple(self.ops))
-        violations = validate(c)
-        if violations:
-            raise InvalidCircuitError(violations)
-        return c
+        return Circuit(self.n_qubits, self.n_cbits, self.inputs, self.ops).check()
 
 
 def validate(c: Circuit) -> list[str]:
     """Return all invariant violations; empty means well-formed."""
-    return _validate(c)[0]
+    return list(c.status.violations)
 
 
-def _validate(c: Circuit) -> tuple[list[str], list[str]]:
-    """The violations, and each qubit's status after the last op."""
-    out: list[str] = []
+def _validate(c: Circuit) -> QubitStatus:
+    """The one pass that steps qubit status; read it, run once, as `c.status`."""
     if len(c.inputs) != c.n_qubits:
-        out.append("inputs: one tag per qubit is required")
-        return out, []
+        return QubitStatus(("inputs: one tag per qubit is required",), (), (), ())
     for q, tag in enumerate(c.inputs):
         if tag not in INPUT_TAGS:
-            out.append(f"inputs: unknown tag {tag!r} on qubit {q}")
-            return out, []
+            return QubitStatus((f"inputs: unknown tag {tag!r} on qubit {q}",), (), (), ())
 
-    # Qubit status: 'fresh' (|0>), 'pending' (to inject), 'active' (in a branch row), 'measured'.
     status = [{"input": "active", "inject": "pending"}.get(tag, "fresh") for tag in c.inputs]
-    written_cbits: set[int] = set()
+    out, layout, records, written_cbits = [], [], [], set()
 
     def targets_ok(k: int, targets) -> bool:
         ok = True
@@ -235,6 +255,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
                 status[q] = "active"
 
     for k, op in enumerate(c.ops):
+        layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
         if isinstance(op, GateOp):
             if len(op.cond_cbits) != len(op.cond_values):
                 out.append(f"op {k}: malformed classical condition")
@@ -266,6 +287,7 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
                 out.append(f"op {k}: cbit {op.cbit} written twice")
             status[op.qubit] = "measured"
             written_cbits.add(op.cbit)
+            records.append(op)
         elif isinstance(op, InjectOp):
             if not targets_ok(k, op.targets):
                 continue
@@ -282,7 +304,8 @@ def _validate(c: Circuit) -> tuple[list[str], list[str]]:
                 status[q] = "active"
         else:
             out.append(f"op {k}: unknown op variant {type(op).__name__}")
-    return out, status
+    layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
+    return QubitStatus(tuple(out), tuple(status), tuple(layout), tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +398,7 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
 
 def to_document(c: Circuit) -> dict:
     """The circuit as a plain JSON-ready dict; refuses invalid circuits."""
-    violations = validate(c)
-    if violations:
-        raise InvalidCircuitError(violations)
+    c.check()
     return {
         "format": FORMAT_NAME,
         "qubits": c.n_qubits,
@@ -422,11 +443,7 @@ def deserialize(text: str) -> Circuit:
         raise
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise CircuitFormatError(f"{where} is malformed: {exc}") from None
-    c = Circuit(n_qubits, n_cbits, inputs, tuple(ops))
-    violations = validate(c)
-    if violations:
-        raise InvalidCircuitError(violations)
-    return c
+    return Circuit(n_qubits, n_cbits, inputs, ops).check()
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,7 @@ def cmd_verify(args) -> int:
     c = circuit_mod.deserialize(Path(args.circuit).read_text())
     u = _resolve_gate(args.against)
     in_map = args.in_map or list(c.symbolic_qubits)
-    measured = c.measured_qubits()
-    out_map = args.out_map or [q for q in range(c.n_qubits) if q not in measured]
+    out_map = args.out_map or sorted(set(range(c.n_qubits)) - c.measured_qubits())
     report = verify_gate_equivalence(c, u, in_map, out_map, tol=args.tol)  # checks the maps
     if args.sample:
         counts = sample_branches(c, None if not in_map else

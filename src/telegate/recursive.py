@@ -41,6 +41,7 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
+from .clifford import is_unitary
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO,
                      width_of)
@@ -158,9 +159,11 @@ def _level_of(m: np.ndarray, what: str) -> int:
 
 
 def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
-    """The spec's matrix, width and level, refused outside the recursion's
-    width and depth limits."""
+    """The spec's matrix, width and level, refused unless a finite unitary
+    inside the recursion's width and depth limits."""
     m = np.asarray(spec.matrix, dtype=complex)
+    if not is_unitary(m, FLOOR):  # first: the checks below assume a square matrix
+        raise ValidationError("input matrix is not unitary within tolerance")
     if not hierarchy.is_diagonal_matrix(m):
         raise ValidationError(f"{spec.label} is not diagonal")
     if spec.n > MAX_RECURSION_WIDTH:
@@ -318,7 +321,7 @@ def execute_tree(rc: RecursiveCircuit,
     def branches(node: RecursiveNode) -> list:
         if id(node) not in operators:
             c, n = node.circuit, node.n
-            records = [op.cbit for op in c.ops if isinstance(op, MeasureOp)]
+            records = [op.cbit for op in c.status.records]
             out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
             operators[id(node)] = found = []
             for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):

@@ -106,10 +106,7 @@ def _cbit_flows(c: Circuit,
     """Count classical messages: each measured bit read by the other party
     is one message, regardless of how many conditionals consume it.  Also
     returns the messages as (cbit, reading party) pairs."""
-    writer: dict[int, str] = {}
-    for op in c.ops:
-        if isinstance(op, MeasureOp):
-            writer[op.cbit] = layout.parties[op.qubit]
+    writer = {op.cbit: layout.parties[op.qubit] for op in c.status.records}
     sent: set[tuple[int, str]] = set()
     for op in c.ops:
         if isinstance(op, GateOp):
@@ -130,11 +127,9 @@ def _ebits(layout: PartyLayout) -> int:
 def _bell_teleport(b: CircuitBuilder, src: int, half: int, dest: int,
                    cbits: tuple[int, int]) -> None:
     """Teleport src onto dest through the EPR pair (half, dest) by a Bell
-    measurement: CNOT(src, half), H(src), measure src into cbits[0] and
-    repair Z on dest, measure half into cbits[1] and repair X on dest."""
-    b.gate("CNOT", [src, half], role="E")
-    b.gate("H", [src], role="B")
-    b.measure(src, cbits[0])
+    measurement: the Z teleport of src onto half (`emit_teleport`), with
+    its Z repair on dest, then half measured into cbits[1] and X on dest."""
+    emit_teleport(b, TeleportPlan(("Z",)), [src], [half], cbits[:1])
     b.cgate([cbits[0]], [1], "Z", [dest], role="D")
     b.measure(half, cbits[1])
     b.cgate([cbits[1]], [1], "X", [dest], role="D")

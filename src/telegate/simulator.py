@@ -32,10 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, GateOp, InjectOp, MeasureOp, _validate
+from .circuit import Circuit, GateOp, InjectOp, MeasureOp, QubitStatus
 from .clifford import is_isometry
-from .errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
-                     WidthOverflow)
+from .errors import DimensionMismatch, ValidationError, WidthOverflow
 from .gates import apply_to_columns, matrix_of, monomial, target_axes
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_STACK_AMPLITUDES, VERIFY_TOL, ZERO,
                      check_width, width_of)
@@ -84,7 +83,9 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement-outcome path: bits in measurement order."""
+    """One measurement-outcome path: bits in measurement order, and each
+    qubit measured after the last op at its last outcome (a re-injected
+    qubit is live again); a dead branch has those its record reaches."""
 
     bits: tuple[int, ...]
     probability: float
@@ -243,8 +244,8 @@ def _enumerate(c: Circuit, cols: np.ndarray,
     """Breadth-first over a stack of branches, yielding each stack in walk
     order: outcome 0 before outcome 1, a dead branch where it died.
 
-    A row holds the present qubits only, in qubit order: the inputs and
-    each qubit touched since its last measurement, a set fixed by the op.
+    A row holds the present qubits only, in qubit order: the 'active' ones
+    before the op in `c.status.layout`; records follow `c.status.records`.
     The stack starts as a copy of the one branch `cols`, a (2**k, m) block
     over the k inputs; a repair writes its rows in place, and no yielded
     stack is written again.  A gate applies to every row, or to the rows
@@ -258,22 +259,18 @@ def _enumerate(c: Circuit, cols: np.ndarray,
     walks on, the upper half waits; a single row walks on whole.  Memory
     follows the cap, not 2^m; the order and each row's arithmetic are
     those of a depth-first walk of one branch."""
-    records, position, layout, conditions = [], {}, [c.symbolic_qubits], {}
-    for k, op in enumerate(c.ops):  # the qubits present before each op, and after the last
-        if isinstance(op, MeasureOp):
-            position[op.cbit] = len(records)
-            records.append(op)
-            layout.append(tuple(q for q in layout[-1] if q != op.qubit))
-            continue
-        layout.append(tuple(sorted(set(layout[-1]).union(op.targets))))
+    records, layout = c.status.records, c.status.layout
+    width, position = len(records), {op.cbit: p for p, op in enumerate(records)}
+    shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
+    conditions, j = {}, 0  # (mask, value) over the j bits recorded before the op
+    for k, op in enumerate(c.ops):
+        j += isinstance(op, MeasureOp)
         if isinstance(op, GateOp) and op.cond_cbits:  # validation: each cbit read is written
             read = set(zip(op.cond_cbits, op.cond_values))
-            bits = {1 << (len(records) - 1 - position[b]): v for b, v in read}
+            bits = {1 << (j - 1 - position[b]): v for b, v in read}
             # one cbit read as both 0 and 1 never fires: -1 matches no record
             value = sum(bit * v for bit, v in bits.items()) if len(bits) == len(read) else -1
             conditions[k] = sum(bits), value
-    width = len(records)
-    shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
     # op index, record length, rows, live records, dead (padded record, length)
     pending = [(0, 0, cols[None].copy(), np.zeros(1, dtype=np.int64), [])]
     while pending:
@@ -368,19 +365,15 @@ def register_offsets(n: int, register) -> np.ndarray:
     return np.array(offsets)
 
 
-def _engine_statuses(c: Circuit) -> list[str]:
+def _admitted(c: Circuit) -> QubitStatus:
     """The branch engine's entry guard: the circuit must be valid and fit
-    the width and measurement limits.  Returns each qubit's status after
-    the last op."""
-    violations, statuses = _validate(c)
-    if violations:
-        raise InvalidCircuitError(violations)
+    the width and measurement limits.  Returns its qubit-status pass."""
+    status = c.check().status
     check_width(c.n_qubits)
-    measurements = sum(isinstance(op, MeasureOp) for op in c.ops)
-    if measurements > MAX_MEASUREMENTS:
+    if (measurements := len(status.records)) > MAX_MEASUREMENTS:
         raise WidthOverflow(f"{measurements} measurements (2^{measurements} branches)"
                             f" exceed the {MAX_MEASUREMENTS}-measurement limit")
-    return statuses
+    return status
 
 
 def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
@@ -396,9 +389,8 @@ def _initial_columns(c: Circuit, input_state: StateVector | None) -> np.ndarray:
 
 def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list[Branch]:
     """Enumerate every measurement path of a valid circuit."""
-    _engine_statuses(c)
-    records = [op for op in c.ops if isinstance(op, MeasureOp)]
-    width = len(records)
+    records, measured = _admitted(c).records, c.measured_qubits()
+    width, last = len(records), {op.qubit: p for p, op in enumerate(records)}
     branches = []
     for stack in _enumerate(c, _initial_columns(c, input_state)):
         live = iter(stack.rows_over(range(c.n_qubits)))
@@ -407,30 +399,26 @@ def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list
                                        stack.live.tolist()):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
             cbits = {op.cbit: bit for op, bit in zip(records, bits)}
-            measured = {op.qubit: bit for op, bit in zip(records, bits)}
+            values = {q: bits[p] for q, p in last.items() if p < length and q in measured}
             if alive:
                 p, state = next(mass), StateVector(c.n_qubits, next(live)[:, 0])
             else:
                 p, state = 0.0, None
-            branches.append(Branch(bits, p, state, cbits, measured))
+            branches.append(Branch(bits, p, state, cbits, values))
     return branches
 
 
 def extract_register_state(branch: Branch, register) -> StateVector:
     """Read a sub-register's state off a branch whose other qubits are all
-    measured (so the full state factorizes through the outcome record)."""
+    measured after the last op, so the full state factorizes through their
+    outcomes; a qubit re-injected after its measurement is refused."""
     if branch.state is None:
         raise ValidationError("dead branches carry no state")
-    register = tuple(register)
-    n = branch.state.n
-    base = 0
-    for q in range(n):
-        if q in register:
-            continue
-        if q not in branch.measured_values:
-            raise DimensionMismatch(
-                f"qubit {q} is neither in the register nor measured")
-        base |= branch.measured_values[q] << (n - 1 - q)
+    register, n = tuple(register), branch.state.n
+    rest = [q for q in range(n) if q not in register]
+    if stray := [q for q in rest if q not in branch.measured_values]:
+        raise DimensionMismatch(f"qubit {stray[0]} is neither in the register nor measured")
+    base = sum(branch.measured_values[q] << (n - 1 - q) for q in rest)
     amps = branch.state.amplitudes[base + register_offsets(n, register)]
     return StateVector(len(register), amps)
 
@@ -449,7 +437,7 @@ def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.n
     branch operators times sqrt(branch probability): the amplitude blocks,
     out_map rows by in_map columns, where every non-output qubit sits at
     its measured value."""
-    statuses = _engine_statuses(c)
+    _admitted(c)
     in_map, out_map = tuple(in_map), tuple(out_map)
     if len(set(in_map)) != len(in_map) or len(set(out_map)) != len(out_map):
         raise DimensionMismatch("in_map and out_map entries must be distinct")
@@ -457,11 +445,9 @@ def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.n
         raise DimensionMismatch("map entries out of range")
     if set(in_map) != set(c.symbolic_qubits):
         raise DimensionMismatch("in_map must cover exactly the symbolic-input qubits")
-    for q in range(c.n_qubits):
-        if q not in out_map and statuses[q] != "measured":
-            raise DimensionMismatch(
-                f"qubit {q} is neither an output nor measured; branch operators"
-                " would be ill-defined")
+    if stray := sorted(set(range(c.n_qubits)) - set(out_map) - c.measured_qubits()):
+        raise DimensionMismatch(f"qubit {stray[0]} is neither an output nor measured;"
+                                " branch operators would be ill-defined")
 
     order = register_offsets(len(in_map), [c.symbolic_qubits.index(q) for q in in_map])
     for stack in _enumerate(c, np.eye(len(order), dtype=complex)[order].T):
@@ -491,7 +477,7 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     if not is_isometry(u, FLOOR):
         raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
 
-    width = sum(isinstance(op, MeasureOp) for op in c.ops)
+    width = len(c.status.records)
     parts = []
     worst = 1.0
     failing = None

@@ -4,14 +4,14 @@ The X and Z primitives move a register through one CNOT, one Z-basis
 measurement, and one classically-controlled Pauli.  `emit_teleport` is the
 one emitter of that skeleton (receiver preparation, optional Clifford frame,
 CNOT coupling, basis change, measurement); the bare and generalized
-teleports, the synthesis, the recursion root and the remote pre-rewrite
-circuits are built on it and add only their repairs.  The synthesis
-rewrites U = G_b·V·G_a, V commuting with the CNOT layer, into the skeleton
-(Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0> is injected, G_a
-frames the data and G_b the receiver, and each repair D_i becomes
-G_b·V·D_i·V†·G_b†, certified Pauli / Clifford / diagonal-times-X before
-emission.  A plain synthesis is G_a = G_b = I, V = U.  Every synthesis
-verifies all measurement branches against the target before returning.
+teleports, the synthesis, the recursion root, the remote pre-rewrite
+circuits and Bell teleports are built on it and add only their repairs.
+The synthesis rewrites U = G_b·V·G_a, V commuting with the CNOT layer,
+into the skeleton (Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0>
+is injected, G_a frames the data and G_b the receiver, and each repair D_i
+becomes G_b·V·D_i·V†·G_b†, certified Pauli / Clifford / diagonal-times-X
+before emission.  A plain synthesis is G_a = G_b = I, V = U.  Every
+synthesis verifies every branch against the target before returning.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from telegate.circuit import (Circuit, CircuitBuilder, GateOp,
 from telegate.errors import (CircuitFormatError, ClassificationError, InvalidCircuitError,
                              TelegateError, WidthOverflow)
 from telegate.simulator import verify_gate_equivalence
-from telegate.teleport import build_one_bit_teleport
+from telegate.teleport import TeleportPlan, build_one_bit_teleport, emit_teleport
 
 
 def random_unitary(rng, dim):
@@ -62,6 +62,18 @@ def random_valid_circuit(rng, n_qubits, max_ops=20):
             amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b.inject(amps, [q])
             live.add(q)
+    return b.build()
+
+
+def recycled_round_trip():
+    """X-teleport q0 onto q1, re-inject q0 at |0>, X-teleport q1 back onto
+    q0: the identity on q0, which ends live though it was measured once."""
+    b, plan = CircuitBuilder(2, 2, ["input", "zero"]), TeleportPlan(("X",))
+    emit_teleport(b, plan, [0], [1], [0])
+    b.cgate([0], [1], "X", [1], role="D")
+    b.inject([1, 0], [0])
+    emit_teleport(b, plan, [1], [0], [1])
+    b.cgate([1], [1], "X", [0], role="D")
     return b.build()
 
 
@@ -428,3 +440,49 @@ def test_an_injected_state_must_be_finite(amps):
            "ops": [{"op": "inject", "state": {"amplitudes": state_doc(amps)}, "targets": [0]}]}
     with pytest.raises(InvalidCircuitError, match=f"^invalid circuit: op 0: {message}$"):
         deserialize(json.dumps(doc))
+
+
+def test_the_status_pass_follows_a_recycled_qubit():
+    c = recycled_round_trip()
+    status = c.status
+    assert status.violations == () and status.final == ("active", "measured")
+    assert [op.qubit for op in status.records] == [0, 1]
+    # H, CNOT, measure q0, X, inject q0, H, CNOT, measure q1, X; then after the last
+    assert status.layout == ((0,), (0, 1), (0, 1), (1,), (1,), (0, 1), (0, 1), (0, 1), (0,), (0,))
+    assert c.measured_qubits() == {1}
+
+
+def test_a_circuit_takes_its_fields_as_tuples():
+    c = Circuit(1, 1, ["input"], [MeasureOp(0, 0)])
+    assert c.inputs == ("input",) and c.ops == (MeasureOp(0, 0),)
+    assert c == Circuit(1, 1, ("input",), (MeasureOp(0, 0),))
+
+
+def test_each_circuit_runs_the_status_pass_once(monkeypatch):
+    """From synthesis through serialization, and from a recursion's build
+    through two tree executions, each circuit is validated once."""
+    from telegate import recursive, teleport
+    from telegate.simulator import random_state
+    runs: dict[int, int] = {}
+    seen: list[Circuit] = []  # held, so no id is reused
+
+    def counted(c):
+        runs[id(c)] = runs.get(id(c), 0) + 1
+        seen.append(c)
+        return pass_once(c)
+
+    pass_once = circuit._validate
+    monkeypatch.setattr(circuit, "_validate", counted)
+    res = teleport.synthesize_teleported_gate(gates.T)
+    serialize(res.circuit)
+    assert runs[id(res.circuit)] == 1
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4))
+    psi = random_state(rc.n, np.random.default_rng(5))
+    recursive.execute_tree(rc, psi)
+    recursive.execute_tree(rc, psi)
+    nodes, stack = [], [rc.root]
+    while stack:
+        nodes.append(stack.pop())
+        stack += [rep.child for rep in nodes[-1].repairs if rep.child is not None]
+    assert len(nodes) == 4 and all(runs[id(node.circuit)] == 1 for node in nodes)
+    assert runs[id(rc.flattened)] == 1 and set(runs.values()) == {1}

@@ -11,7 +11,7 @@ import pytest
 
 import telegate
 from telegate import gates
-from telegate.circuit import deserialize, matrix_doc
+from telegate.circuit import deserialize, matrix_doc, serialize
 from telegate.cli import main
 from telegate.limits import TOL
 
@@ -148,6 +148,43 @@ def test_verify_identity(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path), "--against", "I")
     assert code == 0 and "PASS" in out
+
+
+def test_verify_default_maps_leave_a_re_injected_qubit_as_output(capsys, tmp_path):
+    """The out-map default is every qubit not measured after the last op."""
+    from test_circuit import recycled_round_trip
+    path = tmp_path / "round_trip.json"
+    path.write_text(serialize(recycled_round_trip()))
+    code, out, err = run(capsys, "verify", str(path), "--against", "I")
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("doc", [{"matrix": [[[1, 0], [0, 0], [0, 0], [0, 0]],
+                                             [[0, 0], [1, 0], [0, 0], [0, 0]]]},
+                                 [], {"matrix": [[[float("nan"), 0], [0, 0]],
+                                                 [[0, 0], [1, 0]]]}],
+                         ids=["2x4", "empty", "nan-diagonal"])
+def test_recursive_refuses_a_matrix_file_that_is_not_a_finite_unitary(capsys, tmp_path, doc):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "recursive", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: input matrix is not unitary within tolerance\n"
+    assert "broadcast" not in err
+
+
+@pytest.mark.parametrize("argv, code, stream, message", [
+    (("ancilla", "CH"), 1, "out",
+     "no commuting plan: cannot derive stabilizers from a teleport layer\n"),
+    (("synth", "CS", "--sandwich", "CS,CS,CNOT"), 2, "err",
+     "error: sandwich frames must be Clifford gates\n"),
+    (("synth", "CS", "--sandwich", "H,T"), 2, "err", "error: --sandwich needs GA,V,GB\n"),
+    (("recursive", "V"), 2, "err", "error: rotation specs need --k (the target level)\n"),
+])
+def test_refusals_name_their_reason(capsys, argv, code, stream, message):
+    got, out, err = run(capsys, *argv)
+    assert got == code and {"out": out, "err": err}[stream] == message
+    assert (err if stream == "out" else out) == ""
 
 
 def test_ancilla_cs(capsys):

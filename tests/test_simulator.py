@@ -79,6 +79,21 @@ def test_z_teleport_branches(rng):
         assert ok
 
 
+def test_a_re_injected_qubit_is_no_longer_measured(rng):
+    """The round trip q0 -> q1 -> q0 ends with q0 live: its first outcome
+    no longer pins it, so q1's register is refused and q0's holds the input."""
+    from test_circuit import recycled_round_trip
+    c = recycled_round_trip()
+    psi = random_state(1, rng)
+    assert c.measured_qubits() == {1}
+    for b in run_all_branches(c, psi):
+        assert list(b.measured_values) == [1] and b.measured_values[1] == b.bits[1]
+        with pytest.raises(DimensionMismatch,
+                           match="^qubit 0 is neither in the register nor measured$"):
+            extract_register_state(b, (1,))
+        assert equivalent_up_to_phase(extract_register_state(b, (0,)), psi)[0]
+
+
 def test_no_measurement_single_branch():
     b = CircuitBuilder(1, 0, ["input"])
     b.gate("H", [0])
@@ -474,7 +489,10 @@ class _RawBranch:
 
 
 def _enumerate_depth_first(c, cols):
-    """Depth-first over measurement outcomes, outcome 0 first, yielding each branch."""
+    """Depth-first over measurement outcomes, outcome 0 first, yielding each
+    branch.  Its measured values are the qubits measured after the last op:
+    an inject drops its targets, and a dead branch drops the qubits a later
+    op measures or injects."""
     n = c.n_qubits
 
     def walk(op_index, cols, bits, cbits, measured):
@@ -485,7 +503,14 @@ def _enumerate_depth_first(c, cols):
                     cols = apply_to_columns(cols, op.resolved_matrix(), op.targets, n)
             elif isinstance(op, InjectOp):
                 cols = _inject_columns(cols, op.targets, op.amplitudes, n)
+                measured = {q: v for q, v in measured.items() if q not in op.targets}
             elif isinstance(op, MeasureOp):
+                later = set()  # the qubits a later op measures or re-injects
+                for o in c.ops[k + 1:]:
+                    if isinstance(o, MeasureOp):
+                        later.add(o.qubit)
+                    elif isinstance(o, InjectOp):
+                        later.update(o.targets)
                 for outcome in (0, 1):
                     child = _project_columns(cols, op.qubit, outcome, n)
                     total = float(np.sum(np.abs(child) ** 2))
@@ -495,7 +520,8 @@ def _enumerate_depth_first(c, cols):
                     new_measured = dict(measured)
                     new_measured[op.qubit] = outcome
                     if total < ZERO:
-                        yield _RawBranch(new_bits, new_cbits, new_measured, None)
+                        yield _RawBranch(new_bits, new_cbits, {
+                            q: v for q, v in new_measured.items() if q not in later}, None)
                     else:
                         yield from walk(k + 1, child, new_bits, new_cbits, new_measured)
                 return

@@ -508,3 +508,13 @@ def test_a_wrong_ancilla_is_refused(monkeypatch, name):
     monkeypatch.setattr(teleport, "zero_state", lambda n: basis_state(n, 1))
     with pytest.raises(SynthesisRefusal):
         synthesize_teleported_gate(gates.matrix_of(name))
+
+
+def test_a_sandwich_whose_repairs_stay_too_deep_is_refused():
+    """Teleporting CT = diag(1, 1, 1, e^{iπ/4}) bare through the level-3
+    skeleton leaves level-3 residues, which no repair class admits."""
+    from telegate.recursive import controlled_rotation_spec
+    ct, i = controlled_rotation_spec(1, 4).matrix, clifford_from_matrix(np.eye(4))
+    with pytest.raises(SynthesisRefusal, match=r"^correction on qubit 0 is neither Pauli,"
+                       r" Clifford, nor diagonal-times-X within level 2$"):
+        synthesize_sandwiched(ct, i, ct, i)
