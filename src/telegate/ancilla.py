@@ -118,14 +118,9 @@ def derive_stabilizers(u: np.ndarray, a_ops) -> StabilizerSpec:
         raise ValidationError("gate width does not match the A layer")
     a = gates.kron(*(gates.matrix_of(name) for name in a_ops))
     ua = u @ a
-    ua_dag = ua.conj().T
     target = StateVector(n, ua @ zero_state(n).amplitudes)
-    ms, qs = [], []
-    for i in range(n):
-        z_i = pauli.pauli_to_matrix(pauli.single(n, i, "Z"))
-        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
-        ms.append(ua @ z_i @ ua_dag)
-        qs.append(ua @ x_i @ ua_dag)
+    images = np.concatenate(list(pauli.conjugated_generators(ua)))
+    ms, qs = images[1::2], images[0::2]
     return make_stabilizer_spec(target, ms, qs)
 
 

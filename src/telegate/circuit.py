@@ -213,6 +213,13 @@ def _validate(c: Circuit) -> QubitStatus:
 
     status = [{"input": "active", "inject": "pending"}.get(tag, "fresh") for tag in c.inputs]
     out, layout, records, written_cbits = [], [], [], set()
+    active = ()  # the active qubits; emptied, to rebuild, when one enters or leaves
+
+    def step(q: int, new: str):
+        nonlocal active
+        if (status[q] == "active") != (new == "active"):
+            active = ()
+        status[q] = new
 
     def targets_ok(k: int, targets) -> bool:
         ok = True
@@ -252,10 +259,11 @@ def _validate(c: Circuit) -> QubitStatus:
             elif status[q] == "pending":
                 out.append(f"op {k}: gate on qubit {q} before its injected state arrives")
             else:
-                status[q] = "active"
+                step(q, "active")
 
     for k, op in enumerate(c.ops):
-        layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
+        active = active or tuple(q for q, s in enumerate(status) if s == "active")
+        layout.append(active)
         if isinstance(op, GateOp):
             if len(op.cond_cbits) != len(op.cond_values):
                 out.append(f"op {k}: malformed classical condition")
@@ -285,7 +293,7 @@ def _validate(c: Circuit) -> QubitStatus:
                 out.append(f"op {k}: measuring qubit {op.qubit} before its injected state")
             if op.cbit in written_cbits:
                 out.append(f"op {k}: cbit {op.cbit} written twice")
-            status[op.qubit] = "measured"
+            step(op.qubit, "measured")
             written_cbits.add(op.cbit)
             records.append(op)
         elif isinstance(op, InjectOp):
@@ -301,10 +309,10 @@ def _validate(c: Circuit) -> QubitStatus:
                 if status[q] == "active":
                     out.append(f"op {k}: inject target {q} must be fixed-|0> or"
                                " measured-and-retired")
-                status[q] = "active"
+                step(q, "active")
         else:
             out.append(f"op {k}: unknown op variant {type(op).__name__}")
-    layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
+    layout.append(active or tuple(q for q, s in enumerate(status) if s == "active"))
     return QubitStatus(tuple(out), tuple(status), tuple(layout), tuple(records))
 
 

@@ -49,16 +49,11 @@ def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordFrame | Non
     m = np.array(m, dtype=complex)
     if not is_unitary(m, tol=max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
-    n = width_of(m.shape[0])
-    m_dag = m.conj().T
-    for i in range(n):
-        for letter in "XZ":
-            conj = m @ pauli.pauli_to_matrix(pauli.single(n, i, letter)) @ m_dag
-            hit = pauli.pauli_from_matrix(conj, tol=tol)
-            if hit is None or not hit[2]:
-                return None
+    if not all(pauli.strict_paulis(images, tol).all()
+               for images in pauli.conjugated_generators(m)):
+        return None
     m.flags.writeable = False
-    return CliffordFrame(n, m)
+    return CliffordFrame(width_of(m.shape[0]), m)
 
 
 def tableau_from_gate(name: str) -> CliffordFrame:

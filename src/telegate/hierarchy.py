@@ -12,11 +12,15 @@ scalar is ignored), level 2 the Clifford group.  Two routes find the level:
   identity being level 1.  `tol` bounds the entry-wise phase error
   2π·dist(a_S, 2^-j·ℤ).
 - Any other gate is tested level by level: level k membership conjugates
-  the 2n Pauli generators and classifies every image at level k-1.  Every
-  depth uses the caller's one tolerance, so a near-miss that fails at its
-  own level cannot pass one level up; but each conjugation doubles a phase
-  error, so the effective tolerance at level k shrinks as about
-  tol/2^(k-2) on this route.
+  the 2n Pauli generators in one batch (`pauli.conjugated_generators`) and
+  asks whether each image lies at level k-1.  Level 2 is one strict-Pauli
+  test over the 2n images, and level 3 one over their (2n)^2 two-fold
+  images; above that the search goes depth first, image by image, stops
+  at the first image that fails, and skips by a memo the matrices it has
+  classified already.  Every depth uses the caller's one tolerance, so a
+  near-miss that fails at its own level cannot pass one level up; but each
+  conjugation doubles a phase error, so the effective tolerance at level k
+  shrinks as about tol/2^(k-2) on this route.
 
 Classification is projective throughout: multiplying the input by a global
 phase never changes the verdict.
@@ -64,18 +68,26 @@ class HierarchyVerdict:
         return ", ".join(parts)
 
 
-def _fingerprint(m: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Rounded encoding of a matrix, and the phase-fixed matrix it rounds.
+def _fingerprints(stack: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """Rounded encodings of a (K, d, d) stack's matrices, and the phase-fixed
+    matrices they round.
 
-    The phase anchor is the first entry within TOL of the peak magnitude,
-    so rounding noise cannot flip which entry gets picked."""
-    flat = m.ravel()
-    peak = float(np.max(np.abs(flat)))
-    idx = int(np.argmax(np.abs(flat) > peak - TOL))
-    anchor = flat[idx]
-    canon = m * (abs(anchor) / anchor)
+    Each phase anchor is the first entry within TOL of its matrix's peak
+    magnitude, so rounding noise cannot flip which entry gets picked."""
+    flat = stack.reshape(len(stack), -1)
+    mag = np.abs(flat)
+    idx = np.argmax(mag > mag.max(axis=1, keepdims=True) - TOL, axis=1)
+    anchor = flat[np.arange(len(flat)), idx]
+    canon = stack * (np.abs(anchor) / anchor)[:, None, None]
     rounded = np.round(canon, 6) + 0.0  # normalize -0.0
-    return rounded.tobytes(), canon
+    return [r.tobytes() for r in rounded], canon
+
+
+def _memo_hit(memo: dict, key, canon: np.ndarray, tol: float):
+    """The memoized membership of a matrix, or None: a hit counts only when the
+    matrix lies within tol of the memoized one, as the fingerprint rounds coarser."""
+    hit = memo.get(key)
+    return hit[1] if hit is not None and np.max(np.abs(hit[0] - canon)) <= tol else None
 
 
 def is_diagonal_matrix(m: np.ndarray, tol: float = TOL) -> bool:
@@ -83,26 +95,52 @@ def is_diagonal_matrix(m: np.ndarray, tol: float = TOL) -> bool:
     return bool(np.max(np.abs(off)) <= tol)
 
 
-def _member(u: np.ndarray, k: int, tol: float, memo: dict) -> bool:
-    """Is u in level k?  memo maps (fingerprint, k) to the phase-fixed
-    matrix and its membership within one classification; a hit counts only
-    when u lies within tol of that matrix, as the fingerprint rounds coarser."""
+def _member(u: np.ndarray, k: int, tol: float, memo: dict | None) -> bool:
+    """Is u in level k?  memo maps (fingerprint, k) to the phase-fixed matrix
+    and its membership within one classification.  Only a search from level
+    4 up meets a matrix twice, so a search at level 2 or 3 runs without one."""
     if k <= 1:
         return pauli.pauli_from_matrix(u, tol=tol) is not None
-    fingerprint, canon = _fingerprint(u)
-    hit = memo.get((fingerprint, k))
-    if hit is not None and np.max(np.abs(hit[0] - canon)) <= tol:
-        return hit[1]
     if k == 2:
-        result = clifford.clifford_from_matrix(u, tol=tol) is not None
+        return _all_clifford(u[None], tol, memo)
+    if memo is not None:
+        (fingerprint,), (canon,) = _fingerprints(u[None])
+        result = _memo_hit(memo, (fingerprint, k), canon, tol)
+        if result is not None:
+            return result
+    if k == 3:
+        result = all(_all_clifford(images, tol, memo)
+                     for images in pauli.conjugated_generators(u))
     else:
-        n = width_of(u.shape[0])
-        u_dag = u.conj().T
-        result = all(_member(u @ pauli.pauli_to_matrix(pauli.single(n, q, letter)) @ u_dag,
-                             k - 1, tol, memo)
-                     for q in range(n) for letter in ("X", "Z"))
-    memo[(fingerprint, k)] = (canon, result)
+        result = all(_member(image, k - 1, tol, memo)
+                     for images in pauli.conjugated_generators(u) for image in images)
+    if memo is not None:
+        memo[(fingerprint, k)] = (canon, result)
     return result
+
+
+def _all_clifford(stack: np.ndarray, tol: float, memo: dict | None) -> bool:
+    """Whether every matrix of a stack is at level 2: one strict-Pauli test
+    over all their conjugated generators, chunk by chunk, stopping at the
+    first chunk that fails.  With a memo, memoized verdicts are read first,
+    and each matrix whose generators were all tested is memoized."""
+    if memo is None:
+        return all(pauli.strict_paulis(images, tol).all()
+                   for images in pauli.conjugated_generators(stack))
+    fingerprints, canons = _fingerprints(stack)
+    known = [_memo_hit(memo, (key, 2), canon, tol) for key, canon in zip(fingerprints, canons)]
+    if False in known:
+        return False
+    fresh = [i for i, verdict in enumerate(known) if verdict is None]
+    done = np.ones(0, dtype=bool)
+    for images in pauli.conjugated_generators(stack[fresh]):
+        done = np.append(done, pauli.strict_paulis(images, tol))
+        if not done.all():
+            break
+    gens = 2 * width_of(stack.shape[-1])
+    for i, ok in zip(fresh, done[:len(done) // gens * gens].reshape(-1, gens).all(axis=1)):
+        memo[(fingerprints[i], 2)] = (canons[i], bool(ok))
+    return bool(done.all())
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +203,7 @@ def hierarchy_level(
         level = _diagonal_level(np.diag(u), k_max, tol)
     else:
         memo: dict = {}
-        level = next((k for k in range(1, k_max + 1) if _member(u, k, tol, memo)), None)
+        level = next((k for k in range(1, k_max + 1)
+                      if _member(u, k, tol, memo if k > 3 else None)), None)
     return HierarchyVerdict(level=level, k_max=k_max, diagonal=diagonal,
                             strict=level is not None)

@@ -10,7 +10,9 @@ MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
 MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds after any op:
                   256 rows of 16x4 columns, the level-5 check's shape.  A single
-                  row over the cap still walks.
+                  row over the cap still walks.  Also the most amplitudes of one
+                  chunk of conjugated-generator images; a single image over it
+                  is its own chunk.
 MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
                   conjugation route (non-diagonal gates) each level conjugates
                   once more and compounds the rounding error.

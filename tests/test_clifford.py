@@ -3,6 +3,7 @@ matrix against the dense oracle, products of frames, and immutability."""
 
 import dataclasses
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -13,6 +14,8 @@ from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import ClassificationError, ValidationError
 from telegate.pauli import (PauliOperator, pauli_from_matrix, pauli_to_matrix,
                             single)
+
+from conjugation_oracle import loop_is_clifford, verdict_sweep
 
 CLIFFORD_1Q = ("I", "X", "Y", "Z", "H", "S", "S†", "Q", "Q†")
 CLIFFORD_2Q = ("CNOT", "CZ", "SWAP")
@@ -164,3 +167,30 @@ def test_frame_does_not_alias_the_callers_matrix():
     u[0, 0] = 5
     assert np.array_equal(frame.matrix, gates.CNOT)
     assert not frame.matrix.flags.writeable
+
+
+# --- the batched certification against the per-generator loop -----------------
+
+def test_verdicts_match_the_per_generator_loop(rng):
+    sweep = verdict_sweep(rng)
+    verdicts = [clifford_from_matrix(u) is not None for u in sweep]
+    assert verdicts == [loop_is_clifford(u) for u in sweep]
+    assert 0 < sum(verdicts) < len(sweep)
+
+
+def test_seven_qubit_certification_builds_no_generator_stack():
+    n = 7
+    u = gates.kron(*[gates.H] * n)
+    for q in range(n - 1):
+        u = gates.embed(gates.CNOT, (q, q + 1), n) @ u
+    u = gates.embed(gates.S, (3,), n) @ u
+    tracemalloc.start()
+    try:
+        frame = clifford_from_matrix(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame is not None
+    # the 2n dense generators (or their 2n images) would take 2n·4^n·16 bytes,
+    # 3.7 MB; one chunk's working set is a few 4^n-entry arrays
+    assert peak < n * 4**n * 16

@@ -4,12 +4,14 @@ oracle, monotonicity, closure, and the diagonal-correction structure."""
 import numpy as np
 import pytest
 
-from telegate import gates
+from telegate import gates, pauli
 from telegate.errors import ValidationError
 from telegate.hierarchy import (_diagonal_level, _member, _phase_coefficients,
                                 hierarchy_level, is_diagonal_matrix)
 from telegate.limits import TOL
 from telegate.pauli import pauli_to_matrix, single
+
+from conjugation_oracle import loop_level, verdict_sweep
 
 
 # --- independent oracle -----------------------------------------------------
@@ -215,13 +217,9 @@ def test_level_limit():
 
 
 # --- closed form against the conjugation route ------------------------------
-# A diagonal input takes the phase-polynomial route; `_member`, the
-# conjugation search every other input takes, is its oracle here.
-
-def _conjugation_level(u, k_max):
-    memo = {}
-    return next((k for k in range(1, k_max + 1) if _member(u, k, TOL, memo)), None)
-
+# A diagonal input takes the phase-polynomial route; the conjugation search,
+# one image at a time as `conjugation_oracle.loop_level` runs it, is its
+# oracle here.
 
 def _dyadic_diagonal(rng, n, level):
     """A diagonal whose phase polynomial has a_S = m_S / 2^(level-|S|+1):
@@ -241,7 +239,7 @@ def test_closed_form_agrees_with_conjugation_on_dyadic_diagonals(rng):
         for level in range(1, 9):
             u = _dyadic_diagonal(rng, n, level)
             verdict = hierarchy_level(u, k_max=8)
-            assert verdict.diagonal and verdict.level == _conjugation_level(u, 8), (n, level)
+            assert verdict.diagonal and verdict.level == loop_level(u, 8), (n, level)
 
 
 def test_closed_form_agrees_with_conjugation_on_the_rotation_ladder():
@@ -251,14 +249,14 @@ def test_closed_form_agrees_with_conjugation_on_the_rotation_ladder():
               + [controlled_rotation_spec(2, k) for k in range(3, 7)])
     for spec in ladder:
         verdict = hierarchy_level(spec.matrix, k_max=8)
-        assert verdict.level == spec.level_param == _conjugation_level(spec.matrix, 8), spec.label
+        assert verdict.level == spec.level_param == loop_level(spec.matrix, 8), spec.label
 
 
 def test_non_dyadic_diagonals_classify_nowhere(rng):
     for n in (1, 2, 3):
         u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)))
         assert hierarchy_level(u, k_max=8).level is None
-        assert _conjugation_level(u, 8) is None
+        assert loop_level(u, 8) is None
 
 
 # --- the memoized Möbius product against the axis-split transform ------------
@@ -330,3 +328,69 @@ def test_memo_hit_needs_the_query_within_tol():
     memo = {}
     assert _member(a, 2, TOL, memo)
     assert not _member(b, 2, TOL, memo)
+
+
+# --- the batched conjugation route against the per-image one -----------------
+
+def _batched_level(u, k_max=6):
+    memo = {}
+    return next((k for k in range(1, k_max + 1) if _member(u, k, TOL, memo)), None)
+
+
+def test_batched_route_matches_the_per_image_route(rng):
+    sweep = verdict_sweep(rng)
+    levels = [loop_level(u) for u in sweep]
+    assert [_batched_level(u) for u in sweep] == levels
+    verdicts = [hierarchy_level(u) for u in sweep]
+    assert [v.level for v in verdicts if not v.diagonal] == [
+        level for v, level in zip(verdicts, levels) if not v.diagonal]
+    assert {None, 1, 2, 3, 4, 5} <= set(levels)
+
+
+def _count_images(monkeypatch):
+    """Count the images `pauli.conjugated_generators` makes from now on."""
+    count, conjugate = [0], pauli.conjugated_generators
+
+    def counting(us):
+        for images in conjugate(us):
+            count[0] += len(images)
+            yield images
+
+    monkeypatch.setattr(pauli, "conjugated_generators", counting)
+    return count
+
+
+def test_level_3_reads_level_2_verdicts_from_the_memo(monkeypatch):
+    # H^4·C^3V_6·H^4 at k_max 6: its level-3 nodes share many images.  Without
+    # the memo at level 2 the batched route made 3,104 images here.
+    import conjugation_oracle
+    from telegate.recursive import controlled_rotation_spec
+    h = gates.kron(*[gates.H] * 4)
+    u = h @ controlled_rotation_spec(3, 6).matrix @ h
+    per_image, dense = [0], conjugation_oracle.dense_images
+
+    def counting(m):
+        images = dense(m)
+        per_image[0] += len(images)
+        return images
+
+    monkeypatch.setattr(conjugation_oracle, "dense_images", counting)
+    batched = _count_images(monkeypatch)
+    assert hierarchy_level(u, k_max=6).level == loop_level(u, 6) == 6
+    assert batched[0] <= 1.25 * per_image[0]
+
+
+def test_a_level_none_search_keeps_the_short_circuit(monkeypatch):
+    # TOFFOLI·e^{i eps H_0} fails every level up to 6.  Level 2 conjugates
+    # 6 generators, level 3 those 6 and their 36 images, and each level
+    # above conjugates 6 and descends only into the first image, which fails:
+    # at most 6 + 42 + 48 + 54 + 60 = 210 images, fewer where the memo
+    # already holds an image.  Expanding every image at every level would
+    # take 6 + 42 + 258 + 1,554 + 9,330.
+    count = _count_images(monkeypatch)
+    w, v = np.linalg.eigh(gates.embed(gates.H, (0,), 3))
+    for eps in (3e-9, 1e-7):
+        u = gates.TOFFOLI @ (v * np.exp(1j * eps * w)) @ v.conj().T
+        count[0] = 0
+        assert hierarchy_level(u, k_max=6).level is None
+        assert count[0] <= 210

@@ -1,6 +1,7 @@
 """Pauli operators: recognition of dense products, matrix round-trips, literals."""
 
 import itertools
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 
 from telegate import gates, pauli
 from telegate.errors import DimensionMismatch, ValidationError
-from telegate.pauli import (PauliOperator, format_literal, pauli_from_matrix,
-                            pauli_to_matrix, single)
+from telegate.limits import MAX_STACK_AMPLITUDES, TOL
+from telegate.pauli import (PauliOperator, conjugated_generators, format_literal,
+                            pauli_from_matrix, pauli_to_matrix, single, strict_paulis)
+
+from conjugation_oracle import clifford_word, dense_images, scalar_pauli_from_matrix
 
 
 def all_phase_free(n):
@@ -196,3 +200,86 @@ def test_bits_are_stored_as_int_tuples_and_checked():
     assert q.phase_quarters == 1 and type(q.phase_quarters) is int
     with pytest.raises(ValidationError, match="must be an integer"):
         PauliOperator(1, (1,), (0,), 1.0)
+
+
+# --- the batched route against the per-image one it replaces -------------------
+
+def _haar(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _image_corpus(rng):
+    """118 unitaries of 1 to 5 qubits: the library, H and T on every qubit,
+    Clifford words and Haar-random unitaries."""
+    corpus = [gates.matrix_of(name) for name in gates.GATE_NAMES]
+    for n in range(1, 6):
+        corpus += [gates.kron(*[gates.H] * n), gates.kron(*[gates.T] * n)]
+        corpus += [clifford_word(rng, n) for _ in range(6)]
+        corpus += [_haar(rng, 2**n) for _ in range(12)]
+    return corpus
+
+
+def _bytes(images):
+    """The images' bytes with every -0.0 made +0.0: a zero's sign is the one
+    bit a gather and BLAS's product may set differently, and no test reads it."""
+    return (np.asarray(images) + 0.0).tobytes()
+
+
+def test_batched_images_are_the_dense_products_byte_for_byte(rng):
+    corpus = _image_corpus(rng)
+    assert len(corpus) == 118
+    for u in corpus:
+        got = np.concatenate(list(conjugated_generators(u)))
+        assert _bytes(got) == _bytes(dense_images(u))
+    stack = np.array([_haar(rng, 8) for _ in range(9)])
+    got = np.concatenate(list(conjugated_generators(stack)))
+    assert _bytes(got) == _bytes([dense_images(u) for u in stack])
+
+
+@pytest.mark.parametrize("cap", [1, 64, 100, 6 * 64, MAX_STACK_AMPLITUDES])
+def test_image_chunks_hold_at_most_the_stack_cap(rng, monkeypatch, cap):
+    stack = np.array([_haar(rng, 8) for _ in range(5)])
+    want = np.concatenate([dense_images(u) for u in stack])
+    monkeypatch.setattr(pauli, "MAX_STACK_AMPLITUDES", cap)
+    chunks = list(conjugated_generators(stack))
+    assert all(chunk.size <= max(cap, 64) for chunk in chunks)
+    assert _bytes(np.concatenate(chunks)) == _bytes(want)
+
+
+def test_recognition_matches_the_scalar_rule(rng):
+    strict_count = total = 0
+    for n in (1, 2, 3):
+        cases = []
+        for p in all_phase_free(n):
+            for scalar in (1, 1j, -1, np.exp(0.3j)):
+                for eps in (0, 0.5 * TOL, TOL, 2 * TOL):
+                    m = scalar * np.array(pauli_to_matrix(p))
+                    m[rng.integers(2**n), rng.integers(2**n)] += eps * np.exp(2j * rng.random())
+                    cases.append(m)
+        cases += [gates.kron(*[gates.H] * n), gates.kron(*[gates.T] * n), 2 * cases[0],
+                  np.zeros((2**n, 2**n))]
+        strict = strict_paulis(np.array(cases))
+        for i, m in enumerate(cases):
+            want, got = scalar_pauli_from_matrix(m), pauli_from_matrix(m)
+            assert (want is None) == (got is None), (n, i)
+            if want is not None:
+                assert got[0] == want[0] and got[1:] == want[1:], (n, i)
+            assert strict[i] == (want is not None and want[2]), (n, i)
+        strict_count, total = strict_count + strict.sum(), total + len(cases)
+    assert 0 < strict_count < total
+
+
+def test_nan_or_infinite_entries_are_never_a_pauli():
+    off_support = np.eye(4, dtype=complex)
+    off_support[0, 3] = np.nan  # the scalar rule's `> tol` passed this as +II
+    in_column_0 = np.eye(4, dtype=complex)
+    in_column_0[1, 0] = np.nan
+    infinite = np.array(gates.X)
+    infinite[0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (off_support, in_column_0, infinite):
+            assert pauli_from_matrix(m) is None
+        assert not strict_paulis(np.array([off_support, in_column_0])).any()

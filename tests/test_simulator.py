@@ -648,6 +648,27 @@ def suite_circuits():
     return cases
 
 
+def _scanned_layout(c):
+    """The active qubits before each op and after the last, found by scanning
+    every qubit at every op: on a valid circuit a gate or an injection makes
+    its targets active and a measurement retires its qubit."""
+    status = ["active" if tag == "input" else "idle" for tag in c.inputs]
+    layout = []
+    for op in c.ops:
+        layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
+        for q in [op.qubit] if isinstance(op, MeasureOp) else op.targets:
+            status[q] = "measured" if isinstance(op, MeasureOp) else "active"
+    layout.append(tuple(q for q, s in enumerate(status) if s == "active"))
+    return tuple(layout)
+
+
+def test_the_status_layout_is_the_per_op_scan(suite_circuits):
+    from test_circuit import recycled_round_trip
+    for c in [c for c, _ in suite_circuits] + [recycled_round_trip()]:
+        assert c.status.violations == ()
+        assert c.status.layout == _scanned_layout(c)
+
+
 def _assert_same_branches(got, want):
     assert [b.bits for b in got] == [b.bits for b in want]
     for g, w in zip(got, want):
