@@ -13,9 +13,9 @@ MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds after any 
                   row over the cap still walks.  Also the most amplitudes of one
                   chunk of conjugated-generator images; a single image over it
                   is its own chunk.
-MAX_HIERARCHY_LEVEL  the highest level a classification reports; on the
-                  conjugation route (non-diagonal gates) each level conjugates
-                  once more and compounds the rounding error.
+MAX_HIERARCHY_LEVEL  the highest level a classification reports, and of a rotation
+                  spec; on the conjugation route (non-diagonal gates) each level
+                  conjugates once more and compounds the rounding error.
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
 MAX_PLAN_WIDTH    the widest gate given any teleport plan (a wider one would

@@ -7,7 +7,9 @@ extra factor of i (Y = i X Z), which the literal formatter folds into the
 printed phase prefix.  One rule recognizes a dense matrix as a scaled
 Pauli: `strict_paulis` applies it to a stack of matrices at once and
 `pauli_from_matrix` to one.  It certifies corrections, and, on the images
-`conjugated_generators` makes, Clifford frames and hierarchy levels.
+`conjugated_generators` makes, Clifford frames and hierarchy levels; the
+synthesis and recursion repairs are those images too, and a product with
+an X string is a column gather, so no caller multiplies by a dense Pauli.
 
 Qubit 0 is the leftmost tensor factor and the most significant bit of a
 basis index.  All values are immutable, matrices included: every array
@@ -94,30 +96,27 @@ def _build_matrix(x_bits, z_bits, phase_quarters) -> np.ndarray:
 _memoized_matrix = lru_cache(maxsize=128)(_build_matrix)
 
 
-def x_matrix(bits) -> np.ndarray:
-    """The matrix of X on every qubit whose bit is set."""
-    return pauli_to_matrix(PauliOperator(len(bits), tuple(bits), (0,) * len(bits)))
-
-
 def conjugated_generators(us: np.ndarray) -> Iterator[np.ndarray]:
     """u·P·u† for P = X_0, Z_0, X_1, Z_1, ... and each u of a (K, d, d) stack
     or one (d, d) matrix, in that order, as (k, d, d) chunks of at most
-    MAX_STACK_AMPLITUDES amplitudes (one image if it alone exceeds that).
-    u·P is a column gather with a sign flip, so no generator matrix is built,
-    and each image equals u @ P @ u† entry for entry, a zero's sign aside."""
+    MAX_STACK_AMPLITUDES amplitudes (one image if it alone exceeds that, one
+    empty chunk for 1×1).  u·P is a column gather with a sign flip, so no
+    generator matrix is built, and each image equals u @ P @ u† entry for
+    entry, a zero's sign aside."""
     us = np.asarray(us, dtype=complex)
     d = us.shape[-1]
     n = width_of(d)
+    generators = max(1, 2 * n)  # zero qubits have none, and yield one empty chunk
     us = us.reshape(-1, d, d)
     cols, signs = _generator_columns(n)
     per_chunk = max(1, MAX_STACK_AMPLITUDES // d**2)
-    u_step, g_step = max(1, per_chunk // (2 * n)), min(per_chunk, 2 * n)
+    u_step, g_step = max(1, per_chunk // generators), min(per_chunk, generators)
     rows = np.arange(d)[:, None]
     for lo in range(0, len(us), u_step):
         u = us[lo:lo + u_step]
         u_dag = u.conj().transpose(0, 2, 1)[:, None]
         which = np.arange(len(u))[:, None, None, None]
-        for g in range(0, 2 * n, g_step):
+        for g in range(0, generators, g_step):
             left = u[which, rows, cols[g:g + g_step, None]]
             left *= signs[g:g + g_step, None]
             yield (left @ u_dag).reshape(-1, d, d)
@@ -128,12 +127,11 @@ def _generator_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (2n, 2**n) tables with (u·P_g)[:, j] = u[:, cols[g, j]] *
     signs[g, j] for P_g = X_0, Z_0, X_1, Z_1, ...; at most MAX_QUBITS of them."""
     index = np.arange(2**n)
-    cols, signs = [], []
+    cols, signs = np.empty((2 * n, 2**n), dtype=index.dtype), np.ones((2 * n, 2**n))
     for qubit in range(n):
         bit = 1 << (n - 1 - qubit)
-        cols += [index ^ bit, index]
-        signs += [np.ones(2**n), np.where(index & bit, -1.0, 1.0)]
-    cols, signs = np.array(cols), np.array(signs)
+        cols[2 * qubit], cols[2 * qubit + 1] = index ^ bit, index
+        signs[2 * qubit + 1] = np.where(index & bit, -1.0, 1.0)
     cols.flags.writeable = signs.flags.writeable = False
     return cols, signs
 
@@ -145,9 +143,9 @@ def _recognize(stack: np.ndarray, tol: float):
     nonzero at the X row; the signs on the weight-one columns give the Z bits.
     Every test is `<= tol` with warnings off: NaN and inf fail, silently."""
     cols, signs = _generator_columns(width_of(stack.shape[-1]))
-    # Z_0's gather is the identity, X_q's moves column 0 to qubit q's
-    # weight-one column, and Z_q's signs are (-1)^(bit q of the column)
-    index, weight_one, z_signs = cols[1], cols[0::2, 0], signs[1::2]
+    # X_q's gather moves column 0 to qubit q's weight-one column, and Z_q's
+    # signs are (-1)^(bit q of the column)
+    index, weight_one, z_signs = np.arange(stack.shape[-1]), cols[0::2, 0], signs[1::2]
     which = np.arange(len(stack))[:, None]
     with np.errstate(all="ignore"):
         rows = np.abs(stack[:, :, 0]).argmax(axis=1)

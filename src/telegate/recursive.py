@@ -8,7 +8,8 @@ realized the same way, until what is left is Clifford and applied directly.
 
 The root is a plain X-teleportation with the ancilla injected as
 g|+...+>; each measured bit triggers a Pauli X repair plus a diagonal
-residue g·X_i·g†·X_i.  Clifford-or-lower residues are emitted directly as
+residue g·X_i·g†·X_i (`_x_repairs`: an image of `pauli.conjugated_generators`
+and its column gather).  Clifford-or-lower residues are emitted directly as
 classically-controlled gates.  Deeper residues become child nodes, each one
 injection gadget (`emit_inject`, the package's only one): it injects the
 residue's magic state D|+...+> on the recycled measured qubits, couples it
@@ -22,14 +23,14 @@ discipline.  One node emitter writes that circuit, each repair once; a
 node's own circuit is its segment of it with the children cut out.
 
 Recursive ancilla preparation (the states U|+...+> themselves) measures
-the stabilizers M_i = U_x·X_i through one control qubit, re-injected as |0>
-at each step by `ancilla.emit_stabilizer_step`, the one writer of that
-step.  The controlled-U_x is realized by the same injection gadget with the
-coupling CNOTs promoted to Toffolis and the pattern repairs promoted to
-controlled diagonals carrying the exact eigenvalue phases, recursing until
-the controlled payload is Clifford.  Each gadget measures its magic register
-before the next injects, so one spare register serves them all: at most
-2n+1 qubits.
+the stabilizers M_i = U_x·X_i (`_x_repairs` again) through one control
+qubit, re-injected as |0> at each step by `ancilla.emit_stabilizer_step`,
+the one writer of that step.  The controlled-U_x is realized by the same
+injection gadget with the coupling CNOTs promoted to Toffolis and the
+pattern repairs promoted to controlled diagonals carrying the exact
+eigenvalue phases, recursing until the controlled payload is Clifford.
+Each gadget measures its magic register before the next injects, so one
+spare register serves them all: at most 2n+1 qubits.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import is_unitary
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import (FLOOR, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO,
-                     width_of)
+from .limits import (FLOOR, MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
+                     VERIFY_TOL, ZERO, width_of)
 from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
@@ -70,6 +71,8 @@ def rotation_spec(level: int) -> GateSpec:
     """diag(1, e^{i 2π / 2^level}); classifies at the given level."""
     if level < 1:
         raise ValidationError("rotation level must be positive")
+    if level > MAX_HIERARCHY_LEVEL:
+        raise ValidationError(f"rotation level must be at most {MAX_HIERARCHY_LEVEL}, got {level}")
     m = np.diag([1.0, np.exp(2j * np.pi / 2**level)]).astype(complex)
     return GateSpec(m, f"V{level}", level_param=level)
 
@@ -79,6 +82,8 @@ def controlled_rotation_spec(controls: int, level: int) -> GateSpec:
     exponent is chosen so the whole gate classifies at `level`."""
     if controls < 1 or level <= controls:
         raise ValidationError("need level > controls >= 1")
+    if level > MAX_HIERARCHY_LEVEL:
+        raise ValidationError(f"rotation level must be at most {MAX_HIERARCHY_LEVEL}, got {level}")
     base = np.diag([1.0, np.exp(2j * np.pi / 2 ** (level - controls))]).astype(complex)
     m = gates.controlled(base, n_controls=controls)
     return GateSpec(m, f"{'C' * controls}V{level}", level_param=level)
@@ -191,28 +196,32 @@ def emit_inject(b: CircuitBuilder, magic, live, spare, cbits, controls=(),
 def _pattern_repairs(d: np.ndarray, keep_phase: bool):
     """Each outcome pattern c of an injection of d, as bits, with its repair
     D·X^c·D†·X^c where that is not the identity; `keep_phase` multiplies in
-    D's eigenvalue d_c, which a controlled repair must carry."""
+    D's eigenvalue d_c, which a controlled repair must carry; X^c gathers."""
     n = width_of(d.shape[0])
     d_dag = d.conj().T
     for pattern in range(2**n):
         bits = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
-        x_c = pauli.x_matrix(bits)
-        w = d @ x_c @ d_dag @ x_c
+        flip = np.arange(2**n) ^ pattern
+        w = (d[:, flip] @ d_dag)[:, flip]
         if keep_phase:
             w = complex(d[pattern, pattern]) * w
         if np.max(np.abs(w - np.eye(2**n))) > TOL:
             yield bits, w
 
 
+def _x_repairs(g: np.ndarray):
+    """Per qubit i: g·X_i·g†, the X image of `pauli.conjugated_generators(g)`,
+    and its residue g·X_i·g†·X_i, that image's columns gathered by X_i."""
+    n = width_of(g.shape[0])
+    images = np.concatenate(list(pauli.conjugated_generators(g)))
+    for i in range(n):
+        yield images[2 * i], images[2 * i][:, np.arange(2**n) ^ (1 << (n - 1 - i))]
+
+
 def _root_repairs(g: np.ndarray):
     """Per measured bit i of the root: (local cbits, values, the residue
     g·X_i·g†·X_i, its level, the whole repair g·X_i·g†, the X half's qubit)."""
-    n = width_of(g.shape[0])
-    g_dag = g.conj().T
-    for i in range(n):
-        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
-        c_i = g @ x_i @ g_dag
-        residue = c_i @ x_i
+    for i, (c_i, residue) in enumerate(_x_repairs(g)):
         if not hierarchy.is_diagonal_matrix(residue, tol=FLOOR):
             raise SynthesisRefusal(f"repair residue on qubit {i} is not diagonal")
         yield (i,), (1,), residue, _level_of(residue, f"residue on qubit {i}"), c_i, i
@@ -480,13 +489,8 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
     target = StateVector(n, u @ _plus_state(n))
     buf = CircuitBuilder(n + 1, 0, ["zero"] * n + ["inject"])
     register, kappa, spare = list(range(n)), n, []
-    u_dag = u.conj().T
     steps = []
-    for i in range(n):
-        x_i = pauli.pauli_to_matrix(pauli.single(n, i, "X"))
-        m_i = u @ x_i @ u_dag
-        u_x = m_i @ x_i
-
+    for i, (m_i, u_x) in enumerate(_x_repairs(u)):
         def controlled_m() -> ControlledRealization:
             buf.gate("CNOT", [kappa, register[i]], role="E")
             return _realize_controlled(buf, kappa, register, spare, u_x)

@@ -10,8 +10,9 @@ The synthesis rewrites U = G_b·V·G_a, V commuting with the CNOT layer,
 into the skeleton (Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0>
 is injected, G_a frames the data and G_b the receiver, and each repair D_i
 becomes G_b·V·D_i·V†·G_b†, certified Pauli / Clifford / diagonal-times-X
-before emission.  A plain synthesis is G_a = G_b = I, V = U.  Every
-synthesis verifies every branch against the target before returning.
+before emission; V·D_i·V† is an image of `pauli.conjugated_generators`.
+A plain synthesis is G_a = G_b = I, V = U.  Every synthesis verifies every
+branch against the target before returning.
 """
 from __future__ import annotations
 
@@ -121,22 +122,15 @@ def split_phase(m: np.ndarray) -> tuple[complex, np.ndarray]:
 
 
 def peel_x_pattern(m: np.ndarray, tol: float = TOL) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """Factor m = D · X^x with D diagonal, if the support pattern allows it."""
+    """Factor m = D · X^x with D diagonal, if the support pattern allows it:
+    x is the row of column 0's largest entry, and D is m's columns gathered
+    by X^x, which must leave no entry above tol off the diagonal."""
     n = width_of(m.shape[0])
-    x_int = None
-    for col in range(m.shape[1]):
-        rows = np.nonzero(np.abs(m[:, col]) > tol)[0]
-        if len(rows) != 1:
-            return None
-        this = int(rows[0]) ^ col
-        if x_int is None:
-            x_int = this
-        elif x_int != this:
-            return None
-    if x_int is None:
+    x_int = int(np.abs(m[:, 0]).argmax())
+    diag = m[:, np.arange(len(m)) ^ x_int]
+    if not np.array_equal(np.abs(diag) > tol, np.eye(len(m), dtype=bool)):
         return None
-    x_bits = tuple((x_int >> (n - 1 - q)) & 1 for q in range(n))
-    return x_bits, m @ pauli.x_matrix(x_bits)
+    return tuple((x_int >> (n - 1 - q)) & 1 for q in range(n)), diag
 
 
 def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
@@ -258,19 +252,17 @@ def _synthesize(u: np.ndarray, plan: TeleportPlan, v: np.ndarray,
                 g_b: CliffordFrame | None, k_hint: int, tol: float) -> SynthesisResult:
     """Synthesize u = G_b·V·G_a (G_a is plan.generalized_g; no G_b is I):
     inject V·A|0...0>, run the skeleton, apply G_b to the receiver, repair
-    bit i with the classified G_b·V·D_i·V†·G_b†, verify every branch."""
+    bit i with the classified G_b·V·D_i·V†·G_b†, verify every branch; G_b
+    frames V's `pauli.conjugated_generators` images as one stack."""
     n = plan.n
     a_matrix = gates.kron(*(gates.matrix_of(name) for name in plan.a_ops))
     ancilla = StateVector(n, v @ a_matrix @ zero_state(n).amplitudes)
+    images = np.concatenate(list(pauli.conjugated_generators(v)))
     # No identity frame product: it can turn a -0.0 in the sidecar into 0.0.
-    left = v if g_b is None else g_b.matrix @ v
-    v_dag = v.conj().T
-    corrections = []
-    for i, d_name in enumerate(plan.d_ops):
-        m = left @ pauli.pauli_to_matrix(pauli.single(n, i, d_name)) @ v_dag
-        if g_b is not None:
-            m = m @ g_b.matrix.conj().T
-        corrections.append(classify_correction(m, k_hint, i, tol=tol))
+    if g_b is not None:
+        images = g_b.matrix @ images @ g_b.matrix.conj().T
+    corrections = [classify_correction(images[2 * i + (d_name == "Z")], k_hint, i, tol=tol)
+                   for i, d_name in enumerate(plan.d_ops)]
 
     b = CircuitBuilder(2 * n, n, inputs=["input"] * n + ["inject"] * n)
     anc = list(range(n, 2 * n))

@@ -1,6 +1,8 @@
 """The per-image certification route, kept as the reference for the batched
 one (`pauli.conjugated_generators` and `pauli.strict_paulis`): each image is
-one dense `u @ P @ u†` product, recognized by one scalar Pauli test.
+one dense `u @ P @ u†` product, recognized by one scalar Pauli test.  The
+dense repair products of the synthesis and the recursion, which those
+images and column gathers replaced, are kept here too.
 
 `scalar_pauli_from_matrix` keeps the scalar test's one known fault: its
 `> tol` deviation check passes a NaN off the Pauli support.  Sweeps compare
@@ -89,6 +91,63 @@ def loop_level(u, k_max=6, tol=TOL):
     memo = {}
     return next((k for k in range(1, k_max + 1) if loop_member(u, k, tol, memo)), None)
 
+
+
+# --- the dense repair products the images and gathers replaced --------------------
+
+def dense_synthesis_repairs(v, d_ops, g_b=None):
+    """G_b·V·D_i·V†·G_b† for each qubit i and its letter D_i, as
+    `left @ D_i @ V† [@ G_b†]` with left = G_b·V (V when there is no G_b)."""
+    n = width_of(v.shape[0])
+    left, v_dag = (v if g_b is None else g_b @ v), v.conj().T
+    repairs = []
+    for i, letter in enumerate(d_ops):
+        m = left @ pauli_to_matrix(single(n, i, letter)) @ v_dag
+        repairs.append(m if g_b is None else m @ g_b.conj().T)
+    return repairs
+
+
+def dense_x_repairs(g):
+    """(g @ X_i @ g†, that times X_i) for each qubit i."""
+    n = width_of(g.shape[0])
+    g_dag = g.conj().T
+    repairs = []
+    for i in range(n):
+        x_i = pauli_to_matrix(single(n, i, "X"))
+        c_i = g @ x_i @ g_dag
+        repairs.append((c_i, c_i @ x_i))
+    return repairs
+
+
+def dense_pattern_repairs(d, keep_phase):
+    """(bits of c, d @ X^c @ d† @ X^c, times d_c when keep_phase) for each
+    pattern c whose repair is not the identity within TOL."""
+    n = width_of(d.shape[0])
+    d_dag = d.conj().T
+    repairs = []
+    for pattern in range(2**n):
+        bits = tuple((pattern >> (n - 1 - j)) & 1 for j in range(n))
+        x_c = pauli_to_matrix(PauliOperator(n, bits, (0,) * n))
+        w = d @ x_c @ d_dag @ x_c
+        if keep_phase:
+            w = complex(d[pattern, pattern]) * w
+        if np.max(np.abs(w - np.eye(2**n))) > TOL:
+            repairs.append((bits, w))
+    return repairs
+
+
+def loop_peel_x_pattern(m, tol=TOL):
+    """(bits of x, m @ X^x) when each column of m has one entry above tol,
+    all at rows column ^ x for one x, else None: one column at a time."""
+    n = width_of(m.shape[0])
+    x_int = None
+    for col in range(m.shape[1]):
+        rows = np.nonzero(np.abs(m[:, col]) > tol)[0]
+        if len(rows) != 1 or x_int not in (None, int(rows[0]) ^ col):
+            return None
+        x_int = int(rows[0]) ^ col
+    bits = tuple((x_int >> (n - 1 - q)) & 1 for q in range(n))
+    return bits, m @ pauli_to_matrix(PauliOperator(n, bits, (0,) * n))
 
 
 # --- the unitaries both routes are compared on ----------------------------------

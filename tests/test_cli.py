@@ -399,6 +399,31 @@ def test_recursion_too_deep_is_one_usage_error(capsys, k):
     assert "depth limit 5" in err
 
 
+@pytest.mark.parametrize("gate,k", [("V", 21), ("V", 33), ("V", 1024), ("CV", 1025)])
+def test_rotation_levels_beyond_classification_are_usage_errors(capsys, gate, k):
+    """A rotation above level 20 is refused as its spec is built: at level 33
+    its phase is below TOL, so it would classify as the identity, and at
+    1024 its angle does not fit a float."""
+    code, out, err = run(capsys, "recursive", gate, "--k", str(k))
+    assert code == 2 and out == ""
+    assert err == f"error: rotation level must be at most 20, got {k}\n"
+
+
+def test_a_zero_qubit_matrix_file_exits_cleanly(capsys, tmp_path):
+    """A 1x1 matrix has no generators to conjugate: the plain synthesis
+    verifies its empty plan, and the sandwich and the ancilla exit without
+    a traceback."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"matrix": [[[1, 0]]]}))
+    assert run(capsys, "synth", str(path)) == (0, "plan: \nancilla: [+1.000000+0.000000j]\n"
+                                                   "corrections:\nverified: all branches,"
+                                                   " worst fidelity 1.000000000000\n", "")
+    for argv in (["synth", str(path), "--sandwich", ",".join([str(path)] * 3)],
+                 ["ancilla", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2) and "Traceback" not in err
+
+
 def test_shortcut_outside_the_pair_range_is_refused_before_output(capsys):
     for shortcut in ("2", "0"):
         code, out, err = run(capsys, "ancilla", "T", "--shortcut", shortcut)
@@ -618,6 +643,31 @@ def test_verify_listing_matches_its_recorded_bytes(capsys, tmp_path, name):
         against, want = name, (GOLDEN / f"verify_{name.lower()}.out").read_text()
     code, out, _ = run(capsys, "verify", str(circuit), "--against", str(against))
     assert code == 0 and out == want
+
+
+def _ch_sandwich():
+    from telegate.clifford import clifford_from_matrix
+    from telegate.teleport import synthesize_sandwiched
+    g_a = clifford_from_matrix(gates.kron(gates.I2, gates.Q.conj().T))
+    v = gates.kron(gates.T, gates.I2) @ gates.matrix_of("CS†")
+    g_b = clifford_from_matrix(gates.CNOT @ gates.kron(gates.I2, gates.Q))
+    return synthesize_sandwiched(gates.CH, g_a, v, g_b)
+
+
+@pytest.mark.parametrize("name", ["recursive_cv4.tree.json", "recursive_cv4.flat.json",
+                                  "sandwich_ch.sidecar.json"])
+def test_repair_outputs_match_their_recorded_bytes(capsys, tmp_path, name):
+    """The CV4 tree and flattened circuit written by `recursive --out`, and
+    the CH sandwich's sidecar, were recorded from the dense repair products:
+    a re-associated product or a flipped zero sign in a repair shows here."""
+    if name.startswith("sandwich"):
+        got = json.dumps(_ch_sandwich().sidecar())
+    else:
+        path = tmp_path / "out.json"
+        flatten = ["--flatten"] if ".flat." in name else []
+        assert run(capsys, "recursive", "CV", "--k", "4", *flatten, "--out", str(path))[0] == 0
+        got = path.read_text()
+    assert got == (GOLDEN / name).read_text()
 
 
 def _mutations(doc, rnd: "random.Random"):

@@ -283,3 +283,12 @@ def test_nan_or_infinite_entries_are_never_a_pauli():
         for m in (off_support, in_column_0, infinite):
             assert pauli_from_matrix(m) is None
         assert not strict_paulis(np.array([off_support, in_column_0])).any()
+
+
+def test_a_zero_qubit_matrix_has_no_images_and_is_a_pauli():
+    """A 1x1 unitary has no generators: one empty chunk of images, and the
+    recognizer reads it as c times the empty Pauli."""
+    chunks = list(conjugated_generators(np.eye(1)))
+    assert [chunk.shape for chunk in chunks] == [(0, 1, 1)]
+    assert pauli_from_matrix(np.array([[1j]])) == (1j, PauliOperator(0, (), ()), True)
+    assert strict_paulis(np.array([[[1]], [[0.6 + 0.8j]], [[2]]])).tolist() == [True, False, False]

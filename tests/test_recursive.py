@@ -19,6 +19,8 @@ from telegate.simulator import (StateVector, apply_matrix, basis_state, branch_o
                                 verify_gate_equivalence)
 from telegate.teleport import TeleportPlan, emit_teleport
 
+from conjugation_oracle import dense_pattern_repairs, dense_x_repairs
+
 
 def tree_walk_residues(rc):
     found = []
@@ -588,3 +590,34 @@ def test_every_node_branch_has_probability_two_to_the_minus_n(spec, flatten):
             assert stack.live.all()
             for k_b in blocks:
                 assert np.max(np.abs(k_b.conj().T @ k_b - np.eye(2**n) / 2**n)) < 1e-12
+
+
+def test_x_and_pattern_repairs_are_the_dense_products_byte_for_byte(monkeypatch):
+    """g·X_i·g† is an image of `pauli.conjugated_generators` and every
+    product with an X string a column gather; each equals the dense product,
+    a zero's sign included, on every node gate of the CV5, CCV4 and CCV5
+    trees and every payload of CCV4's preparation."""
+    from telegate import recursive
+    from telegate.recursive import _pattern_repairs, _x_repairs
+    node_gates = [node.gate for spec in (controlled_rotation_spec(1, 5),
+                                         controlled_rotation_spec(2, 4),
+                                         controlled_rotation_spec(2, 5))
+                  for node in _nodes(synth_recursive(spec, flatten=False).root)]
+    payloads, realize = [], recursive._realize_controlled
+
+    def recorded(buf, kappa, register, spare, payload, *cond):
+        payloads.append(payload)
+        return realize(buf, kappa, register, spare, payload, *cond)
+
+    monkeypatch.setattr(recursive, "_realize_controlled", recorded)
+    recursive_ancilla_prep(controlled_rotation_spec(2, 4))
+    assert (len(node_gates), len(payloads)) == (38, 24)
+
+    def raw(pairs):
+        return [(key if isinstance(key, tuple) else key.tobytes(), m.tobytes())
+                for key, m in pairs]
+
+    for g in node_gates + payloads:
+        assert raw(_x_repairs(g)) == raw(dense_x_repairs(g))
+        for keep_phase in (False, True):
+            assert raw(_pattern_repairs(g, keep_phase)) == raw(dense_pattern_repairs(g, keep_phase))

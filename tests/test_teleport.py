@@ -20,6 +20,8 @@ from telegate.teleport import (TeleportPlan, build_generalized_teleport,
                                peel_x_pattern, plan_teleportation, synthesize_sandwiched,
                                synthesize_teleported_gate)
 
+from conjugation_oracle import dense_synthesis_repairs, loop_peel_x_pattern
+
 SQ2 = 1 / np.sqrt(2)
 
 
@@ -333,6 +335,27 @@ def _ch_frames():
     return g_a, v, g_b
 
 
+def test_repairs_are_the_dense_products_byte_for_byte():
+    """Each repair is an image of `pauli.conjugated_generators`, framed by
+    G_b as one stack.  It equals the dense per-qubit product, a zero's sign
+    included, on every library gate that synthesizes and on both sandwiches."""
+    cases = []
+    for name in gates.GATE_NAMES:
+        try:
+            res = synthesize_teleported_gate(gates.matrix_of(name))
+        except SynthesisRefusal:
+            continue
+        cases.append((res, dense_synthesis_repairs(res.gate, res.plan.d_ops)))
+    assert len(cases) == 12
+    h = tableau_from_gate("H")
+    hth = (gates.H @ gates.T @ gates.H, (h, gates.T, h))
+    for u, (g_a, v, g_b) in ((gates.CH, _ch_frames()), hth):
+        res = synthesize_sandwiched(u, g_a, v, g_b)
+        cases.append((res, dense_synthesis_repairs(v, res.plan.d_ops, g_b.matrix)))
+    for res, want in cases:
+        assert [c.matrix.tobytes() for c in res.corrections] == [m.tobytes() for m in want]
+
+
 def test_sandwiched_controlled_hadamard():
     g_a, v, g_b = _ch_frames()
     assert np.max(np.abs(gates.CH - g_b.matrix @ v @ g_a.matrix)) < 1e-12
@@ -383,6 +406,29 @@ def test_peel_x_pattern_factors_a_permuted_diagonal():
     x_bits, diag = peel_x_pattern(gates.S @ gates.X)
     assert x_bits == (1,) and np.max(np.abs(diag - gates.S)) < 1e-12
     assert peel_x_pattern(gates.H) is None
+
+
+def test_peel_x_pattern_agrees_with_the_column_loop(rng):
+    """The gather by column 0's X string against the column-by-column
+    search and dense X product it replaced, on permuted diagonals with an
+    entry nudged, a column zeroed or the columns shuffled."""
+    found = 0
+    for trial in range(400):
+        d = 2 ** int(rng.integers(0, 4))
+        m = np.diag(np.exp(2j * np.pi * rng.random(d)))[:, np.arange(d) ^ int(rng.integers(d))]
+        kind = trial % 4
+        if kind == 1:
+            m[rng.integers(d), rng.integers(d)] += rng.choice([0.5 * TOL, 2 * TOL, 0.5])
+        elif kind == 2:
+            m[:, rng.integers(d)] = 0
+        elif kind == 3:
+            m = m[:, rng.permutation(d)]
+        got, want = peel_x_pattern(m), loop_peel_x_pattern(m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert 100 < found < 400
 
 
 def test_level4_rotation_takes_a_diagonal_pauli_correction():
