@@ -229,13 +229,14 @@ def emit_stabilizer_step(b: CircuitBuilder, kappa: int, controlled_m, repair, ta
 
 
 def script_circuit(script: PreparationScript) -> Circuit:
-    """The script as a preparation from nothing, on n+1 qubits: the first
-    op injects the initial state on the register [0..n-1], and qubit n is
-    the control.  Step i measures M through the control into cbit i and
-    applies Q on outcome 1."""
+    """The script as a preparation from nothing: the first op injects the
+    initial state on the register [0..n-1], and qubit n is the control,
+    allocated when there is a step (a 0-qubit script has none).  Step i
+    measures M through the control into cbit i and applies Q on outcome 1."""
     n = script.initial_state.n
     register = list(range(n))
-    b = CircuitBuilder(n + 1, 0, ["inject"] * (n + 1))
+    width = n + bool(script.steps)
+    b = CircuitBuilder(width, 0, ["inject"] * width)
     b.inject(script.initial_state.amplitudes, register)
     for m, q in script.steps:
         emit_stabilizer_step(b, n, lambda: b.gate(gates.controlled(m), [n] + register, role="U"),

@@ -463,7 +463,7 @@ def render(c: Circuit) -> str:
     cwires = [[f"c{b}:"] for b in range(c.n_cbits)]
 
     def pad_column():
-        width = max(len("".join(w)) for w in wires + cwires)
+        width = max((len("".join(w)) for w in wires + cwires), default=0)
         for w in wires:
             w.append("-" * (width - len("".join(w))))
         for w in cwires:

@@ -6,6 +6,9 @@ one emitter of that skeleton (receiver preparation, optional Clifford frame,
 CNOT coupling, basis change, measurement); the bare and generalized
 teleports, the synthesis, the recursion root, the remote pre-rewrite
 circuits and Bell teleports are built on it and add only their repairs.
+A gate moves through qubit q's teleport when it commutes with q's coupling
+CNOT, a test read off q's 2×2 blocks of the gate; both planners reach it
+through one guard that first refuses a non-unitary or too-wide gate.
 The synthesis rewrites U = G_b·V·G_a, V commuting with the CNOT layer,
 into the skeleton (Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0>
 is injected, G_a frames the data and G_b the receiver, and each repair D_i
@@ -148,7 +151,7 @@ def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
     if peeled is not None:
         _, diag = peeled
         if hierarchy.is_diagonal_matrix(diag, tol=max(tol, FLOOR)):
-            verdict = hierarchy.hierarchy_level(diag, k_max=max(k_hint, 2))
+            verdict = hierarchy.hierarchy_level(diag, k_max=max(k_hint, 2), tol=tol)
             if verdict.level is not None and verdict.level <= k_hint - 1:
                 return Correction(qubit, m, "diagonal-pauli", phase, canonical,
                                   residue_level=verdict.level)
@@ -214,18 +217,22 @@ def build_generalized_teleport(g: CliffordFrame) -> Circuit:
     return b.build()
 
 
-def _commutes_on(u: np.ndarray, qubit: int, kind: str, tol: float) -> bool:
-    """Whether u commutes with what qubit's coupling CNOT shows the receiver,
-    its control |1><1| in an X teleport and its target X in a Z teleport:
-    the commutator's largest entry is below max(tol, FLOOR).  Automatic and
-    explicit plans both pass here, so here a gate wider than MAX_PLAN_WIDTH
-    is refused."""
+def _commuting_kinds(u: np.ndarray, tol: float) -> np.ndarray:
+    """Row q: whether u commutes with qubit q's coupling in an X teleport (its
+    control |1><1|) and in a Z teleport (its target X): with u = [[A, B], [C, D]]
+    in q's basis, max(|B|, |C|) and max(|A - D|, |B - C|) below max(tol, FLOOR).
+    Both planners pass here: u is checked unitary first, as the X read skips A and D."""
+    u = np.asarray(u, dtype=complex)
+    if not clifford_mod.is_unitary(u, tol=max(tol, FLOOR)):
+        raise ValidationError("input matrix is not unitary within tolerance")
     n = width_of(u.shape[0])
     if n > MAX_PLAN_WIDTH:
         raise ValidationError(f"teleport plans are limited to width {MAX_PLAN_WIDTH}")
-    side = np.diag([0j, 1]) if kind == "X" else gates.X
-    p = gates.embed(side, (qubit,), n)
-    return bool(np.max(np.abs(u @ p - p @ u)) < max(tol, FLOOR))
+    residues = np.empty((n, 2))
+    for q in range(n):
+        (a, b), (c, d) = u.reshape(2**q, 2, -1, 2**q, 2, 2**(n - q - 1)).transpose(1, 4, 0, 2, 3, 5)
+        residues[q] = max(abs(b).max(), abs(c).max()), max(abs(a - d).max(), abs(b - c).max())
+    return residues < max(tol, FLOOR)
 
 
 def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = TOL) -> bool:
@@ -234,17 +241,13 @@ def plan_commutes(u: np.ndarray, kinds: tuple[str, ...], tol: float = TOL) -> bo
     holds qubit by qubit (Gottesman & Chuang 1999)."""
     if len(kinds) != width_of(u.shape[0]):
         raise DimensionMismatch("plan width does not match the gate")
-    return all(_commutes_on(u, i, kind, tol) for i, kind in enumerate(kinds))
+    return all(ok["XZ".index(k)] for ok, k in zip(_commuting_kinds(u, tol), kinds))
 
 
 def plan_teleportation(u: np.ndarray, tol: float = TOL) -> TeleportPlan | None:
     """X on each qubit where that commutes, else Z, else None.  Qubits are
     independent, so this is the one commuting plan with the fewest Z."""
-    u = np.asarray(u, dtype=complex)
-    if not clifford_mod.is_unitary(u, tol=max(tol, FLOOR)):
-        raise ValidationError("input matrix is not unitary within tolerance")
-    kinds = tuple(next((k for k in "XZ" if _commutes_on(u, i, k, tol)), None)
-                  for i in range(width_of(u.shape[0])))
+    kinds = tuple("X" if x else "Z" if z else None for x, z in _commuting_kinds(u, tol))
     return None if None in kinds else TeleportPlan(kinds)
 
 
@@ -296,7 +299,7 @@ def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,
     elif not plan_commutes(u, plan.kinds, tol=tol):
         raise SynthesisRefusal(
             f"plan {plan.describe()} does not commute with the CNOT layer")
-    verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, hierarchy.DEFAULT_K_MAX))
+    verdict = hierarchy.hierarchy_level(u, k_max=max(k_hint, hierarchy.DEFAULT_K_MAX), tol=tol)
     if verdict.level is None or verdict.level > k_hint:
         found = f"level {verdict.level}" if verdict.level else f"above level {verdict.k_max}"
         raise SynthesisRefusal(f"gate is {found}, above k_hint {k_hint}")

@@ -2,7 +2,8 @@
 one (`pauli.conjugated_generators` and `pauli.strict_paulis`): each image is
 one dense `u @ P @ u†` product, recognized by one scalar Pauli test.  The
 dense repair products of the synthesis and the recursion, which those
-images and column gathers replaced, are kept here too.
+images and column gathers replaced, and the dense plan commutator, which
+the teleport plan's 2×2 block read replaced, are kept here too.
 
 `scalar_pauli_from_matrix` keeps the scalar test's one known fault: its
 `> tol` deviation check passes a NaN off the Pauli support.  Sweeps compare
@@ -148,6 +149,17 @@ def loop_peel_x_pattern(m, tol=TOL):
         x_int = int(rows[0]) ^ col
     bits = tuple((x_int >> (n - 1 - q)) & 1 for q in range(n))
     return bits, m @ pauli_to_matrix(PauliOperator(n, bits, (0,) * n))
+
+
+def dense_commutator_max(u, qubit, kind):
+    """The largest entry of u·P - P·u, P the side of qubit's coupling CNOT
+    that the receiver sees (|1><1| in an X teleport, X in a Z teleport),
+    embedded as a 2^n×2^n matrix."""
+    from telegate import gates
+    n = width_of(u.shape[0])
+    side = np.diag([0j, 1]) if kind == "X" else gates.X
+    p = gates.embed(side, (qubit,), n)
+    return np.max(np.abs(u @ p - p @ u))
 
 
 # --- the unitaries both routes are compared on ----------------------------------

@@ -294,6 +294,15 @@ def test_script_circuit_layout():
         ("MeasureOp", False), ("GateOp", True)] * 2
 
 
+def test_a_zero_qubit_script_allocates_no_control():
+    """A 1×1 gate has no stabilizer to measure: its script has no step, so
+    its circuit has no control qubit left neither measured nor an output."""
+    script = build_preparation(derive_stabilizers(np.eye(1, dtype=complex), ()))
+    c = script_circuit(script)
+    assert script.steps == () and (c.n_qubits, c.n_cbits) == (0, 0)
+    assert verify_script(script) == (True, 1.0)
+
+
 def test_running_a_script_leaves_its_matrices_writeable():
     spec = derive_stabilizers(gates.TOFFOLI, ("H", "H", "I"))
     for script in (build_preparation(spec), shortcut_preparation(spec, 0)):

@@ -14,6 +14,7 @@ from telegate import gates
 from telegate.circuit import deserialize, matrix_doc, serialize
 from telegate.cli import main
 from telegate.limits import TOL
+from telegate.simulator import verify_gate_equivalence
 
 
 def run(capsys, *argv):
@@ -159,11 +160,15 @@ def test_verify_default_maps_leave_a_re_injected_qubit_as_output(capsys, tmp_pat
     assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS"
 
 
-@pytest.mark.parametrize("doc", [{"matrix": [[[1, 0], [0, 0], [0, 0], [0, 0]],
-                                             [[0, 0], [1, 0], [0, 0], [0, 0]]]},
-                                 [], {"matrix": [[[float("nan"), 0], [0, 0]],
-                                                 [[0, 0], [1, 0]]]}],
-                         ids=["2x4", "empty", "nan-diagonal"])
+NOT_A_FINITE_UNITARY = [
+    pytest.param({"matrix": [[[1, 0], [0, 0], [0, 0], [0, 0]],
+                             [[0, 0], [1, 0], [0, 0], [0, 0]]]}, id="2x4"),
+    pytest.param([], id="empty"),
+    pytest.param({"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}, id="nan-diagonal"),
+]
+
+
+@pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY)
 def test_recursive_refuses_a_matrix_file_that_is_not_a_finite_unitary(capsys, tmp_path, doc):
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(doc))
@@ -171,6 +176,20 @@ def test_recursive_refuses_a_matrix_file_that_is_not_a_finite_unitary(capsys, tm
     assert (code, out) == (2, "")
     assert err == "error: input matrix is not unitary within tolerance\n"
     assert "broadcast" not in err
+
+
+@pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [
+    pytest.param({"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}, id="shear")])
+def test_an_explicit_plan_refuses_what_the_automatic_plan_refuses(capsys, tmp_path, doc):
+    """Both plans pass the one unitarity check: the shear [[1, 1], [0, 1]]
+    with --plan X used to be refused as a plan that does not commute."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    explicit = run(capsys, "synth", str(path), "--plan", "X")
+    auto = run(capsys, "synth", str(path))
+    assert explicit[:2] == auto[:2] == (2, "")
+    if doc:  # an explicit plan's width is checked first, and [] has none
+        assert explicit[2] == auto[2] == "error: input matrix is not unitary within tolerance\n"
 
 
 @pytest.mark.parametrize("argv, code, stream, message", [
@@ -422,6 +441,37 @@ def test_a_zero_qubit_matrix_file_exits_cleanly(capsys, tmp_path):
                  ["ancilla", str(path)]):
         code, _, err = run(capsys, *argv)
         assert code in (0, 2) and "Traceback" not in err
+
+
+def test_a_zero_qubit_synthesis_draws_its_empty_diagram(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"matrix": [[[1, 0]]]}))
+    code, out, err = run(capsys, "synth", str(path), "--diagram")
+    assert (code, err) == (0, "") and out.endswith("worst fidelity 1.000000000000\n\n")
+
+
+def test_a_zero_qubit_preparation_verifies_and_is_written(capsys, tmp_path):
+    path, script = tmp_path / "one.json", tmp_path / "one.script.json"
+    path.write_text(json.dumps({"matrix": [[[1, 0]]]}))
+    code, out, err = run(capsys, "ancilla", str(path), "--simulate")
+    assert (code, err) == (0, "") and out.splitlines()[-1].endswith("PASS")
+    assert run(capsys, "ancilla", str(path), "--out", str(script))[::2] == (0, "")
+    assert json.loads(script.read_text())["steps"] == []
+
+
+@pytest.mark.parametrize("k_hint, angle", [(3, np.pi / 4), (4, np.pi / 8)], ids=["T", "V4"])
+def test_synthesis_level_checks_take_the_callers_tolerance(capsys, tmp_path, k_hint, angle):
+    """diag(1, e^{i(angle + 1e-7)}) is at level k_hint within --tol 1e-6: the
+    gate's level check takes that tolerance, and so does V4's repair residue."""
+    u = np.diag([1, np.exp(1j * (angle + 1e-7))])
+    gate, circuit = tmp_path / "u.json", tmp_path / "u.circuit.json"
+    gate.write_text(json.dumps({"matrix": matrix_doc(u)}))
+    argv = ("synth", str(gate), "--k-hint", str(k_hint))
+    code, _, err = run(capsys, *argv, "--tol", "1e-6", "--out", str(circuit))
+    assert (code, err) == (0, "")
+    report = verify_gate_equivalence(deserialize(circuit.read_text()), u, [0], [1])
+    assert report.passed and len(report.branch_weights) == 2
+    assert run(capsys, *argv) == (1, "", f"refused: gate is above level 6, above k_hint {k_hint}\n")
 
 
 def test_shortcut_outside_the_pair_range_is_refused_before_output(capsys):

@@ -9,7 +9,7 @@ import pytest
 from telegate import gates
 from telegate.circuit import CircuitBuilder, GateOp
 from telegate.clifford import clifford_from_matrix, tableau_from_gate
-from telegate.errors import DimensionMismatch, SynthesisRefusal
+from telegate.errors import DimensionMismatch, SynthesisRefusal, ValidationError
 from telegate.hierarchy import hierarchy_level
 from telegate.limits import FLOOR, TOL
 from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
@@ -20,7 +20,8 @@ from telegate.teleport import (TeleportPlan, build_generalized_teleport,
                                peel_x_pattern, plan_teleportation, synthesize_sandwiched,
                                synthesize_teleported_gate)
 
-from conjugation_oracle import dense_synthesis_repairs, loop_peel_x_pattern
+from conjugation_oracle import (_perturbation, dense_commutator_max, dense_synthesis_repairs,
+                                loop_peel_x_pattern, verdict_sweep)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -220,6 +221,38 @@ def test_plans_match_the_oracle_on_random_diagonals(n, rng):
         on = rng.random(n) < 0.5
         h = gates.kron(*(gates.H if bit else gates.I2 for bit in on))
         _assert_plans_match_the_oracle(h @ d @ h, f"H{on.astype(int)} diagonal {trial}")
+
+
+def test_block_verdicts_match_the_dense_commutator(rng):
+    """Every (qubit, kind) verdict of the 2×2 block read is the dense
+    commutator's: on the hierarchy sweep, on its first 60 unitaries moved by
+    0.5, 1 and 2 times FLOOR, the plan's bound, and on library Kronecker pairs."""
+    from telegate.teleport import _commuting_kinds
+    sweep = verdict_sweep(rng)
+    sweep += [u @ _perturbation(rng, u.shape[0], f * FLOOR)
+              for u in sweep[:60] for f in (0.5, 1, 2)]
+    library = [gates.matrix_of(name) for name in gates.GATE_NAMES]
+    sweep += [gates.kron(a, b) for a in library for b in library if len(a) * len(b) <= 16]
+    near = 0
+    for u in sweep:
+        verdicts = _commuting_kinds(u, TOL)
+        for q in range(len(verdicts)):
+            for j, kind in enumerate("XZ"):
+                dense = dense_commutator_max(u, q, kind)
+                assert verdicts[q, j] == (dense < max(TOL, FLOOR)), (q, kind, dense)
+                near += 0.3 * FLOOR <= dense <= 3 * FLOOR
+    assert len(sweep) == 667 and near > 100
+
+
+@pytest.mark.parametrize("u", [np.diag([1, np.nan, 1, 1]), np.array([[1, 1], [0, 1]])],
+                         ids=["nan-identity", "shear"])
+def test_both_planners_refuse_a_matrix_that_is_not_unitary(u):
+    # The block read skips the NaN that poisons the dense product, so the
+    # unitarity check runs ahead of it for either planner.
+    kinds = ("X",) * int(np.log2(len(u)))
+    for call in (lambda: plan_teleportation(u), lambda: plan_commutes(u, kinds)):
+        with pytest.raises(ValidationError, match="^input matrix is not unitary within tolerance$"):
+            call()
 
 
 def test_automatic_and_explicit_plans_share_one_tolerance():
