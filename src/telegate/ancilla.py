@@ -24,6 +24,7 @@ import numpy as np
 
 from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
+from .clifford import checked_unitary
 from .errors import InternalConsistencyError, ValidationError
 from .limits import TOL, VERIFY_TOL, ZERO
 from .simulator import (Branch, StateVector, extract_register_state, run_all_branches,
@@ -88,13 +89,13 @@ def check_spec(target: StateVector, pairs) -> None:
                 raise InternalConsistencyError(f"pairs {i},{j}: [M_i, M_j] != 0")
 
 
-def make_stabilizer_spec(target: StateVector, ms, qs) -> StabilizerSpec:
-    """Validate and tag a full set of n pairs for a width-n target."""
+def make_stabilizer_spec(target: StateVector, ms, qs, tol: float = TOL) -> StabilizerSpec:
+    """Validate and tag (at tol) a full set of n pairs for a width-n target."""
     warnings: list[str] = []
     pairs = []
     for i, (m, q) in enumerate(zip(ms, qs)):
-        m_level = hierarchy.hierarchy_level(m).level
-        q_level = hierarchy.hierarchy_level(q).level
+        m_level = hierarchy.hierarchy_level(m, tol=tol).level
+        q_level = hierarchy.hierarchy_level(q, tol=tol).level
         if m_level is None or m_level > 2:
             warnings.append(f"stabilizer {i} classifies above the Clifford group"
                             f" (level {m_level})")
@@ -107,11 +108,11 @@ def make_stabilizer_spec(target: StateVector, ms, qs) -> StabilizerSpec:
     return StabilizerSpec(target, tuple(pairs), tuple(warnings))
 
 
-def derive_stabilizers(u: np.ndarray, a_ops) -> StabilizerSpec:
+def derive_stabilizers(u: np.ndarray, a_ops, tol: float = TOL) -> StabilizerSpec:
     """Pairs for the state U·A|0...0>: M_i = U·A·Z_i·A†·U†, Q_i likewise
     from X_i.  A is the per-qubit basis-change layer of the teleport plan
     ('H' on X-teleported qubits, 'I' on Z-teleported ones)."""
-    u = np.asarray(u, dtype=complex)
+    u = checked_unitary(u, tol)
     a_ops = tuple(a_ops)
     n = len(a_ops)
     if u.shape != (2**n, 2**n):
@@ -121,7 +122,7 @@ def derive_stabilizers(u: np.ndarray, a_ops) -> StabilizerSpec:
     target = StateVector(n, ua @ zero_state(n).amplitudes)
     images = np.concatenate(list(pauli.conjugated_generators(ua)))
     ms, qs = images[1::2], images[0::2]
-    return make_stabilizer_spec(target, ms, qs)
+    return make_stabilizer_spec(target, ms, qs, tol)
 
 
 def measure_operator(s: StateVector, m: np.ndarray) -> tuple[Branch, Branch]:

@@ -101,9 +101,9 @@ def cmd_synth(args) -> int:
         if len(tokens) != 3:
             raise TelegateError("--sandwich needs GA,V,GB")
         from .clifford import clifford_from_matrix
-        g_a = clifford_from_matrix(_resolve_gate(tokens[0]))
+        g_a = clifford_from_matrix(_resolve_gate(tokens[0]), tol=args.tol)
         v = _resolve_gate(tokens[1])
-        g_b = clifford_from_matrix(_resolve_gate(tokens[2]))
+        g_b = clifford_from_matrix(_resolve_gate(tokens[2]), tol=args.tol)
         if g_a is None or g_b is None:
             raise TelegateError("sandwich frames must be Clifford gates")
         result = teleport.synthesize_sandwiched(u, g_a, v, g_b, tol=args.tol)
@@ -159,7 +159,7 @@ def cmd_ancilla(args) -> int:
     if plan is None:
         print("no commuting plan: cannot derive stabilizers from a teleport layer")
         return EXIT_FAIL
-    spec = ancilla_mod.derive_stabilizers(u, plan.a_ops)
+    spec = ancilla_mod.derive_stabilizers(u, plan.a_ops, tol=args.tol)
     if args.shortcut is not None and not 1 <= args.shortcut <= len(spec.pairs):
         raise TelegateError(f"--shortcut must be between 1 and {len(spec.pairs)},"
                             f" got {args.shortcut}")
@@ -167,7 +167,7 @@ def cmd_ancilla(args) -> int:
     print(f"target: {_fmt_amplitudes(spec.target)}")
     for i, pair in enumerate(spec.pairs):
         line = f"  M_{i + 1}: level {pair.m_level}   Q_{i + 1}: level {pair.q_level}"
-        hit = pauli_from_matrix(pair.q, tol=FLOOR)
+        hit = pauli_from_matrix(pair.q, tol=max(args.tol, FLOOR))
         if hit is not None:
             line += f" ({format_literal(hit[1])})"
         print(line)

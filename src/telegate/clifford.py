@@ -39,6 +39,14 @@ def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
     return np.ndim(m) == 2 and np.shape(m)[0] == np.shape(m)[1] and is_isometry(m, tol)
 
 
+def checked_unitary(m: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """m as a complex array, refused unless a finite unitary within
+    max(tol, FLOOR): the one input check of a caller's matrix."""
+    if not is_unitary(m, max(tol, FLOOR)):
+        raise ValidationError("input matrix is not unitary within tolerance")
+    return np.asarray(m, dtype=complex)
+
+
 def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordFrame | None:
     """The frame of m iff every conjugated generator is a strict Pauli.
 
@@ -46,9 +54,7 @@ def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordFrame | Non
     m is outside the Clifford group.  Raises for non-unitary input.  The
     frame holds a read-only copy of m, so the caller's array stays its own.
     """
-    m = np.array(m, dtype=complex)
-    if not is_unitary(m, tol=max(tol, FLOOR)):
-        raise ValidationError("input matrix is not unitary within tolerance")
+    m = np.array(checked_unitary(m, tol))
     if not all(pauli.strict_paulis(images, tol).all()
                for images in pauli.conjugated_generators(m)):
         return None

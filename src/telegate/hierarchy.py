@@ -34,7 +34,7 @@ import numpy as np
 
 from . import clifford, pauli
 from .errors import ValidationError
-from .limits import FLOOR, MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, width_of
+from .limits import MAX_HIERARCHY_LEVEL, MAX_PLAN_WIDTH, TOL, width_of
 
 DEFAULT_K_MAX = 6
 
@@ -194,9 +194,7 @@ def hierarchy_level(
     if not 1 <= k_max <= MAX_HIERARCHY_LEVEL:
         raise ValidationError(f"k_max must be between 1 and the level limit"
                               f" {MAX_HIERARCHY_LEVEL}, got {k_max}")
-    u = np.asarray(u, dtype=complex)
-    if not clifford.is_unitary(u, tol=max(tol, FLOOR)):
-        raise ValidationError("input matrix is not unitary within tolerance")
+    u = clifford.checked_unitary(u, tol)
     width_of(u.shape[0])
     diagonal = is_diagonal_matrix(u, tol=tol)
     if diagonal:

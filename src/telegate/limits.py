@@ -4,8 +4,9 @@ ZERO              a norm or branch probability below this counts as zero.
 VERIFY_TOL        the fidelity margin every branch verification must clear.
 TOL               the recognition tolerance of Pauli, Clifford, level, diagonal
                   and commuting-plan checks.
-FLOOR             the least tol of unitarity input checks, the plan check and a synthesis's
-                  repair and factor checks; hierarchy and Clifford recognition use tol itself.
+FLOOR             the least tol of `clifford.checked_unitary`, the one input check of a
+                  caller's matrix, and of the plan check and a synthesis's repair and
+                  factor checks; hierarchy and Clifford recognition use tol itself.
 MAX_QUBITS        the widest register the dense engine simulates.
 MAX_MEASUREMENTS  the most measurements (2^m branches) the engine enumerates.
 MAX_STACK_AMPLITUDES  the most amplitudes one stack of branches holds after any op:

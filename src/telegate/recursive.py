@@ -42,7 +42,7 @@ import numpy as np
 from . import gates, hierarchy, pauli
 from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
-from .clifford import is_unitary
+from .clifford import checked_unitary
 from .errors import SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
                      VERIFY_TOL, ZERO, width_of)
@@ -166,9 +166,7 @@ def _level_of(m: np.ndarray, what: str) -> int:
 def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
     """The spec's matrix, width and level, refused unless a finite unitary
     inside the recursion's width and depth limits."""
-    m = np.asarray(spec.matrix, dtype=complex)
-    if not is_unitary(m, FLOOR):  # first: the checks below assume a square matrix
-        raise ValidationError("input matrix is not unitary within tolerance")
+    m = checked_unitary(spec.matrix)  # first: the checks below assume a square matrix
     if not hierarchy.is_diagonal_matrix(m):
         raise ValidationError(f"{spec.label} is not diagonal")
     if spec.n > MAX_RECURSION_WIDTH:

@@ -26,6 +26,7 @@ it gives each branch's probability and the fold's norms.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,6 +54,8 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise DimensionMismatch("amplitude count must be 2**n")
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            raise ValidationError("state has non-finite amplitudes")
         if norm < ZERO:
             raise ValidationError("state has zero norm")
         amps = amps / norm

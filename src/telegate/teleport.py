@@ -8,7 +8,8 @@ teleports, the synthesis, the recursion root, the remote pre-rewrite
 circuits and Bell teleports are built on it and add only their repairs.
 A gate moves through qubit q's teleport when it commutes with q's coupling
 CNOT, a test read off q's 2×2 blocks of the gate; both planners reach it
-through one guard that first refuses a non-unitary or too-wide gate.
+through one guard that refuses a gate failing `clifford.checked_unitary`,
+then a too-wide one.  The sandwich synthesis checks u and V that way too.
 The synthesis rewrites U = G_b·V·G_a, V commuting with the CNOT layer,
 into the skeleton (Gottesman & Chuang, Nature 402:390, 1999): V·A|0...0>
 is injected, G_a frames the data and G_b the receiver, and each repair D_i
@@ -222,9 +223,7 @@ def _commuting_kinds(u: np.ndarray, tol: float) -> np.ndarray:
     control |1><1|) and in a Z teleport (its target X): with u = [[A, B], [C, D]]
     in q's basis, max(|B|, |C|) and max(|A - D|, |B - C|) below max(tol, FLOOR).
     Both planners pass here: u is checked unitary first, as the X read skips A and D."""
-    u = np.asarray(u, dtype=complex)
-    if not clifford_mod.is_unitary(u, tol=max(tol, FLOOR)):
-        raise ValidationError("input matrix is not unitary within tolerance")
+    u = clifford_mod.checked_unitary(u, tol)
     n = width_of(u.shape[0])
     if n > MAX_PLAN_WIDTH:
         raise ValidationError(f"teleport plans are limited to width {MAX_PLAN_WIDTH}")
@@ -312,8 +311,8 @@ def synthesize_sandwiched(u: np.ndarray, g_a: CliffordFrame, v: np.ndarray,
     """Teleport u = G_b·V·G_a through the Clifford frame: the plain
     synthesis of V on an all-X plan, with G_a on the data before the CNOT
     layer and G_b on the receiver ahead of the repairs."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u = clifford_mod.checked_unitary(u, tol)
+    v = clifford_mod.checked_unitary(v, tol)
     n = width_of(u.shape[0])
     if (g_a.n, v.shape, g_b.n) != (n, u.shape, n):
         raise DimensionMismatch(f"G_a, V and G_b act on {g_a.n}, {width_of(len(v))} and"

@@ -166,6 +166,7 @@ NOT_A_FINITE_UNITARY = [
     pytest.param([], id="empty"),
     pytest.param({"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}, id="nan-diagonal"),
 ]
+SHEAR = pytest.param({"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}, id="shear")
 
 
 @pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY)
@@ -178,8 +179,7 @@ def test_recursive_refuses_a_matrix_file_that_is_not_a_finite_unitary(capsys, tm
     assert "broadcast" not in err
 
 
-@pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [
-    pytest.param({"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}, id="shear")])
+@pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [SHEAR])
 def test_an_explicit_plan_refuses_what_the_automatic_plan_refuses(capsys, tmp_path, doc):
     """Both plans pass the one unitarity check: the shear [[1, 1], [0, 1]]
     with --plan X used to be refused as a plan that does not commute."""
@@ -190,6 +190,49 @@ def test_an_explicit_plan_refuses_what_the_automatic_plan_refuses(capsys, tmp_pa
     assert explicit[:2] == auto[:2] == (2, "")
     if doc:  # an explicit plan's width is checked first, and [] has none
         assert explicit[2] == auto[2] == "error: input matrix is not unitary within tolerance\n"
+
+
+@pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [SHEAR])
+def test_the_sandwich_refuses_a_matrix_that_is_not_a_finite_unitary(capsys, tmp_path, doc):
+    """As the gate u and as the factor V, before any width or decomposition check."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    for argv in ((str(path), "--sandwich", "I,I,I"), ("CH", "--sandwich", f"H,{path},H")):
+        assert run(capsys, "synth", *argv) == (
+            2, "", "error: input matrix is not unitary within tolerance\n")
+
+
+def test_sandwich_frames_are_certified_at_the_callers_tolerance(capsys, tmp_path):
+    """H·diag(1, e^{1e-7 i}) is Clifford within --tol 1e-6, as `hierarchy` says,
+    so it frames both sides of T."""
+    frame = gates.H @ np.diag([1, np.exp(1e-7j)])
+    u = frame @ gates.T @ frame
+    frame_path, gate, circuit = (tmp_path / name for name in ("f.json", "u.json", "c.json"))
+    frame_path.write_text(json.dumps({"matrix": matrix_doc(frame)}))
+    gate.write_text(json.dumps({"matrix": matrix_doc(u)}))
+    argv = ("synth", str(gate), "--sandwich", f"{frame_path},T,{frame_path}")
+    assert run(capsys, "hierarchy", str(frame_path), "--tol", "1e-6")[:2] == (0, "level 2, strict\n")
+    code, _, err = run(capsys, *argv, "--tol", "1e-6", "--out", str(circuit))
+    assert (code, err) == (0, "")
+    report = verify_gate_equivalence(deserialize(circuit.read_text()), u, [0], [1])
+    assert report.passed
+    assert run(capsys, *argv) == (2, "", "error: sandwich frames must be Clifford gates\n")
+
+
+def test_ancilla_tags_and_literals_take_the_callers_tolerance(capsys, tmp_path):
+    """Within --tol 1e-6, M_1 of diag(1, e^{i(π/4 + 1e-7)}) is Clifford and Q_1
+    of T·R_x(2e-7) is the Pauli Z, as `hierarchy --tol 1e-6` would tag them."""
+    rx = np.cos(1e-7) * np.eye(2) - 1j * np.sin(1e-7) * gates.X
+    lines = {}
+    for name, u in (("phase", np.diag([1, np.exp(1j * (np.pi / 4 + 1e-7))])),
+                    ("rx", gates.T @ rx)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": matrix_doc(u)}))
+        code, out, err = run(capsys, "ancilla", str(path), "--tol", "1e-6")
+        assert (code, err) == (0, "") and "warning" not in out
+        lines[name] = out.splitlines()[2]
+    assert lines == {"phase": "  M_1: level 2   Q_1: level 1 (+Z)",
+                     "rx": "  M_1: level 2   Q_1: level 1 (+Z)"}
 
 
 @pytest.mark.parametrize("argv, code, stream, message", [

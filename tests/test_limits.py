@@ -1,11 +1,16 @@
 """The numeric policy has one owner, `telegate.limits`: no tolerance
-literal or width cap is written anywhere else in the package."""
+literal or width cap is written anywhere else in the package, and every
+caller's matrix passes the one unitarity guard, `clifford.checked_unitary`."""
 
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from telegate import ancilla, hierarchy, recursive, teleport
+from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import ValidationError, WidthOverflow
 from telegate.limits import MAX_QUBITS, check_width, width_of
 
@@ -55,3 +60,43 @@ def test_every_limit_is_assigned_in_limits():
              for line in path.read_text().splitlines()
              if re.match(r"MAX_\w*\s*=", line)]
     assert sites == []
+
+
+IDENTITY = tableau_from_gate("I")
+ENTRY_POINTS = {
+    "hierarchy_level": hierarchy.hierarchy_level,
+    "clifford_from_matrix": clifford_from_matrix,
+    "plan_teleportation": teleport.plan_teleportation,
+    "plan_commutes": lambda m: teleport.plan_commutes(m, ("X",)),
+    "synthesize_teleported_gate": teleport.synthesize_teleported_gate,
+    "synthesize_sandwiched(u)": lambda m: teleport.synthesize_sandwiched(
+        m, IDENTITY, IDENTITY.matrix, IDENTITY),
+    "synthesize_sandwiched(V)": lambda m: teleport.synthesize_sandwiched(
+        IDENTITY.matrix, IDENTITY, m, IDENTITY),
+    "derive_stabilizers": lambda m: ancilla.derive_stabilizers(m, ("H",)),
+    "synth_recursive": lambda m: recursive.synth_recursive(recursive.matrix_spec(m)),
+    "recursive_ancilla_prep": lambda m: recursive.recursive_ancilla_prep(recursive.matrix_spec(m)),
+}
+NOT_UNITARY = {
+    "shear": np.array([[1, 1], [0, 1]], dtype=complex),
+    "nan-diagonal": np.diag([np.nan, 1]).astype(complex),
+    "twice-identity": 2 * np.eye(2, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("matrix", NOT_UNITARY.values(), ids=NOT_UNITARY.keys())
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_refuses_a_matrix_that_is_not_unitary(entry, matrix):
+    """The same refusal everywhere, and no warning on the way to it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match="^input matrix is not unitary within tolerance$"):
+            entry(matrix)
+
+
+def test_the_unitarity_refusal_is_written_once():
+    sites = [path.name for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if "not unitary within tolerance" in line]
+    assert sites == ["clifford.py"]

@@ -2,6 +2,7 @@
 and the two circuit identities that anchor the teleport derivations (the
 two-CNOT swap against |0>, and measure-then-classically-control)."""
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -423,6 +424,15 @@ def test_a_measurement_decides_death_by_the_one_mass():
 def test_state_from_refuses_a_non_power_of_two():
     with pytest.raises(ValidationError, match="dimension 3 is not a power of two"):
         state_from([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 1.0]], ids=["nan", "inf"])
+def test_a_state_refuses_non_finite_amplitudes(amps):
+    """Refused before the division, which would warn and leave all NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^state has non-finite amplitudes$"):
+            StateVector(1, amps)
 
 
 def test_verification_streams_its_branches():
