@@ -94,8 +94,7 @@ class InjectOp(_FieldwiseEq):
     role: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=complex).flatten()
-        norm = np.linalg.norm(arr)
+        arr, norm = gates.scaled_norm(np.asarray(self.amplitudes, dtype=complex).flatten())
         if not np.isfinite(norm):
             raise InvalidCircuitError(["injected state has non-finite amplitudes"])
         if norm < ZERO:

@@ -142,8 +142,9 @@ def cmd_verify(args) -> int:
                                  args.sample, np.random.default_rng(args.seed))
         print(f"sampled {args.sample} shots: "
               + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
+    weights = dict(report.branch_weights.items())
     for bits, scalar in sorted(report.branch_scalars.items()):
-        weight = report.branch_weights.get(bits, 0.0)
+        weight = weights.get(bits, 0.0)
         print(f"branch {bits}: p={weight:.6f} scalar={scalar:.6f}")
     print(f"worst fidelity: {report.worst_fidelity:.12f}")
     if report.passed:

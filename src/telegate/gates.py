@@ -8,6 +8,8 @@ space.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ClassificationError, DimensionMismatch
@@ -92,6 +94,19 @@ def apply_to_columns(cols: np.ndarray, matrix: np.ndarray, targets: tuple[int, .
     tensor = cols.reshape([-1] + [2] * n + [cols.shape[-1]]).transpose(order)
     flat = stacked_product(matrix, tensor.reshape(len(tensor), 2**k, -1))
     return flat.reshape(tensor.shape).transpose(undo).reshape(cols.shape)
+
+
+@np.errstate(over="ignore")  # an overflow here is undone by the rescale
+def scaled_norm(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """A complex vector and its 2-norm, summed as `np.linalg.norm` sums it.
+    A finite vector whose squares overflow (entries past about 1e154) is
+    first divided by its largest real or imaginary part; a NaN or infinite
+    entry gives a non-finite norm."""
+    re, im = amps.real, amps.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    if not math.isfinite(norm) and np.isfinite(amps).all():
+        return scaled_norm(amps / np.max(np.abs([re, im])))
+    return amps, norm
 
 
 def monomial(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -15,7 +15,9 @@ row over its present qubits only (a measured qubit leaves the row), and
 yields each stack in depth-first order: a verification folds over 2^m
 branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the amplitudes
 a stack of more than one row holds after any op.  Each branch gets the
-arithmetic of a walk of it alone, whatever the cap.
+arithmetic of a walk of it alone, whatever the cap.  The fold writes each
+stack in place into 2^m slots of record and coefficient tr(u†K)/dim, 26 B
+a branch, from which a report derives weights and scalars on first read.
 
 A gate of one 1, -1, i or -i per row and column (`gates.monomial`: X, Z,
 S, CZ, CNOT, TOFFOLI) is an exact gather and phase multiply, 352 of the
@@ -29,14 +31,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .circuit import Circuit, GateOp, InjectOp, MeasureOp, QubitStatus
 from .clifford import is_isometry
 from .errors import DimensionMismatch, ValidationError, WidthOverflow
-from .gates import apply_to_columns, matrix_of, monomial, target_axes
+from .gates import apply_to_columns, matrix_of, monomial, scaled_norm, target_axes
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_STACK_AMPLITUDES, VERIFY_TOL, ZERO,
                      check_width, width_of)
 
@@ -53,7 +55,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amps.shape != (2**self.n,):
             raise DimensionMismatch("amplitude count must be 2**n")
-        norm = float(np.linalg.norm(amps))
+        amps, norm = scaled_norm(amps)
         if not math.isfinite(norm):
             raise ValidationError("state has non-finite amplitudes")
         if norm < ZERO:
@@ -105,7 +107,8 @@ class Branch:
 class EquivalenceReport:
     """Outcome of comparing a circuit's branch operators against a matrix.
     The two per-branch maps are read-only `BranchMap`s keyed by outcome
-    bitstring in walk order; a dead branch has a weight and no scalar."""
+    bitstring in walk order; they share 26 B a branch and derive |c|² and
+    c/|c| of its coefficient c on first read.  A dead branch has a weight, no scalar."""
 
     passed: bool
     worst_fidelity: float
@@ -317,22 +320,38 @@ def _bitstring(code: int, length: int, width: int) -> str:
     return format(code >> (width - length), f"0{length}b") if length else ""
 
 
+def _weights(coeffs: np.ndarray) -> np.ndarray:
+    size = np.abs(coeffs)
+    return size * size
+
+
+def _scalars(coeffs: np.ndarray) -> np.ndarray:
+    size = np.abs(coeffs)
+    return coeffs / np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
+
+
 class BranchMap(Mapping):
-    """A read-only map from each branch's outcome bitstring to a value,
-    backed by arrays in walk order; a key is built only when asked for."""
+    """A read-only map from outcome bitstrings to `derive` of the branches'
+    coefficients, taken on first read, over at most 2^m branches in walk order;
+    `present` marks the keys (None: all), and a key is built only when asked for."""
 
     def __init__(self, codes: np.ndarray, lengths: np.ndarray, width: int,
-                 values: np.ndarray, present: np.ndarray):
+                 coeffs: np.ndarray, derive, present: np.ndarray | None = None):
         self._codes, self._lengths, self._width = codes, lengths, width
-        self._values, self._present = values, present
+        self._coeffs, self._derive, self._present = coeffs, derive, present
+        self._keys = slice(None) if present is None else present
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        return self._derive(self._coeffs)
 
     def _index(self, bits) -> int | None:
         if not isinstance(bits, str) or len(bits) > self._width or bits.strip("01"):
             return None
         code = int(bits or "0", 2) << (self._width - len(bits))
         i = int(np.searchsorted(self._codes, code))
-        if (i < len(self._codes) and self._codes[i] == code
-                and self._lengths[i] == len(bits) and self._present[i]):
+        if (i < len(self._codes) and self._codes[i] == code and self._lengths[i] == len(bits)
+                and (self._present is None or self._present[i])):
             return i
         return None
 
@@ -343,16 +362,15 @@ class BranchMap(Mapping):
         return self._values[i].item()
 
     def __iter__(self) -> Iterator[str]:
-        present = np.flatnonzero(self._present)
-        for code, length in zip(self._codes[present].tolist(),
-                                self._lengths[present].tolist()):
+        for code, length in zip(self._codes[self._keys].tolist(),
+                                self._lengths[self._keys].tolist()):
             yield _bitstring(code, length, self._width)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._present))
+        return len(self._codes) if self._present is None else int(np.count_nonzero(self._present))
 
     def values(self) -> list:
-        return self._values[self._present].tolist()
+        return self._values[self._keys].tolist()
 
     def items(self) -> list:
         return list(zip(self, self.values()))
@@ -457,12 +475,6 @@ def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.n
         yield stack, stack.rows_over(out_map)
 
 
-def _spread(values: np.ndarray, where: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(where), dtype=values.dtype)
-    out[where] = values
-    return out
-
-
 def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
                             tol: float = VERIFY_TOL) -> EquivalenceReport:
     """Check that every nonzero branch implements u up to a unit scalar.
@@ -480,40 +492,36 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     if not is_isometry(u, FLOOR):
         raise ValidationError("target is not a finite isometry (u†u = I) within tolerance")
 
-    width = len(c.status.records)
-    parts = []
-    worst = 1.0
-    failing = None
+    width = len(_admitted(c).records)  # every record is a leaf: at most 2^width of them
+    codes, lengths, scored, coeffs = (np.zeros(1 << width, dtype=t)
+                                      for t in (np.int64, np.int8, bool, complex))
+    end, worst, failing = 0, 1.0, None
     sqrt_dim = np.sqrt(dim)
     u_conj = u.conj()
     for stack, blocks in branch_operators(c, in_map, out_map):
+        rows = slice(end, end := end + len(stack.codes))
+        codes[rows], lengths[rows], here = stack.codes, stack.lengths, scored[rows]
         total_mass = _mass(stack.cols)
         ok = total_mass / dim >= ZERO
+        here[stack.live] = ok
         # tr(u†·block) / dim, summed entry by entry
         coeff = np.einsum("ij,rij->r", u_conj, blocks if ok.all() else blocks[ok]) / dim
-        size = np.abs(coeff)
-        weights = size * size
-        scalars = coeff / np.where(size > 0, size, 1.0)  # a zero coefficient keeps a zero scalar
-        scored = stack.live.copy()
-        scored[scored] = ok
-        if not scored.all():  # zeros on the dead and unscored rows
-            weights, scalars = (_spread(a, scored) for a in (weights, scalars))
-        parts.append((stack.codes, stack.lengths, weights, scalars, scored))
-        if len(size):
-            fidelity = size * dim / (sqrt_dim * np.sqrt(total_mass[ok]))
+        coeffs[rows][here] = coeff  # the dead and unscored rows keep zeros
+        if len(coeff):
+            fidelity = np.abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass[ok]))
             i = int(fidelity.argmin())
             if fidelity[i] < worst:
                 worst = float(fidelity[i])
                 if worst < 1.0 - tol:
-                    failing = _bitstring(int(stack.codes[scored][i]), width, width)
-    codes, lengths, weights, scalars, scored = (np.concatenate(a) for a in zip(*parts))
+                    failing = _bitstring(int(stack.codes[here][i]), width, width)
+    if end < len(codes):  # copy out the filled slots, freeing the rest
+        codes, lengths, scored, coeffs = (a[:end].copy() for a in (codes, lengths, scored, coeffs))
     if not scored.any():
         worst, failing = 0.0, _bitstring(int(codes[0]), int(lengths[0]), width)
     return EquivalenceReport(
         passed=worst >= 1.0 - tol, worst_fidelity=float(worst), failing_branch=failing,
-        branch_scalars=BranchMap(codes, lengths, width, scalars, scored),
-        branch_weights=BranchMap(codes, lengths, width, weights, np.ones(len(codes), bool)),
-        tol=tol)
+        branch_scalars=BranchMap(codes, lengths, width, coeffs, _scalars, scored),
+        branch_weights=BranchMap(codes, lengths, width, coeffs, _weights), tol=tol)
 
 
 def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,

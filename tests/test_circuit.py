@@ -442,6 +442,19 @@ def test_an_injected_state_must_be_finite(amps):
         deserialize(json.dumps(doc))
 
 
+
+def test_a_huge_injected_state_is_rescaled_and_a_unit_one_kept():
+    """Finite amplitudes whose squares overflow are normalized without a
+    warning; an already-normalized state keeps its bits."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert InjectOp((0,), [1e200, 0.0]).amplitudes.tolist() == [1.0, 0.0]
+        assert np.allclose(InjectOp((0,), [-1e300j, 1e300]).amplitudes,
+                           np.array([-1j, 1]) / np.sqrt(2), atol=0, rtol=1e-15)
+    unit = STATE_LABELS["T-ancilla"]
+    assert InjectOp((0,), unit).amplitudes.tobytes() == unit.tobytes()
+
 def test_the_status_pass_follows_a_recycled_qubit():
     c = recycled_round_trip()
     status = c.status

@@ -160,6 +160,25 @@ def test_verify_default_maps_leave_a_re_injected_qubit_as_output(capsys, tmp_pat
     assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS"
 
 
+
+def test_verify_normalizes_a_huge_injected_state(capsys, tmp_path):
+    """An inject of [1e200, 0] is |0>: its norm is rescaled, so no overflow
+    warning and no "non-finite amplitudes" refusal (that was exit 2)."""
+    import warnings
+    doc = {"format": "telegate-circuit/1", "qubits": 2, "cbits": 1,
+           "inputs": ["input", "inject"],
+           "ops": [{"op": "inject", "state": {"amplitudes": [[1e200, 0], [0, 0]]},
+                    "targets": [1]},
+                   {"op": "measure", "qubit": 1, "cbit": 0}]}
+    path = tmp_path / "huge_inject.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", str(path), "--against", "I")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["branch 0: p=1.000000 scalar=1.000000+0.000000j",
+                                "worst fidelity: 1.000000000000", "PASS"]
+
 NOT_A_FINITE_UNITARY = [
     pytest.param({"matrix": [[[1, 0], [0, 0], [0, 0], [0, 0]],
                              [[0, 0], [1, 0], [0, 0], [0, 0]]]}, id="2x4"),

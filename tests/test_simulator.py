@@ -435,6 +435,24 @@ def test_a_state_refuses_non_finite_amplitudes(amps):
             StateVector(1, amps)
 
 
+@pytest.mark.parametrize("amps", [[1e200, 0.0], [0.0, -1e200j], [1e308 + 1e308j, 1e308]])
+def test_a_state_of_huge_finite_amplitudes_is_normalized(amps):
+    """Squares past the float range are rescaled, not refused: the norm
+    used to overflow, warn, and call the state non-finite."""
+    want = np.array(amps) / np.max(np.abs([np.real(amps), np.imag(amps)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = StateVector(1, amps).amplitudes
+    assert np.allclose(got, want / np.linalg.norm(want), atol=0, rtol=4 * EPS)
+    assert StateVector(1, [1e200, 0.0]).amplitudes.tolist() == [1.0, 0.0]
+
+
+def test_an_ordinary_state_keeps_numpys_norm(rng):
+    for scale in (1e-6, 1.0, 1e8, 1e150):
+        amps = scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        assert np.array_equal(StateVector(3, amps).amplitudes, amps / np.linalg.norm(amps))
+
+
 def test_verification_streams_its_branches():
     """1,024 branches of a 6-qubit, 32-column verification: the walk
     yields each branch as it reaches it, so the traced peak stays near one
@@ -455,6 +473,45 @@ def test_verification_streams_its_branches():
         tracemalloc.stop()
     assert report.passed and len(report.branch_weights) == 2**m
     assert peak < 3_000_000, peak
+
+
+
+def _traced(fn):
+    """fn's result, and the bytes traced at its peak and still held after."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+def test_the_level5_report_is_written_in_place():
+    """CV5's flattened check, 2^18 branches: each stack's slice is written
+    into one set of arrays, 26 B a branch (6.8 MB), so the traced peak stays
+    under 10 MB; concatenating a list of per-stack parts peaked at 17.9 MB."""
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(1, 5), flatten=True)
+    report, peak, _ = _traced(
+        lambda: verify_gate_equivalence(rc.flattened, rc.gate, rc.in_map, rc.out_map))
+    assert report.passed and len(report.branch_weights) == 2**18
+    assert peak < 10_000_000, peak
+
+
+def test_a_report_keeps_only_the_slots_it_filled():
+    """|0> re-injected and measured 20 times: 21 records, where the fold
+    sets out 2^20 slots; the report keeps a copy of the 21 filled ones."""
+    b = CircuitBuilder(2, 20, ["input", "zero"])
+    for cbit in range(20):
+        if cbit:
+            b.inject([1.0, 0.0], [1])
+        b.measure(1, cbit)
+    c = b.build()
+    report, _, held = _traced(lambda: verify_gate_equivalence(c, np.eye(2), [0], [0]))
+    assert report.passed and len(report.branch_weights) == 21
+    assert list(report.branch_weights)[:2] == ["0" * 20, "0" * 19 + "1"]
+    assert held < 50_000, held
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1061,7 @@ def test_compact_report_keeps_dead_branches_and_refuses_assignment():
 
 
 def test_compact_report_holds_no_bitstring_keys():
-    """4,096 branches: the report holds arrays (about 150 KB traced), not
+    """4,096 branches: the report holds arrays (about 120 KB traced), not
     two dicts keyed by 4,096 bitstrings each (about 730 KB)."""
     import tracemalloc
     rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
