@@ -6,7 +6,7 @@ commute with every other pair member.  Measuring the M_i in sequence and
 applying Q_i on each -1 outcome drives any starting state into the target.
 The shortcut route starts instead from (I+Q_i)·target, which for the
 standard ancillas is a product state, and measures the single remaining
-stabilizer.
+stabilizer; its factors' letters come from the one Pauli rule.
 
 A script runs as a preparation from nothing on the simulator's branch walk
 (`script_circuit`): the initial state is injected on the register, and one
@@ -173,23 +173,17 @@ def product_factor_stabilizers(s: StateVector) -> list[str | None]:
     """Per-qubit single-qubit stabilizer letters for a product state.
 
     Returns e.g. ['+Z', '+X'] when each factor is a Pauli eigenstate, None
-    entries otherwise.  Meaningful only when is_product_state holds."""
+    entries otherwise: `pauli_from_matrix` at TOL reads qubit q's 2ρ - I, which
+    is Hermitian with trace 0, as ±X, ±Y or ±Z iff q's reduced state ρ is that
+    Pauli's ±1 eigenprojector (never when q is entangled).  Meaningful only
+    when is_product_state holds."""
     out: list[str | None] = []
     tensor = s.amplitudes.reshape([2] * s.n)
     for qubit in range(s.n):
         m = np.moveaxis(tensor, qubit, 0).reshape(2, -1)
-        u_mat, svals, _ = np.linalg.svd(m)
-        factor = u_mat[:, 0]
-        found = None
-        for letter, op in (("Z", gates.Z), ("X", gates.X), ("Y", gates.Y)):
-            expectation = complex(np.vdot(factor, op @ factor))
-            if abs(expectation - 1.0) <= TOL:
-                found = "+" + letter
-                break
-            if abs(expectation + 1.0) <= TOL:
-                found = "-" + letter
-                break
-        out.append(found)
+        hit = pauli.pauli_from_matrix(2 * (m @ m.conj().T) - np.eye(2), TOL)
+        out.append(None if hit is None else pauli.format_literal(
+            replace(hit[1], phase_quarters=round(np.angle(hit[0]) / (np.pi / 2)))))
     return out
 
 

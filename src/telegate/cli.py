@@ -23,7 +23,7 @@ from . import ancilla as ancilla_mod
 from . import circuit as circuit_mod
 from . import gates, hierarchy, recursive, remote, teleport
 from .errors import SynthesisRefusal, TelegateError
-from .limits import FLOOR, TOL, VERIFY_TOL
+from .limits import FLOOR, TOL, VERIFY_TOL, check_tolerance
 from .pauli import format_literal, pauli_from_matrix
 from .simulator import (StateVector, equivalent_up_to_phase, extract_register_state,
                         random_state, run_all_branches, sample_branches,
@@ -36,9 +36,7 @@ EXIT_USAGE = 2
 
 def tolerance(text: str) -> float:
     """The argparse type of every --tol and of TELEGATE_TOL: a number in (0, 1)."""
-    if not 0 < float(text) < 1:
-        raise ValueError(f"tolerance {text!r} is not in (0, 1)")
-    return float(text)
+    return check_tolerance(float(text))
 
 
 def qubit_list(text: str) -> list[int]:

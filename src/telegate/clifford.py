@@ -2,9 +2,10 @@
 
 A frame is the unitary's matrix, copied and frozen, after every conjugated
 generator U·X_i·U† and U·Z_i·U† was recognized as a strict Pauli (i^k times
-a Pauli string).  Each rewrite that uses a frame is proved by branch
-simulation, so no conjugation images are stored.  Frames compare by
-identity: two frames of different Cliffords on n qubits are never equal.
+a Pauli string) by `all_clifford`, the one level-2 test.  Each rewrite that
+uses a frame is proved by branch simulation, so no conjugation images are
+stored.  Frames compare by identity: two frames of different Cliffords on n
+qubits are never equal.
 """
 from __future__ import annotations
 
@@ -55,19 +56,22 @@ def clifford_from_matrix(m: np.ndarray, tol: float = TOL) -> CliffordFrame | Non
     frame holds a read-only copy of m, so the caller's array stays its own.
     """
     m = np.array(checked_unitary(m, tol))
-    if not all(pauli.strict_paulis(images, tol).all()
-               for images in pauli.conjugated_generators(m)):
+    if not all_clifford(m, tol):
         return None
     m.flags.writeable = False
     return CliffordFrame(width_of(m.shape[0]), m)
 
 
+def all_clifford(us: np.ndarray, tol: float = TOL) -> bool:
+    """Whether every u of a (K, d, d) stack, or one (d, d) matrix, is at level 2."""
+    return all(pauli.strict_paulis(images, tol).all()
+               for images in pauli.conjugated_generators(us))
+
+
 def tableau_from_gate(name: str) -> CliffordFrame:
-    """Frame of a named Clifford gate; non-Clifford names are rejected."""
+    """Frame of a named gate that `clifford_from_matrix` certifies; others are rejected."""
     canon = gates.canonical_name(name)
-    if canon not in gates.CLIFFORD_NAMES:
+    frame = clifford_from_matrix(gates.matrix_of(canon))
+    if frame is None:
         raise ClassificationError(f"gate {canon!r} is not a Clifford gate")
-    # every CLIFFORD_NAMES matrix passes clifford_from_matrix (tested), and
-    # library matrices are read-only already
-    m = gates.matrix_of(canon)
-    return CliffordFrame(width_of(m.shape[0]), m, canon)
+    return CliffordFrame(frame.n, frame.matrix, canon)

@@ -4,7 +4,7 @@ Qubit 0 is the leftmost tensor factor and the most significant bit of a
 basis index, so a basis state |x_0 x_1 ... x_{n-1}> has index
 sum(x_q * 2**(n-1-q)).  Multi-qubit gates list control qubits first; the
 first listed target is the most significant bit of the gate's own index
-space.
+space.  No list names the Clifford gates: `clifford.tableau_from_gate` certifies.
 """
 from __future__ import annotations
 
@@ -170,11 +170,6 @@ _ALIASES = {
 }
 
 GATE_NAMES = tuple(_GATES)
-
-# The subset whose conjugation action maps Pauli operators to Pauli operators.
-CLIFFORD_NAMES = frozenset(
-    {"I", "X", "Y", "Z", "H", "S", "S†", "Q", "Q†", "CNOT", "CZ", "SWAP"}
-)
 
 
 def canonical_name(name: str) -> str:

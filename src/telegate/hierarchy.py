@@ -120,13 +120,11 @@ def _member(u: np.ndarray, k: int, tol: float, memo: dict | None) -> bool:
 
 
 def _all_clifford(stack: np.ndarray, tol: float, memo: dict | None) -> bool:
-    """Whether every matrix of a stack is at level 2: one strict-Pauli test
-    over all their conjugated generators, chunk by chunk, stopping at the
-    first chunk that fails.  With a memo, memoized verdicts are read first,
-    and each matrix whose generators were all tested is memoized."""
+    """Whether every matrix of a stack is at level 2: `clifford.all_clifford`,
+    or with a memo the same test on the matrices without a memoized verdict,
+    memoizing each matrix whose generators were all tested."""
     if memo is None:
-        return all(pauli.strict_paulis(images, tol).all()
-                   for images in pauli.conjugated_generators(stack))
+        return clifford.all_clifford(stack, tol)
     fingerprints, canons = _fingerprints(stack)
     known = [_memo_hit(memo, (key, 2), canon, tol) for key, canon in zip(fingerprints, canons)]
     if False in known:

@@ -22,6 +22,9 @@ MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
 MAX_PLAN_WIDTH    the widest gate given any teleport plan (a wider one would
                   reach the unbounded conjugation route); also the widest memoized
                   Pauli matrix and the widest block of the diagonal level's Möbius transform.
+
+`check_tolerance` is the one range check of a tolerance: every --tol, TELEGATE_TOL
+and each `simulator.verify_gate_equivalence` margin must lie in (0, 1).
 """
 from .errors import ValidationError, WidthOverflow
 
@@ -36,6 +39,14 @@ MAX_HIERARCHY_LEVEL = 20
 MAX_RECURSION_LEVEL = 5
 MAX_RECURSION_WIDTH = 3
 MAX_PLAN_WIDTH = 4
+
+
+def check_tolerance(tol: float) -> float:
+    """Return tol, or raise ValidationError unless 0 < tol < 1 (NaN fails):
+    at a margin of 1 or more every branch would pass."""
+    if not 0 < tol < 1:
+        raise ValidationError(f"tolerance {tol} is not in (0, 1)")
+    return tol
 
 
 def check_width(n: int) -> int:

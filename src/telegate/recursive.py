@@ -43,7 +43,7 @@ from . import gates, hierarchy, pauli
 from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import checked_unitary
-from .errors import SynthesisRefusal, ValidationError, WidthOverflow
+from .errors import DimensionMismatch, SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
                      VERIFY_TOL, ZERO, width_of)
 from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
@@ -320,6 +320,8 @@ def execute_tree(rc: RecursiveCircuit,
     probability ‖K_b·s‖², or ends with no state below ZERO.  Each K_b has
     probability 2^-n on every input, so no path dies for one input only
     (one would keep its full record, where a walk of s cut it short)."""
+    if input_state.n != rc.n:
+        raise DimensionMismatch(f"input must cover the {rc.n} logical qubits")
     if rc.root is None:
         out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
         return [("", 1.0, out)]

@@ -40,7 +40,7 @@ from .clifford import is_isometry
 from .errors import DimensionMismatch, ValidationError, WidthOverflow
 from .gates import apply_to_columns, matrix_of, monomial, scaled_norm, target_axes
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_STACK_AMPLITUDES, VERIFY_TOL, ZERO,
-                     check_width, width_of)
+                     check_tolerance, check_width, width_of)
 
 
 @dataclass(frozen=True)
@@ -432,10 +432,13 @@ def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list
 def extract_register_state(branch: Branch, register) -> StateVector:
     """Read a sub-register's state off a branch whose other qubits are all
     measured after the last op, so the full state factorizes through their
-    outcomes; a qubit re-injected after its measurement is refused."""
+    outcomes; a repeated or out-of-range register qubit, and a qubit
+    re-injected after its measurement, are refused."""
     if branch.state is None:
         raise ValidationError("dead branches carry no state")
     register, n = tuple(register), branch.state.n
+    if len(set(register)) != len(register) or any(not 0 <= q < n for q in register):
+        raise DimensionMismatch(f"bad register {register} for width {n}")
     rest = [q for q in range(n) if q not in register]
     if stray := [q for q in rest if q not in branch.measured_values]:
         raise DimensionMismatch(f"qubit {stray[0]} is neither in the register nor measured")
@@ -482,8 +485,10 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     u is an isometry (u†u = I) from the in_map qubits to the out_map ones:
     a gate, or with no input a state preparation, u the target state as one
     column.  The fold over `branch_operators`; with every branch dead,
-    none is scored and the check fails at worst fidelity 0.
+    none is scored and the check fails at worst fidelity 0.  A tol outside
+    (0, 1), which would pass any branch, is refused.
     """
+    check_tolerance(tol)
     in_map, out_map = tuple(in_map), tuple(out_map)
     u = np.asarray(u, dtype=complex)
     dim = 2 ** len(in_map)

@@ -1,5 +1,7 @@
 """Stabilizer derivation and the measurement-based preparation routes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,33 @@ def test_is_product_state_detects_entanglement():
     bell = state_from([SQ2, 0, 0, SQ2])
     assert not is_product_state(bell)
     assert is_product_state(state_from([0.5, 0.5, 0.5, 0.5]))
+
+
+EIGENSTATES = {"+Z": [1, 0], "-Z": [0, 1], "+X": [SQ2, SQ2], "-X": [SQ2, -SQ2],
+               "+Y": [SQ2, 1j * SQ2], "-Y": [SQ2, -1j * SQ2]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factor_letters_of_every_eigenstate_product(n, rng):
+    for letters in itertools.product(EIGENSTATES, repeat=n):
+        factors = [np.exp(2j * np.pi * rng.random()) * np.array(EIGENSTATES[p])
+                   for p in letters]
+        s = state_from(gates.kron(*(f[:, None] for f in factors)))
+        assert product_factor_stabilizers(s) == list(letters)
+
+
+@pytest.mark.parametrize("angle", [1e-5, 1e-8])
+def test_a_factor_near_an_eigenstate_has_no_letter(angle):
+    near = [np.cos(angle), np.sin(angle)]
+    assert product_factor_stabilizers(state_from(near)) == [None]
+    s = state_from(np.kron(EIGENSTATES["+X"], near))
+    assert product_factor_stabilizers(s) == ["+X", None]
+
+
+def test_an_entangled_qubit_has_no_letter():
+    assert product_factor_stabilizers(state_from([SQ2, 0, 0, SQ2])) == [None, None]
+    ghz_and_zero = np.kron([SQ2, 0, 0, 0, 0, 0, 0, SQ2], [1, 0])
+    assert product_factor_stabilizers(state_from(ghz_and_zero)) == [None] * 3 + ["+Z"]
 
 
 def test_script_serialization_round_shape():

@@ -73,6 +73,22 @@ def test_non_clifford_names_rejected():
             tableau_from_gate(name)
 
 
+def test_tableau_from_gate_certifies_exactly_the_library_cliffords():
+    cliffords = {"I", "X", "Y", "Z", "H", "S", "S†", "Q", "Q†", "CNOT", "CZ", "SWAP"}
+    for name in gates.GATE_NAMES:
+        if name in cliffords:
+            frame = tableau_from_gate(name)
+            assert (frame.n, frame.name) == (gates.arity_of(name), name)
+            assert np.array_equal(frame.matrix, gates.matrix_of(name))
+            assert not frame.matrix.flags.writeable
+        else:
+            with pytest.raises(ClassificationError,
+                               match=f"^gate '{name}' is not a Clifford gate$"):
+                tableau_from_gate(name)
+    assert set(gates.GATE_NAMES) - cliffords == set(NON_CLIFFORD)
+    assert tableau_from_gate("sdg").name == "S†"
+
+
 def test_conjugation_matches_dense_for_whole_library():
     for name in CLIFFORD_1Q + CLIFFORD_2Q:
         t = tableau_from_gate(name)
@@ -120,7 +136,7 @@ def test_compose_with_inverse_is_identity():
 def test_from_matrix_accepts_exactly_the_clifford_subset(rng):
     for name in gates.GATE_NAMES:
         tab = clifford_from_matrix(gates.matrix_of(name))
-        if name in gates.CLIFFORD_NAMES:
+        if name in CLIFFORD_1Q + CLIFFORD_2Q:
             assert tab is not None, name
         else:
             assert tab is None, name

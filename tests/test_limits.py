@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telegate import ancilla, hierarchy, recursive, teleport
+from telegate import ancilla, hierarchy, recursive, remote, teleport
+from telegate.circuit import CircuitBuilder
+from telegate.cli import tolerance
 from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import ValidationError, WidthOverflow
-from telegate.limits import MAX_QUBITS, check_width, width_of
+from telegate.limits import MAX_QUBITS, TOL, VERIFY_TOL, check_tolerance, check_width, width_of
+from telegate.simulator import verify_gate_equivalence
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "telegate"
 
@@ -100,3 +103,40 @@ def test_the_unitarity_refusal_is_written_once():
              for line in path.read_text().splitlines()
              if "not unitary within tolerance" in line]
     assert sites == ["clifford.py"]
+
+
+def _one_qubit_x():
+    b = CircuitBuilder(1, 0, ["input"])
+    b.gate("X", [0])
+    return b.build()
+
+
+VERIFIERS = {
+    "verify_gate_equivalence": lambda tol: verify_gate_equivalence(
+        _one_qubit_x(), np.diag([1, -1]), [0], [0], tol=tol),
+    "synth_recursive": lambda tol: recursive.synth_recursive(recursive.rotation_spec(3), tol=tol),
+    "verify_preparation": lambda tol: recursive.verify_preparation(
+        recursive.recursive_ancilla_prep(recursive.rotation_spec(3)), tol=tol),
+    "run_protocol": lambda tol: remote.run_protocol(
+        remote.build_two_bit_teleportation("XZ"), tol=tol),
+}
+OUT_OF_RANGE = (0, 1, 5, float("inf"), float("nan"), -1)
+
+
+@pytest.mark.parametrize("tol", OUT_OF_RANGE)
+@pytest.mark.parametrize("entry", VERIFIERS.values(), ids=VERIFIERS.keys())
+def test_every_verification_refuses_a_tolerance_outside_the_unit_interval(entry, tol):
+    """At tol >= 1 any branch clears 1 - tol: X against Z would pass."""
+    with pytest.raises(ValidationError, match=rf"^tolerance {tol} is not in \(0, 1\)$"):
+        entry(tol)
+
+
+def test_the_tolerance_range_is_checked_once():
+    assert [check_tolerance(t) for t in (VERIFY_TOL, TOL, 0.5)] == [VERIFY_TOL, TOL, 0.5]
+    assert tolerance("1e-3") == 1e-3
+    for text in ("0", "1", "5", "inf", "nan", "-1", "abc"):
+        with pytest.raises(ValueError):
+            tolerance(text)
+    sites = [path.name for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines() if "is not in (0, 1)" in line]
+    assert sites == ["limits.py"]

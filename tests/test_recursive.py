@@ -8,7 +8,8 @@ import pytest
 
 from telegate import gates, simulator
 from telegate.circuit import CircuitBuilder, GateOp, InjectOp, MeasureOp
-from telegate.errors import InvalidCircuitError, ValidationError, WidthOverflow
+from telegate.errors import (DimensionMismatch, InvalidCircuitError, ValidationError,
+                             WidthOverflow)
 from telegate.hierarchy import hierarchy_level
 from telegate.recursive import (RecursiveNode, controlled_rotation_spec, emit_inject,
                                 execute_tree, matrix_spec, recursive_ancilla_prep,
@@ -576,6 +577,15 @@ def test_tree_execution_refuses_an_invalid_node_circuit(rng):
     broken = replace(rc, root=replace(rc.root, repairs=tuple(repairs)))
     with pytest.raises(InvalidCircuitError, match="measured qubit"):
         execute_tree(broken, random_state(rc.n, rng))
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_tree_execution_refuses_an_input_of_the_wrong_width(level, rng):
+    """At the parent numpy's matmul raised on both the level <= 2 path and the tree."""
+    rc = synth_recursive(rotation_spec(level), flatten=False)
+    assert (rc.root is None) == (level == 2)
+    with pytest.raises(DimensionMismatch, match="^input must cover the 1 logical qubits$"):
+        execute_tree(rc, random_state(2, rng))
 
 
 @pytest.mark.parametrize("spec,flatten", TREES)

@@ -2,6 +2,7 @@
 and the two circuit identities that anchor the teleport derivations (the
 two-CNOT swap against |0>, and measure-then-classically-control)."""
 
+import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -69,6 +70,16 @@ def test_x_teleport_branches(rng):
         out = extract_register_state(b, (1,))
         ok, fid = equivalent_up_to_phase(out, psi)
         assert ok, fid
+
+
+@pytest.mark.parametrize("register", [(1, 1), (0, 1, 1), (2,)])
+def test_a_repeated_or_out_of_range_register_qubit_is_refused(rng, register):
+    """At the parent (1, 1) read a duplicated amplitude as a 2-qubit state
+    and (0, 1, 1) raised IndexError."""
+    branch = run_all_branches(build_one_bit_teleport("X", 1), random_state(1, rng))[0]
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"bad register {register} for width 2")):
+        extract_register_state(branch, register)
 
 
 def test_z_teleport_branches(rng):
