@@ -233,16 +233,18 @@ def cmd_recursive(args) -> int:
     return EXIT_OK
 
 
+_PROTOCOLS = {  # --protocol's choices and their builders
+    "teleport2-xz": lambda: remote.build_two_bit_teleportation("XZ"),
+    "teleport2-zx": lambda: remote.build_two_bit_teleportation("ZX"),
+    "remote-cnot": lambda: remote.build_remote_cnot("direct"),
+    "remote-cnot-4step": lambda: remote.build_remote_cnot("four_step"),
+}
+
+
 def cmd_remote(args) -> int:
     if args.trials < 0:
         raise TelegateError(f"--trials must be at least 0, got {args.trials}")
-    builders = {
-        "teleport2-xz": lambda: remote.build_two_bit_teleportation("XZ"),
-        "teleport2-zx": lambda: remote.build_two_bit_teleportation("ZX"),
-        "remote-cnot": lambda: remote.build_remote_cnot("direct"),
-        "remote-cnot-4step": lambda: remote.build_remote_cnot("four_step"),
-    }
-    protocol = builders[args.protocol]()
+    protocol = _PROTOCOLS[args.protocol]()
     trace = remote.run_protocol(protocol, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     k = len(protocol.in_map)
@@ -327,9 +329,7 @@ def build_parser(raw: str | None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recursive)
 
     p = sub.add_parser("remote", help="run a two-party protocol demo")
-    p.add_argument("--protocol", required=True,
-                   choices=["teleport2-xz", "teleport2-zx", "remote-cnot",
-                            "remote-cnot-4step"])
+    p.add_argument("--protocol", required=True, choices=list(_PROTOCOLS))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")

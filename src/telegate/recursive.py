@@ -45,7 +45,7 @@ from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import checked_unitary
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (FLOOR, MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
-                     VERIFY_TOL, ZERO, width_of)
+                     VERIFY_TOL, ZERO, check_tolerance, width_of)
 from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
@@ -292,62 +292,67 @@ def _relabel(ops, qubits, cbits, depth: int) -> Circuit:
 def synth_recursive(spec: GateSpec, flatten: bool = True,
                     tol: float = VERIFY_TOL) -> RecursiveCircuit:
     """Expand a diagonal gate into nested teleportations bottoming out in
-    directly-applied Clifford repairs; the flattened form is verified
-    against the gate on every branch before returning."""
+    directly-applied Clifford repairs; a gate of level <= 2 is one op.
+    Every flattened circuit, that op included, is verified against the gate
+    on every branch before returning."""
+    check_tolerance(tol)
     m, n, level = _checked_spec(spec, "recursive synthesis")
     if level <= 2:
         b = CircuitBuilder(n, 0, ["input"] * n)
         b.gate(m, list(range(n)), role="U")
-        return RecursiveCircuit(spec.label, m, level, n, None, b.build(),
-                                tuple(range(n)), tuple(range(n)))
-
-    b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
-    root = _emit_node(b, m, level, ((), ()))
-    flattened = b.build() if flatten else None
-    rc = RecursiveCircuit(spec.label, m, level, n, root, flattened,
-                          tuple(range(n)), tuple(range(n, 2 * n)))
+        root, out_map = None, tuple(range(n))
+    else:
+        b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
+        root, out_map = _emit_node(b, m, level, ((), ())), tuple(range(n, 2 * n))
+    flattened = b.build() if flatten or root is None else None
     if flattened is not None:
-        verify_or_refuse(flattened, m, rc.in_map, rc.out_map, tol=tol)
-    return rc
+        verify_or_refuse(flattened, m, range(n), out_map, tol=tol)
+    return RecursiveCircuit(spec.label, m, level, n, root, flattened, tuple(range(n)), out_map)
+
+
+def _nodes(root: RecursiveNode | None, depth: int = 1):
+    """The (node, depth) pairs of the tree under `root`, if any, in pre-order."""
+    if root is not None:
+        yield root, depth
+        for rep in root.repairs:
+            yield from _nodes(rep.child, depth + 1)
 
 
 def execute_tree(rc: RecursiveCircuit,
                  input_state: StateVector) -> list[tuple[str, float, StateVector | None]]:
     """Interpret the tree: a child runs only on paths where its condition
     bits all read 1.  Returns (bits, probability, state) with the state on
-    the logical register.  One walk per node gives its branch operators
-    K_b; a path entering in state s goes on in K_b·s normalized, with
-    probability ‖K_b·s‖², or ends with no state below ZERO.  Each K_b has
-    probability 2^-n on every input, so no path dies for one input only
-    (one would keep its full record, where a walk of s cut it short)."""
+    the logical register.  Every node's branch operators K_b are tabled
+    first, one walk per node; a path entering in state s goes on in K_b·s
+    normalized, with probability ‖K_b·s‖², or ends with no state below
+    ZERO.  Each K_b has probability 2^-n on every input, so no path dies for
+    one input only (one would keep its full record, where a walk of s cut it
+    short)."""
     if input_state.n != rc.n:
         raise DimensionMismatch(f"input must cover the {rc.n} logical qubits")
     if rc.root is None:
         out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
         return [("", 1.0, out)]
-    operators: dict[int, list] = {}  # id(node) -> [(bits, K_b, children it triggers)]
-
-    def branches(node: RecursiveNode) -> list:
-        if id(node) not in operators:
-            c, n = node.circuit, node.n
-            records = [op.cbit for op in c.status.records]
-            out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
-            operators[id(node)] = found = []
-            for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
-                k_b = iter(blocks)
-                for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
-                                               stack.live.tolist()):
-                    bits = _bitstring(code, length, len(records))
-                    cbits = dict(zip(records, map(int, bits)))
-                    found.append((bits, next(k_b) if alive else np.zeros((2**n, 2**n)), [
-                        rep for rep in node.repairs if rep.child is not None and all(
-                            cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local,
-                                                                 rep.cond_values))]))
-        return operators[id(node)]
+    tables: dict[int, list] = {}  # id(node) -> [(bits, K_b, children it triggers)]
+    for node, _ in _nodes(rc.root):
+        c, n = node.circuit, node.n
+        records = [op.cbit for op in c.status.records]
+        out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
+        tables[id(node)] = table = []
+        for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
+            k_b = iter(blocks)
+            for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                           stack.live.tolist()):
+                bits = _bitstring(code, length, len(records))
+                cbits = dict(zip(records, map(int, bits)))
+                table.append((bits, next(k_b) if alive else np.zeros((2**n, 2**n)), [
+                    rep for rep in node.repairs if rep.child is not None and all(
+                        cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local,
+                                                             rep.cond_values))]))
 
     def run(node: RecursiveNode, s: np.ndarray) -> list:
         paths = []
-        for bits, k_b, children in branches(node):
+        for bits, k_b, children in tables[id(node)]:
             v = k_b @ s
             p = np.vdot(v, v).real
             paths += descend(children, bits, p, v / np.sqrt(p)) if p >= ZERO else [
@@ -369,30 +374,20 @@ def execute_tree(rc: RecursiveCircuit,
 
 
 def resource_report(rc: RecursiveCircuit) -> ResourceReport:
-    """Exact counts by a direct walk of the tree."""
-    if rc.root is None:
-        return ResourceReport(0, 0, {}, 0)
-    ancillas = 0
-    measurements = 0
+    """Exact counts from one walk of the tree; each node measures its n
+    ancilla qubits once, so the two counts agree."""
+    qubits, depth = 0, 0
     by_level: dict[int, int] = {}
-    depth = 0
-
-    def walk(node: RecursiveNode, d: int):
-        nonlocal ancillas, measurements, depth
+    for node, d in _nodes(rc.root):
+        qubits += node.n
         depth = max(depth, d)
-        ancillas += node.n
-        measurements += node.n
         for rep in node.repairs:
             if rep.pre_pauli_qubit is not None:
                 by_level[1] = by_level.get(1, 0) + 1
             if rep.canonical is not None:
                 lvl = 1 if rep.klass == "pauli" else 2
                 by_level[lvl] = by_level.get(lvl, 0) + 1
-            if rep.child is not None:
-                walk(rep.child, d + 1)
-
-    walk(rc.root, 1)
-    return ResourceReport(ancillas, measurements, by_level, depth)
+    return ResourceReport(qubits, qubits, by_level, depth)
 
 
 def tree_to_json(rc: RecursiveCircuit) -> str:

@@ -109,8 +109,8 @@ def verify_or_refuse(circuit: Circuit, u: np.ndarray, in_map, out_map,
     report = verify_gate_equivalence(circuit, u, in_map, out_map, tol=tol)
     if not report.passed:
         raise SynthesisRefusal(
-            f"branch verification failed (worst fidelity {report.worst_fidelity:.3e}"
-            f" on branch {report.failing_branch})")
+            f"branch verification failed (worst fidelity {report.worst_fidelity:.12f}"
+            f" on branch {report.failing_branch!r})")
     return report
 
 

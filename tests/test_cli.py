@@ -198,6 +198,21 @@ def test_recursive_refuses_a_matrix_file_that_is_not_a_finite_unitary(capsys, tm
     assert "broadcast" not in err
 
 
+@pytest.mark.parametrize("doc, branch", [
+    pytest.param({"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0.999999999]]]}, "", id="level-2"),
+    pytest.param(matrix_doc(gates.T @ np.diag([1, 1 - 1e-9])), "0", id="level-3"),
+])
+def test_recursive_refuses_a_near_unitary_gate_its_circuit_misses(capsys, tmp_path, doc, branch):
+    """Unitary within FLOOR, so admitted, but below 1 - tol on a branch: refused
+    at every level.  At the parent the level-2 gate, one op with no branch
+    check, printed "verified" and exited 0."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "recursive", str(path)) == (
+        1, "", "refused: branch verification failed (worst fidelity 0.999999999500"
+               f" on branch {branch!r})\n")
+
+
 @pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [SHEAR])
 def test_an_explicit_plan_refuses_what_the_automatic_plan_refuses(capsys, tmp_path, doc):
     """Both plans pass the one unitarity check: the shear [[1, 1], [0, 1]]
@@ -667,6 +682,18 @@ def test_verify_checks_the_maps_before_sampling(capsys, tmp_path):
                          "--out-map", "0")
     assert code == 2 and out == ""
     assert "neither an output nor measured" in err
+
+
+@pytest.mark.parametrize("maps, message", [
+    (("--in-map", "0,0"), "in_map and out_map entries must be distinct"),
+    (("--in-map", "0,1", "--out-map", "2,9"), "map entries out of range"),
+    (("--in-map", "2,3"), "in_map must cover exactly the symbolic-input qubits"),
+])
+def test_verify_refuses_maps_that_do_not_fit_the_circuit(capsys, tmp_path, maps, message):
+    path = str(tmp_path / "cnot.json")
+    assert run(capsys, "synth", "CNOT", "--out", path)[0] == 0
+    assert run(capsys, "verify", path, "--against", "CNOT", *maps) == (
+        2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flag", ["--in-map", "--out-map"])

@@ -341,6 +341,15 @@ def test_level_two_gate_is_direct():
     assert abs(s.amplitudes[1] - 1j) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [5, 1.0, float("nan"), -1])
+@pytest.mark.parametrize("level, flatten", [(2, True), (4, False)])
+def test_synthesis_refuses_a_tolerance_outside_the_unit_interval(level, flatten, tol):
+    """Refused before any circuit is built: at the parent neither the one-op
+    level-2 gate nor an unflattened tree reached a check of the margin."""
+    with pytest.raises(ValidationError, match=r"^tolerance .* is not in \(0, 1\)$"):
+        synth_recursive(rotation_spec(level), flatten=flatten, tol=tol)
+
+
 def test_rejects_non_diagonal():
     with pytest.raises(ValidationError):
         synth_recursive(matrix_spec(gates.H, "H"))
