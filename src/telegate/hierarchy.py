@@ -13,12 +13,13 @@ scalar is ignored), level 2 the Clifford group.  Two routes find the level:
   2π·dist(a_S, 2^-j·ℤ).
 - Any other gate is tested level by level: level k membership conjugates
   the 2n Pauli generators in one batch (`pauli.conjugated_generators`) and
-  asks whether each image lies at level k-1.  Level 2 is one strict-Pauli
-  test over the 2n images, and level 3 one over their (2n)^2 two-fold
-  images; above that the search goes depth first, image by image, stops
-  at the first image that fails, and skips by a memo the matrices it has
-  classified already.  Every depth uses the caller's one tolerance, so a
-  near-miss that fails at its own level cannot pass one level up; but each
+  asks whether each image lies at level k-1.  Level 2 is
+  `clifford.all_clifford` over the 2n images, and level 3 the same test
+  over their (2n)^2 two-fold images; above that the search goes depth
+  first, image by image, stops at the first image that fails, and skips by
+  a memo the matrices it has classified already (at level 2, those that
+  passed).  Every depth uses the caller's one tolerance, so a near-miss
+  that fails at its own level cannot pass one level up; but each
   conjugation doubles a phase error, so the effective tolerance at level k
   shrinks as about tol/2^(k-2) on this route.
 
@@ -120,25 +121,20 @@ def _member(u: np.ndarray, k: int, tol: float, memo: dict | None) -> bool:
 
 
 def _all_clifford(stack: np.ndarray, tol: float, memo: dict | None) -> bool:
-    """Whether every matrix of a stack is at level 2: `clifford.all_clifford`,
-    or with a memo the same test on the matrices without a memoized verdict,
-    memoizing each matrix whose generators were all tested."""
+    """Whether every matrix of a stack is at level 2: `clifford.all_clifford`
+    on the stack, or with a memo on the matrices it holds no verdict for,
+    which it memoizes as True when they all pass.  The verdict is the same
+    either way.  A level-2 False is never memoized, so a failing stack
+    memoizes nothing; levels 3 and up memoize both verdicts in `_member`."""
     if memo is None:
         return clifford.all_clifford(stack, tol)
     fingerprints, canons = _fingerprints(stack)
-    known = [_memo_hit(memo, (key, 2), canon, tol) for key, canon in zip(fingerprints, canons)]
-    if False in known:
-        return False
-    fresh = [i for i, verdict in enumerate(known) if verdict is None]
-    done = np.ones(0, dtype=bool)
-    for images in pauli.conjugated_generators(stack[fresh]):
-        done = np.append(done, pauli.strict_paulis(images, tol))
-        if not done.all():
-            break
-    gens = 2 * width_of(stack.shape[-1])
-    for i, ok in zip(fresh, done[:len(done) // gens * gens].reshape(-1, gens).all(axis=1)):
-        memo[(fingerprints[i], 2)] = (canons[i], bool(ok))
-    return bool(done.all())
+    fresh = [i for i, (key, canon) in enumerate(zip(fingerprints, canons))
+             if _memo_hit(memo, (key, 2), canon, tol) is None]
+    passed = clifford.all_clifford(stack[fresh], tol)
+    if passed:
+        memo.update({(fingerprints[i], 2): (canons[i], True) for i in fresh})
+    return passed
 
 
 @lru_cache(maxsize=None)

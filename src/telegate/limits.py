@@ -20,8 +20,8 @@ MAX_HIERARCHY_LEVEL  the highest level a classification reports, and of a rotati
 MAX_RECURSION_LEVEL  the deepest gate recursive synthesis and preparation expand.
 MAX_RECURSION_WIDTH  the widest gate recursive synthesis and preparation expand.
 MAX_PLAN_WIDTH    the widest gate given any teleport plan (a wider one would
-                  reach the unbounded conjugation route); also the widest memoized
-                  Pauli matrix and the widest block of the diagonal level's Möbius transform.
+                  reach the unbounded conjugation route); also the widest block
+                  of the diagonal level's Möbius transform.
 
 `check_tolerance` is the one range check of a tolerance: every --tol, TELEGATE_TOL
 and each `simulator.verify_gate_equivalence` margin must lie in (0, 1).

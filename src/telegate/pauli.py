@@ -13,8 +13,7 @@ an X string is a column gather, so no caller multiplies by a dense Pauli.
 
 Qubit 0 is the leftmost tensor factor and the most significant bit of a
 basis index.  All values are immutable, matrices included: every array
-`pauli_to_matrix` returns is read-only, and one of at most MAX_PLAN_WIDTH
-qubits is memoized, so every caller asking for that Pauli shares one array.
+`pauli_to_matrix` returns is read-only.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatch, ValidationError
-from .limits import MAX_PLAN_WIDTH, MAX_STACK_AMPLITUDES, TOL, check_width, width_of
+from .limits import MAX_STACK_AMPLITUDES, TOL, check_width, width_of
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -67,33 +66,20 @@ def single(n: int, qubit: int, letter: str) -> PauliOperator:
 
 
 def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
-    """Exact dense matrix, qubit 0 as the leftmost tensor factor.
-
-    The result is read-only.  For p on at most MAX_PLAN_WIDTH qubits it is
-    memoized and shared by every caller; copy it before writing.  A wider
-    Pauli (4^n entries) is built afresh on each call and not retained."""
+    """Exact dense matrix, qubit 0 as the leftmost tensor factor, built
+    afresh on each call and returned read-only."""
     check_width(p.n)
-    if p.n <= MAX_PLAN_WIDTH:
-        return _memoized_matrix(p.x_bits, p.z_bits, p.phase_quarters)
-    return _build_matrix(p.x_bits, p.z_bits, p.phase_quarters)
-
-
-def _build_matrix(x_bits, z_bits, phase_quarters) -> np.ndarray:
     factors = []
-    for x, z in zip(x_bits, z_bits):
+    for x, z in zip(p.x_bits, p.z_bits):
         f = np.eye(2, dtype=complex)
         if z:
             f = gates.Z @ f
         if x:
             f = gates.X @ f  # X applied after Z: matrix X^x Z^z
         factors.append(f)
-    m = (1j ** phase_quarters) * reduce(np.kron, factors, np.array([[1.0 + 0j]]))
+    m = (1j ** p.phase_quarters) * reduce(np.kron, factors, np.array([[1.0 + 0j]]))
     m.flags.writeable = False
     return m
-
-
-# 4^MAX_PLAN_WIDTH entries of 16 bytes: at most 4 KB a matrix, 512 KB in all.
-_memoized_matrix = lru_cache(maxsize=128)(_build_matrix)
 
 
 def conjugated_generators(us: np.ndarray) -> Iterator[np.ndarray]:

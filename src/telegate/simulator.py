@@ -531,13 +531,21 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
 
 def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,
                     rng: np.random.Generator) -> dict[str, int]:
-    """Monte-Carlo convenience: draw outcome paths from the exhaustive
-    enumeration's probabilities.  Not used by any verification."""
-    branches = run_all_branches(c, input_state)
-    probs = np.array([b.probability for b in branches])
+    """Monte-Carlo convenience: draw outcome paths from the walk's own
+    probabilities, each live row's `_mass` and 0 for a dead one, as
+    `run_all_branches` reports them, without building any branch's state.
+    Not used by any verification."""
+    width = len(_admitted(c).records)
+    keys, probs = [], []
+    for stack in _enumerate(c, _initial_columns(c, input_state)):
+        mass = iter(_mass(stack.cols).tolist())
+        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                       stack.live.tolist()):
+            keys.append(_bitstring(code, length, width))
+            probs.append(next(mass) if alive else 0.0)
+    probs = np.array(probs)
     probs = probs / probs.sum()
     counts: dict[str, int] = {}
-    for idx in rng.choice(len(branches), size=shots, p=probs):
-        key = branches[int(idx)].bitstring
-        counts[key] = counts.get(key, 0) + 1
+    for idx in rng.choice(len(keys), size=shots, p=probs):
+        counts[keys[idx]] = counts.get(keys[idx], 0) + 1
     return counts

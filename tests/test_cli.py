@@ -213,6 +213,35 @@ def test_recursive_refuses_a_near_unitary_gate_its_circuit_misses(capsys, tmp_pa
                f" on branch {branch!r})\n")
 
 
+def test_recursive_refuses_a_gate_wider_than_its_limit(capsys, tmp_path):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(matrix_doc(np.diag(np.exp(0.1j * np.arange(16))))))
+    assert run(capsys, "recursive", str(path)) == (
+        2, "", "error: recursive synthesis is limited to 3 qubits\n")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(("verify", "missing.json", "--against", "T"), None,
+                 "error: [Errno 2] No such file or directory: 'missing.json'\n", id="missing"),
+    pytest.param(("hierarchy", "bad.json"), "{not json", "error: Expecting property name"
+                 " enclosed in double quotes: line 1 column 2 (char 1)\n", id="not-json"),
+])
+def test_unreadable_files_exit_2(capsys, tmp_path, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path(argv[1]).write_text(text)
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_recursive_diagram_draws_the_flattened_circuit(capsys):
+    from telegate.circuit import render
+    from telegate.recursive import rotation_spec, synth_recursive
+    code, out, err = run(capsys, "recursive", "V", "--k", "3", "--diagram")
+    assert (code, err) == (0, "")
+    assert out.endswith("verified: all branches of the flattened circuit\n"
+                        + render(synth_recursive(rotation_spec(3)).flattened) + "\n")
+
+
 @pytest.mark.parametrize("doc", NOT_A_FINITE_UNITARY + [SHEAR])
 def test_an_explicit_plan_refuses_what_the_automatic_plan_refuses(capsys, tmp_path, doc):
     """Both plans pass the one unitarity check: the shear [[1, 1], [0, 1]]

@@ -4,7 +4,7 @@ oracle, monotonicity, closure, and the diagonal-correction structure."""
 import numpy as np
 import pytest
 
-from telegate import gates, pauli
+from telegate import clifford, gates, pauli
 from telegate.errors import ValidationError
 from telegate.hierarchy import (_diagonal_level, _member, _phase_coefficients,
                                 hierarchy_level, is_diagonal_matrix)
@@ -337,14 +337,39 @@ def _batched_level(u, k_max=6):
     return next((k for k in range(1, k_max + 1) if _member(u, k, TOL, memo)), None)
 
 
+def _memo_route_gates():
+    """Non-diagonal gates whose search runs past level 3, so through the memo:
+    (I⊗H)·CT·(I⊗H), (H⊗I⊗H)·CCV4·(H⊗I⊗H), (H⊗H)·CV5·(H⊗H) and
+    H^⊗4·C³Z·H^⊗4, at levels 4, 4, 5 and 4."""
+    from telegate.recursive import controlled_rotation_spec
+    i, h = np.eye(2), gates.H
+    return [gates.kron(*f) @ controlled_rotation_spec(c, k).matrix @ gates.kron(*f)
+            for f, c, k in (((i, h), 1, 4), ((h, i, h), 2, 4), ((h, h), 1, 5),
+                            ((h, h, h, h), 3, 4))]
+
+
 def test_batched_route_matches_the_per_image_route(rng):
-    sweep = verdict_sweep(rng)
+    sweep = verdict_sweep(rng) + _memo_route_gates()
     levels = [loop_level(u) for u in sweep]
+    assert levels[-4:] == [4, 4, 5, 4]
     assert [_batched_level(u) for u in sweep] == levels
     verdicts = [hierarchy_level(u) for u in sweep]
     assert [v.level for v in verdicts if not v.diagonal] == [
         level for v, level in zip(verdicts, levels) if not v.diagonal]
     assert {None, 1, 2, 3, 4, 5} <= set(levels)
+
+
+def test_the_memo_route_tests_level_2_with_all_clifford(monkeypatch):
+    # every level-2 verdict, the memoized route's included, comes from the one test
+    calls, all_clifford = [0], clifford.all_clifford
+
+    def counting(us, tol=TOL):
+        calls[0] += 1
+        return all_clifford(us, tol)
+
+    monkeypatch.setattr(clifford, "all_clifford", counting)
+    assert _member(_memo_route_gates()[0], 4, TOL, {})
+    assert calls[0] > 0
 
 
 def _count_images(monkeypatch):

@@ -431,6 +431,11 @@ def test_recursion_too_large_to_enumerate_is_refused():
         synth_recursive(controlled_rotation_spec(2, 5))
 
 
+def test_preparation_refuses_a_gate_wider_than_its_limit():
+    with pytest.raises(WidthOverflow, match="^preparation is limited to 3 qubits$"):
+        recursive_ancilla_prep(matrix_spec(np.diag(np.exp(0.1j * np.arange(16)))))
+
+
 def test_ccv5_preparation_fits_its_register_and_is_refused_at_verification():
     """Every injection reuses one spare register, so CCV5's preparation
     builds on 2n+1 = 7 qubits; its 75 measurements are refused with the

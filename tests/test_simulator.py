@@ -525,6 +525,47 @@ def test_a_report_keeps_only_the_slots_it_filled():
     assert held < 50_000, held
 
 
+def _sampled_from_branches(c, state, shots, seed):
+    """The draws `sample_branches` made before it read the walk directly:
+    from `run_all_branches`' probabilities, keyed by each branch's bitstring."""
+    branches = run_all_branches(c, state)
+    probs = np.array([b.probability for b in branches])
+    counts = {}
+    for idx in np.random.default_rng(seed).choice(len(branches), size=shots,
+                                                  p=probs / probs.sum()):
+        key = branches[int(idx)].bitstring
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_sampling_draws_from_the_walks_probabilities(rng):
+    dead = CircuitBuilder(2, 3, ["input", "zero"])
+    dead.measure(1, 0).inject([1.0, 0.0], [1]).measure(1, 1).measure(0, 2)
+    cases = [
+        (teleport.synthesize_teleported_gate(gates.T).circuit, random_state(1, rng)),
+        (recursive.recursive_ancilla_prep(recursive.controlled_rotation_spec(1, 4)).circuit,
+         None),
+        (dead.build(), random_state(1, rng)),
+    ]
+    for c, state in cases:
+        for seed in range(3):
+            counts = simulator.sample_branches(c, state, 200, np.random.default_rng(seed))
+            assert counts == _sampled_from_branches(c, state, 200, seed)
+    assert set(counts) == {"000", "001"}  # never the dead branches "1" and "01"
+
+
+def test_sampling_builds_no_branch_state():
+    """CCV4's flattened circuit, 4,096 branches: drawing from the walk's
+    probabilities keeps the traced peak near one stack's columns, where a
+    full-width state per branch peaked at 11.7 MB."""
+    rc = recursive.synth_recursive(recursive.controlled_rotation_spec(2, 4), flatten=True)
+    state = random_state(len(rc.in_map), np.random.default_rng(0))
+    counts, peak, _ = _traced(lambda: simulator.sample_branches(
+        rc.flattened, state, 10, np.random.default_rng(0)))
+    assert sum(counts.values()) == 10
+    assert peak < 4_000_000, peak
+
+
 # ---------------------------------------------------------------------------
 # the oracle: the depth-first walk the batched engine replaced, and its fold
 
