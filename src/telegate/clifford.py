@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gates, pauli
 from .errors import ClassificationError, ValidationError
-from .limits import FLOOR, TOL, width_of
+from .limits import FLOOR, TOL, check_tolerance, width_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +41,9 @@ def is_unitary(m: np.ndarray, tol: float = TOL) -> bool:
 
 
 def checked_unitary(m: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """m as a complex array, refused unless a finite unitary within
-    max(tol, FLOOR): the one input check of a caller's matrix."""
+    """m as a complex array, refused unless tol is in (0, 1) and m a finite
+    unitary within max(tol, FLOOR): the one input check of a caller's matrix."""
+    check_tolerance(tol)
     if not is_unitary(m, max(tol, FLOOR)):
         raise ValidationError("input matrix is not unitary within tolerance")
     return np.asarray(m, dtype=complex)

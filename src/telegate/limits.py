@@ -23,8 +23,9 @@ MAX_PLAN_WIDTH    the widest gate given any teleport plan (a wider one would
                   reach the unbounded conjugation route); also the widest block
                   of the diagonal level's Möbius transform.
 
-`check_tolerance` is the one range check of a tolerance: every --tol, TELEGATE_TOL
-and each `simulator.verify_gate_equivalence` margin must lie in (0, 1).
+`check_tolerance` is the one range check of a tolerance: every --tol, TELEGATE_TOL,
+each `simulator.verify_gate_equivalence` margin and each recognition tol (read by
+`clifford.checked_unitary` and `pauli.pauli_from_matrix`) must lie in (0, 1).
 """
 from .errors import ValidationError, WidthOverflow
 

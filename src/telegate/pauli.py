@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatch, ValidationError
-from .limits import MAX_STACK_AMPLITUDES, TOL, check_width, width_of
+from .limits import MAX_STACK_AMPLITUDES, TOL, check_tolerance, check_width, width_of
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -166,7 +166,9 @@ def pauli_from_matrix(
     within tol, or None when m is not a scaled Pauli (a NaN or infinite
     entry included).  The phase of m is folded entirely into c; the returned
     P has phase_quarters == 0.  This is `strict_paulis`'s rule on one matrix.
+    A tol outside (0, 1) is refused.
     """
+    check_tolerance(tol)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")

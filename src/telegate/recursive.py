@@ -7,20 +7,22 @@ a diagonal of level k-1.  Each repair thus lies one level down and is
 realized the same way, until what is left is Clifford and applied directly.
 
 The root is a plain X-teleportation with the ancilla injected as
-g|+...+>; each measured bit triggers a Pauli X repair plus a diagonal
-residue g·X_i·g†·X_i (`_x_repairs`: an image of `pauli.conjugated_generators`
-and its column gather).  Clifford-or-lower residues are emitted directly as
-classically-controlled gates.  Deeper residues become child nodes, each one
-injection gadget (`emit_inject`, the package's only one): it injects the
-residue's magic state D|+...+> on the recycled measured qubits, couples it
-to the live register with CNOTs gated on the parent's bit, measures the
-magic register, and repairs with per-outcome-pattern diagonals
-D·X^c·D†·X^c, again one level down.  The parent bit off means the coupling
-never fires and the live register is untouched, so a single flattened
-circuit with one fixed output register realizes the whole conditional tree;
-measurements are never conditioned, preserving the single-measurement
-discipline.  One node emitter writes that circuit, each repair once; a
-node's own circuit is its segment of it with the children cut out.
+g|+...+>; bit i's repair is g·X_i·g† (`_x_repairs`: an image of
+`pauli.conjugated_generators`, and its residue g·X_i·g†·X_i, a column
+gather).  One ladder, `teleport.classify_correction` at the node's level,
+decides each repair once: a Pauli or Clifford repair is emitted directly as
+a classically-controlled gate, a diagonal-times-X one as its X plus a child
+node one level down on the residue, one injection gadget (`emit_inject`,
+the package's only one): it injects the residue's magic state D|+...+> on
+the recycled measured qubits, couples it to the live register with CNOTs
+gated on the parent's bit, measures the magic register, and repairs with
+per-outcome-pattern diagonals D·X^c·D†·X^c, decided the same way.  The
+parent bit off means the coupling never fires and the live register is
+untouched, so a single flattened circuit with one fixed output register
+realizes the whole conditional tree; measurements are never conditioned,
+preserving the single-measurement discipline.  One node emitter writes that
+circuit, each repair once; a node's own circuit is its segment of it with
+the children cut out.
 
 Recursive ancilla preparation (the states U|+...+> themselves) measures
 the stabilizers M_i = U_x·X_i (`_x_repairs` again) through one control
@@ -44,7 +46,7 @@ from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import checked_unitary
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import (FLOOR, MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
+from .limits import (MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
                      VERIFY_TOL, ZERO, check_tolerance, width_of)
 from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
@@ -156,13 +158,6 @@ def _plus_state(n: int) -> np.ndarray:
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
 
 
-def _level_of(m: np.ndarray, what: str) -> int:
-    verdict = hierarchy.hierarchy_level(m, k_max=MAX_RECURSION_LEVEL)
-    if verdict.level is None:
-        raise SynthesisRefusal(f"{what} exceeds level {MAX_RECURSION_LEVEL}")
-    return verdict.level
-
-
 def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
     """The spec's matrix, width and level, refused unless a finite unitary
     inside the recursion's width and depth limits."""
@@ -216,23 +211,15 @@ def _x_repairs(g: np.ndarray):
         yield images[2 * i], images[2 * i][:, np.arange(2**n) ^ (1 << (n - 1 - i))]
 
 
-def _root_repairs(g: np.ndarray):
-    """Per measured bit i of the root: (local cbits, values, the residue
-    g·X_i·g†·X_i, its level, the whole repair g·X_i·g†, the X half's qubit)."""
-    for i, (c_i, residue) in enumerate(_x_repairs(g)):
-        if not hierarchy.is_diagonal_matrix(residue, tol=FLOOR):
-            raise SynthesisRefusal(f"repair residue on qubit {i} is not diagonal")
-        yield (i,), (1,), residue, _level_of(residue, f"residue on qubit {i}"), c_i, i
-
-
 def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> RecursiveNode:
     """Append a node and its subtree to the flattened circuit `b`.
 
     The root (empty `cond`) teleports the data [0..n-1] onto [n..2n-1]; a
     child injects its magic on the measured [0..n-1] and couples the live
-    [n..2n-1] to it under the ancestor condition `cond`.  Each repair is
-    written once, gated on `cond` plus the node's own bits: a direct gate,
-    or a child right after its X half."""
+    [n..2n-1] to it under the ancestor condition `cond`.  `classify_correction`
+    at the node's level decides each repair once, and it is written once,
+    gated on `cond` plus the node's own bits: a direct Pauli or Clifford gate,
+    or a child one level down on the residue, right after its X half."""
     n = width_of(gate.shape[0])
     data, live = list(range(n)), list(range(n, 2 * n))
     magic = StateVector(n, gate @ _plus_state(n))
@@ -240,22 +227,23 @@ def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> Recursi
     start = len(b.ops)
     if cond[0]:
         emit_inject(b, magic.amplitudes, live, data, cbits, cond=cond)
-        specs = ((tuple(range(n)), vals, w, _level_of(w, "pattern repair"), w, None)
+        specs = ((tuple(range(n)), vals, w, w, None)
                  for vals, w in _pattern_repairs(gate, keep_phase=False))
     else:
         emit_teleport(b, TeleportPlan(("X",) * n), data, live, cbits,
                       ancilla=magic.amplitudes)
-        specs = _root_repairs(gate)
+        specs = (((i,), (1,), c_i, residue, i)
+                 for i, (c_i, residue) in enumerate(_x_repairs(gate)))
     own = b.ops[start:]
     repairs: list[Repair] = []
-    for local, vals, residue, r_level, whole, x_half in specs:
+    for local, vals, whole, residue, x_half in specs:
         bits = (cond[0] + tuple(cbits[c] for c in local), cond[1] + vals)
-        if r_level <= 2:
-            corr = classify_correction(whole, 3, local[0])
+        corr = classify_correction(whole, level, local[0])
+        if corr.klass != "diagonal-pauli":
             b.cgate(*bits, corr.canonical, live, role="D")
             own.append(b.ops[-1])
-            repairs.append(Repair(local, vals, r_level, canonical=corr.canonical,
-                                  exact=whole, klass=corr.klass))
+            repairs.append(Repair(local, vals, 1 if corr.klass == "pauli" else 2,
+                                  canonical=corr.canonical, exact=whole, klass=corr.klass))
         else:
             # The X half stays attached to its residue: the pair D~_i·X_i
             # commutes with other repairs only as a block, so the X runs
@@ -263,8 +251,8 @@ def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> Recursi
             # circuit (the tree interpreter applies the X itself).
             if x_half is not None:
                 b.cgate(*bits, "X", [live[x_half]], role="D")
-            repairs.append(Repair(local, vals, r_level, pre_pauli_qubit=x_half,
-                                  child=_emit_node(b, residue, r_level, bits)))
+            repairs.append(Repair(local, vals, corr.residue_level, pre_pauli_qubit=x_half,
+                                  child=_emit_node(b, residue, corr.residue_level, bits)))
     mode, order = ("inject", live + data) if cond[0] else ("teleport", data + live)
     return RecursiveNode(mode, gate, level, n, magic,
                          _relabel(own, order, cbits, len(cond[0])), tuple(repairs))
@@ -451,7 +439,9 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
     |1> and `cond` holds, exactly (the payload's eigenvalue phases included).
     Every injection uses `spare`, allocated at the first (empty until then)."""
     n = len(register)
-    level = _level_of(payload, "controlled payload")
+    level = hierarchy.hierarchy_level(payload, k_max=MAX_RECURSION_LEVEL).level
+    if level is None:
+        raise SynthesisRefusal(f"controlled payload exceeds level {MAX_RECURSION_LEVEL}")
     if level <= 2:
         buf.cgate(*cond, gates.controlled(payload), [kappa] + register,
                   role="D" if cond[0] else "U")

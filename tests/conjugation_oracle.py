@@ -9,18 +9,24 @@ the teleport plan's 2×2 block read replaced, are kept here too.
 `> tol` deviation check passes a NaN off the Pauli support.  Sweeps compare
 verdicts on finite input only."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from telegate.limits import TOL, width_of
 from telegate.pauli import PauliOperator, pauli_to_matrix, single
 
 
+@lru_cache(maxsize=None)
+def _dense_generators(n):
+    """The read-only matrices of X_0, Z_0, X_1, Z_1, ... on n qubits, built once per width."""
+    return tuple(pauli_to_matrix(single(n, q, letter)) for q in range(n) for letter in "XZ")
+
+
 def dense_images(m):
     """u·P·u† for P = X_0, Z_0, X_1, Z_1, ..., one dense product each."""
-    n = width_of(m.shape[0])
     m_dag = m.conj().T
-    return [m @ pauli_to_matrix(single(n, q, letter)) @ m_dag
-            for q in range(n) for letter in "XZ"]
+    return [m @ p @ m_dag for p in _dense_generators(width_of(m.shape[0]))]
 
 
 def scalar_pauli_from_matrix(m, tol=TOL):

@@ -18,6 +18,7 @@ from telegate.simulator import (Branch, StateVector, random_state, run_all_branc
                                 state_from, zero_state)
 
 SQ2 = 1 / np.sqrt(2)
+I2 = np.eye(2)
 
 
 def test_t_gate_stabilizer_forms():
@@ -64,6 +65,44 @@ def test_spec_conditions_checked():
     # Q must anticommute with M
     with pytest.raises(InternalConsistencyError):
         make_stabilizer_spec(target, [gates.Z], [gates.Z])
+
+
+def _spec_of_two_qubit_pairs(ms, qs):
+    return make_stabilizer_spec(zero_state(2), [gates.kron(*m) for m in ms],
+                                [gates.kron(*q) for q in qs])
+
+
+def _three_qubit_spec_whose_stabilizers_do_not_commute():
+    """M_0 = Z_1 or Z_2 as qubit 0 reads 0 or 1, M_1 = X_0 and Q_1 = Z_0:
+    each pair holds and [M_0, Q_1] = 0, but [M_0, M_1] != 0."""
+    zero, one = np.diag([1, 0]), np.diag([0, 1])
+    ms = [gates.kron(zero, gates.Z, I2) + gates.kron(one, I2, gates.Z), gates.kron(gates.X, I2, I2)]
+    qs = [gates.kron(zero, gates.X, I2) + gates.kron(one, I2, gates.X), gates.kron(gates.Z, I2, I2)]
+    return make_stabilizer_spec(state_from(np.kron([SQ2, SQ2], [1, 0, 0, 0])), ms, qs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: make_stabilizer_spec(zero_state(1), [gates.CZ], [gates.X]),
+                 InternalConsistencyError, "pair 0: operator width mismatch", id="width"),
+    pytest.param(lambda: make_stabilizer_spec(zero_state(1), [gates.S], [gates.X]),
+                 InternalConsistencyError, "pair 0: M is not an involution", id="involution"),
+    pytest.param(lambda: _spec_of_two_qubit_pairs([(gates.Z, I2), (I2, gates.Z)],
+                                                  [(gates.X, I2), (gates.X, gates.X)]),
+                 InternalConsistencyError, r"pairs 0,1: \[M_i, Q_j\] != 0", id="M-Q"),
+    pytest.param(_three_qubit_spec_whose_stabilizers_do_not_commute,
+                 InternalConsistencyError, r"pairs 0,1: \[M_i, M_j\] != 0", id="M-M"),
+    pytest.param(lambda: _spec_of_two_qubit_pairs([(gates.Z, I2)], [(gates.X, I2)]),
+                 InternalConsistencyError, "width-2 target needs exactly 2 pairs", id="count"),
+    pytest.param(lambda: derive_stabilizers(gates.T, ("H", "H")),
+                 ValidationError, "gate width does not match the A layer", id="A-layer"),
+    pytest.param(lambda: build_preparation(derive_stabilizers(gates.T, ("H",)), zero_state(2)),
+                 ValidationError, "initial state width mismatch", id="initial"),
+    pytest.param(lambda: shortcut_preparation(derive_stabilizers(gates.T, ("H",)), 5),
+                 ValidationError, "no stabilizer pair 5", id="shortcut"),
+])
+def test_each_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_measure_operator_plus_state():

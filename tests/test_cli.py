@@ -213,6 +213,17 @@ def test_recursive_refuses_a_near_unitary_gate_its_circuit_misses(capsys, tmp_pa
                f" on branch {branch!r})\n")
 
 
+def test_recursive_synthesizes_a_gate_the_hierarchy_places_within_tolerance(capsys, tmp_path):
+    """V4 with a 5e-10 rad phase error: the hierarchy's level 4, and the
+    recursion's verified circuit."""
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(matrix_doc(np.diag([1, np.exp(1j * (np.pi / 8 + 5e-10))]))))
+    assert run(capsys, "hierarchy", str(path)) == (0, "level 4, diagonal, strict\n", "")
+    code, out, err = run(capsys, "recursive", str(path))
+    assert (code, err) == (0, "")
+    assert "verified: all branches of the flattened circuit" in out
+
+
 def test_recursive_refuses_a_gate_wider_than_its_limit(capsys, tmp_path):
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(matrix_doc(np.diag(np.exp(0.1j * np.arange(16))))))
@@ -305,6 +316,8 @@ def test_ancilla_tags_and_literals_take_the_callers_tolerance(capsys, tmp_path):
      "error: sandwich frames must be Clifford gates\n"),
     (("synth", "CS", "--sandwich", "H,T"), 2, "err", "error: --sandwich needs GA,V,GB\n"),
     (("recursive", "V"), 2, "err", "error: rotation specs need --k (the target level)\n"),
+    (("recursive", "V", "--k", "0"), 2, "err", "error: rotation level must be positive\n"),
+    (("recursive", "CCV", "--k", "2"), 2, "err", "error: need level > controls >= 1\n"),
 ])
 def test_refusals_name_their_reason(capsys, argv, code, stream, message):
     got, out, err = run(capsys, *argv)
@@ -328,6 +341,24 @@ def test_ancilla_toffoli_shortcut_simulated(capsys, tmp_path):
     assert "PASS" in out
     doc = json.loads(out_file.read_text())
     assert len(doc["steps"]) == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("ancilla", "X", "--simulate"), "branch 0: p=0 (dead)"),
+    (("hierarchy", "toffoli"), "level 3, strict"),
+])
+def test_a_command_prints_its_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and line in out.splitlines()
+
+
+def test_ancilla_warns_of_a_stabilizer_above_the_clifford_group(capsys, tmp_path):
+    gate, out_file = tmp_path / "v4.json", tmp_path / "v4.prep.json"
+    gate.write_text(json.dumps(matrix_doc(np.diag([1, np.exp(1j * np.pi / 8)]))))
+    code, out, _ = run(capsys, "ancilla", str(gate), "--out", str(out_file))
+    warning = "stabilizer 0 classifies above the Clifford group (level 3)"
+    assert code == 0 and f"  warning: {warning}" in out.splitlines()
+    assert json.loads(out_file.read_text())["warnings"] == [warning]
 
 
 def test_ancilla_t_simulate(capsys):
@@ -702,6 +733,20 @@ def test_malformed_circuit_file_is_usage_error(capsys, tmp_path, ops):
     code, out, err = run(capsys, "verify", str(path), "--against", "I")
     assert code == 2 and out == ""
     assert err.startswith("error: op 0 is malformed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op, message", [
+    ({"op": "inject", "state": {}, "targets": [0]},
+     "op 0: inject needs a label or amplitudes"),
+    ({"op": "gate", "targets": [0]}, "op 0: gate needs 'name' or 'matrix'"),
+    ({"op": "inject", "state": {"amplitudes": [[1, 0], [0]]}, "targets": [0]},
+     "bad state document: not enough values to unpack (expected 2, got 1)"),
+])
+def test_an_op_missing_its_content_is_usage_error(capsys, tmp_path, op, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "telegate-circuit/1", "qubits": 1, "cbits": 0,
+                                "inputs": ["inject"], "ops": [op]}))
+    assert run(capsys, "verify", str(path), "--against", "I") == (2, "", f"error: {message}\n")
 
 
 def test_verify_checks_the_maps_before_sampling(capsys, tmp_path):

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telegate import ancilla, hierarchy, recursive, remote, teleport
+from telegate import ancilla, gates, hierarchy, recursive, remote, teleport
 from telegate.circuit import CircuitBuilder
 from telegate.cli import tolerance
 from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import ValidationError, WidthOverflow
 from telegate.limits import MAX_QUBITS, TOL, VERIFY_TOL, check_tolerance, check_width, width_of
+from telegate.pauli import pauli_from_matrix
 from telegate.simulator import verify_gate_equivalence
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "telegate"
@@ -127,6 +128,29 @@ OUT_OF_RANGE = (0, 1, 5, float("inf"), float("nan"), -1)
 @pytest.mark.parametrize("entry", VERIFIERS.values(), ids=VERIFIERS.keys())
 def test_every_verification_refuses_a_tolerance_outside_the_unit_interval(entry, tol):
     """At tol >= 1 any branch clears 1 - tol: X against Z would pass."""
+    with pytest.raises(ValidationError, match=rf"^tolerance {tol} is not in \(0, 1\)$"):
+        entry(tol)
+
+
+RECOGNIZERS = {
+    "hierarchy_level": lambda tol: hierarchy.hierarchy_level(gates.T, tol=tol),
+    "clifford_from_matrix": lambda tol: clifford_from_matrix(gates.H, tol=tol),
+    "pauli_from_matrix": lambda tol: pauli_from_matrix(gates.X, tol=tol),
+    "plan_teleportation": lambda tol: teleport.plan_teleportation(gates.H, tol=tol),
+    "plan_commutes": lambda tol: teleport.plan_commutes(gates.H, ("X",), tol=tol),
+    "synthesize_teleported_gate": lambda tol: teleport.synthesize_teleported_gate(
+        gates.T, tol=tol),
+    "synthesize_sandwiched": lambda tol: teleport.synthesize_sandwiched(
+        gates.T, IDENTITY, gates.T, IDENTITY, tol=tol),
+    "derive_stabilizers": lambda tol: ancilla.derive_stabilizers(gates.T, ("H",), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", OUT_OF_RANGE)
+@pytest.mark.parametrize("entry", RECOGNIZERS.values(), ids=RECOGNIZERS.keys())
+def test_every_recognizer_refuses_a_tolerance_outside_the_unit_interval(entry, tol):
+    """At tol 5, T would read as level 1 and H would commute with an X
+    teleport's coupling."""
     with pytest.raises(ValidationError, match=rf"^tolerance {tol} is not in \(0, 1\)$"):
         entry(tol)
 

@@ -175,6 +175,33 @@ def test_leaf_corrections_are_clifford_or_pauli():
         walk(rc.root)
 
 
+def test_the_ladder_decides_each_repair_once(monkeypatch):
+    """Every repair of the tree, a child's included, is one
+    `classify_correction` call hinted with its node's level: CCV4's four
+    nodes hold 24 repairs."""
+    from telegate import recursive
+    hints, classify = [], recursive.classify_correction
+
+    def counted(m, k_hint, qubit, *args, **kwargs):
+        hints.append(k_hint)
+        return classify(m, k_hint, qubit, *args, **kwargs)
+
+    monkeypatch.setattr(recursive, "classify_correction", counted)
+    rc = synth_recursive(controlled_rotation_spec(2, 4), flatten=False)
+    nodes = list(_nodes(rc.root))
+    assert len(nodes) == 4 and len(hints) == 24
+    assert sorted(hints) == sorted(node.level for node in nodes for _ in node.repairs)
+
+
+def test_a_phase_error_the_ladder_tolerates_is_synthesized():
+    """V4 with a 5e-10 rad phase error is level 4 to the hierarchy, and its
+    child's pattern repair is Clifford within the ladder's tolerance: the
+    recursion builds and verifies it rather than refusing it."""
+    rc = synth_recursive(matrix_spec(np.diag([1, np.exp(1j * (np.pi / 8 + 5e-10))])))
+    assert (rc.level, resource_report(rc).depth) == (4, 2)
+    assert rc.flattened is not None
+
+
 def test_tree_depth_is_level_minus_two():
     for spec in (rotation_spec(2), rotation_spec(3), rotation_spec(4),
                  rotation_spec(5), controlled_rotation_spec(1, 3),

@@ -167,6 +167,15 @@ def test_run_protocol_aborts_on_audit_failure():
         run_protocol(broken)
 
 
+@pytest.mark.parametrize("build, variant, message", [
+    (build_two_bit_teleportation, "XX", "variant must be 'XZ' or 'ZX'"),
+    (build_remote_cnot, "x", "variant must be 'direct' or 'four_step'"),
+])
+def test_an_unknown_variant_is_refused(build, variant, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(variant)
+
+
 def test_trace_records_messages_and_parties(rng):
     p = build_remote_cnot("direct")
     trace = run_protocol(p, inputs=random_state(2, rng))

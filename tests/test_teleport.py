@@ -537,6 +537,16 @@ def test_one_bit_teleport_matches_hand_written_ops(kind, n):
     assert build_one_bit_teleport(kind, n) == _reference_one_bit(kind, n)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: TeleportPlan(("Y",)), "bad teleport kind 'Y'"),
+    (lambda: build_one_bit_teleport("Y"), "teleport kind must be 'X' or 'Z', got 'Y'"),
+    (lambda: build_one_bit_teleport("X", 0), "need at least one qubit"),
+], ids=["plan", "kind", "width"])
+def test_a_teleport_outside_its_kinds_and_widths_is_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("frame", [
     tableau_from_gate("I"), clifford_from_matrix(np.eye(4)), tableau_from_gate("H"),
     tableau_from_gate("S"), tableau_from_gate("CNOT"), clifford_from_matrix(gates.CZ)])
