@@ -204,6 +204,9 @@ def validate(c: Circuit) -> list[str]:
 
 def _validate(c: Circuit) -> QubitStatus:
     """The one pass that steps qubit status; read it, run once, as `c.status`."""
+    if c.n_qubits < 0 or c.n_cbits < 0:
+        return QubitStatus((f"counts: {c.n_qubits} qubits and {c.n_cbits} cbits;"
+                            " neither may be negative",), (), (), ())
     if len(c.inputs) != c.n_qubits:
         return QubitStatus(("inputs: one tag per qubit is required",), (), (), ())
     for q, tag in enumerate(c.inputs):
@@ -369,6 +372,17 @@ def _op_doc(op: CircuitOp) -> dict:
     return doc
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field's value; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"'{name}' must be an integer, not {value!r}")
+    return value
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    return tuple(_integer(v, name) for v in values)
+
+
 def _op_from_doc(doc: dict, index: int) -> CircuitOp:
     kind = doc.get("op")
     role = doc.get("role")
@@ -380,14 +394,15 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
         else:
             raise CircuitFormatError(f"op {index}: gate needs 'name' or 'matrix'")
         cond = doc.get("cond", {}) if kind == "cgate" else {}
-        op = GateOp(tuple(int(t) for t in doc["targets"]), name=name, matrix=matrix, role=role,
-                    cond_cbits=tuple(int(b) for b in cond.get("cbits", [])),
-                    cond_values=tuple(int(v) for v in cond.get("equals", [])))
+        op = GateOp(_integers(doc["targets"], "targets"), name=name, matrix=matrix, role=role,
+                    cond_cbits=_integers(cond.get("cbits", []), "cbits"),
+                    cond_values=_integers(cond.get("equals", []), "equals"))
         if kind == "cgate" and not op.cond_cbits:  # a cgate document must carry its condition
             raise InvalidCircuitError(["malformed classical condition"])
         return op
     if kind == "measure":
-        return MeasureOp(int(doc["qubit"]), int(doc["cbit"]), role=role)
+        return MeasureOp(_integer(doc["qubit"], "qubit"), _integer(doc["cbit"], "cbit"),
+                         role=role)
     if kind == "inject":
         state = doc.get("state", {})
         label = state.get("label")
@@ -399,7 +414,7 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
             amps = state_from_doc(state["amplitudes"])
         else:
             raise CircuitFormatError(f"op {index}: inject needs a label or amplitudes")
-        return InjectOp(tuple(int(t) for t in doc["targets"]), amps, label=label, role=role)
+        return InjectOp(_integers(doc["targets"], "targets"), amps, label=label, role=role)
     raise CircuitFormatError(f"op {index}: unknown op kind {kind!r}")
 
 
@@ -432,9 +447,9 @@ def deserialize(text: str) -> Circuit:
                                  f"(expected {FORMAT_NAME!r})")
     where = "field 'qubits'"  # what is being read, for a malformed value's message
     try:
-        n_qubits = check_width(int(doc["qubits"]))  # before anything is sized by it
+        n_qubits = check_width(_integer(doc["qubits"], "qubits"))  # before anything is sized
         where = "field 'cbits'"
-        n_cbits = int(doc["cbits"])
+        n_cbits = _integer(doc["cbits"], "cbits")
         where = "field 'inputs'"
         inputs = tuple(str(t) for t in doc.get("inputs", ["input"] * n_qubits))
         where = "field 'ops'"

@@ -328,12 +328,10 @@ def execute_tree(rc: RecursiveCircuit,
         out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
         tables[id(node)] = table = []
         for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
-            k_b = iter(blocks)
-            for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
-                                           stack.live.tolist()):
+            for code, length, k_b in zip(stack.codes.tolist(), stack.lengths.tolist(), blocks):
                 bits = _bitstring(code, length, len(records))
                 cbits = dict(zip(records, map(int, bits)))
-                table.append((bits, next(k_b) if alive else np.zeros((2**n, 2**n)), [
+                table.append((bits, k_b, [
                     rep for rep in node.repairs if rep.child is not None and all(
                         cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local,
                                                              rep.cond_values))]))
@@ -409,7 +407,6 @@ class ControlledRealization:
     payload is Clifford, otherwise by a Toffoli-coupled injection gadget
     whose pattern repairs are controlled diagonals one level down."""
 
-    payload: np.ndarray = field(repr=False)
     level: int
     mode: str  # "direct" | "injected"
     direct_patterns: tuple[tuple[int, ...], ...] = ()
@@ -445,7 +442,7 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
     if level <= 2:
         buf.cgate(*cond, gates.controlled(payload), [kappa] + register,
                   role="D" if cond[0] else "U")
-        return ControlledRealization(payload, level, "direct")
+        return ControlledRealization(level, "direct")
 
     magic = StateVector(n, payload @ _plus_state(n)).amplitudes
     if not spare:
@@ -461,8 +458,7 @@ def _realize_controlled(buf: CircuitBuilder, kappa: int, register: list[int],
             direct_patterns.append(vals)
         else:
             children.append((vals, sub))
-    return ControlledRealization(payload, level, "injected", tuple(direct_patterns),
-                                 tuple(children))
+    return ControlledRealization(level, "injected", tuple(direct_patterns), tuple(children))
 
 
 def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:

@@ -10,9 +10,10 @@ initial states, not an error.
 A branch is a block of unnormalized columns, which lets the gate-equivalence
 checker evolve all computational-basis inputs in a single pass and assemble
 each branch's effective operator.  `_enumerate`, the package's one
-exhaustive walk, carries a stack of branches through each op at once, each
-row over its present qubits only (a measured qubit leaves the row), and
-yields each stack in depth-first order: a verification folds over 2^m
+exhaustive walk, carries a stack of branches through each op at once, one
+row per branch over its present qubits only (a measured qubit leaves the
+row; a dead branch is a row of zeros that no gate touches), and yields
+each stack in depth-first order: a verification folds over 2^m
 branches a stack at a time, and `MAX_STACK_AMPLITUDES` caps the amplitudes
 a stack of more than one row holds after any op.  Each branch gets the
 arithmetic of a walk of it alone, whatever the cap.  The fold writes each
@@ -185,30 +186,37 @@ def _insert(cols: np.ndarray, before: tuple, after: tuple, new, amplitudes=None)
     return t.reshape((rows,) + (2,) * len(after) + (m,)).transpose(undo).reshape(rows, -1, m)
 
 
-def _measure(cols: np.ndarray, at: int | None,
-             codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _measure(cols: np.ndarray, at: int | None, codes: np.ndarray, died: np.ndarray,
+             j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Split each row into its outcome-0 and outcome-1 children, side by
-    side, without axis `at` (None: an untouched qubit, at |0>); children of
-    norm below ZERO leave.  Returns the live ones, their records, the dead records."""
+    side, without axis `at` (None: an untouched qubit, at |0>).  A live
+    row's child of norm below ZERO is zeroed and its record ends at `j`; a
+    dead row keeps its outcome-0 child alone.  Returns the children, their
+    records, where each ended (0: live) and whether any row is dead."""
     if at is None:
         t = np.stack([cols, np.zeros_like(cols)], axis=1)
     else:
         t = cols.reshape(len(cols), 2**at, 2, -1).swapaxes(1, 2)
     children = t.reshape(2 * len(cols), -1, cols.shape[-1])
-    alive = _mass(children) >= ZERO
+    dying = _mass(children) < ZERO
     codes = (2 * codes[:, None] + np.arange(2)).ravel()
-    if alive.all():
-        return children, codes, []
-    return children[alive], codes[alive], codes[~alive].tolist()
+    died = died.repeat(2)
+    if not dying.any():
+        return children, codes, died, False
+    children[dying] = 0
+    keep = (died == 0) | (codes & 1 == 0)
+    died[dying & (died == 0)] = j
+    return children[keep], codes[keep], died[keep], True
 
 
 @dataclass(frozen=True)
 class _Stack:
-    """Consecutive branches in walk order.  A branch's record is its
-    outcome bits read as a binary number of `width` digits; a dead branch's
-    record ends at the measurement where it died and is padded with zeros.
-    `cols` holds the live branches' unnormalized columns over the `present`
-    qubits; `shifts` maps each measured qubit to its last record bit."""
+    """Consecutive branches in walk order, one row each.  A branch's record
+    is its outcome bits read as a binary number of `width` digits; a dead
+    branch's record ends at the measurement where it died and is padded
+    with zeros, and its row is zeros.  `cols` holds each branch's
+    unnormalized columns over the `present` qubits; `shifts` maps each
+    measured qubit to its last record bit."""
 
     codes: np.ndarray
     lengths: np.ndarray
@@ -218,31 +226,18 @@ class _Stack:
     shifts: dict[int, int]
 
     def rows_over(self, register) -> np.ndarray:
-        """The live rows over `register`, which holds every present qubit:
-        one not present sits at its last recorded outcome, or at |0>."""
-        register, live = tuple(register), self.codes[self.live]
+        """The rows over `register`, which holds every present qubit: one
+        not present sits at its last recorded outcome, or at |0>."""
+        register, codes = tuple(register), self.codes
         if register == self.present:
             return self.cols
-        k, rows = len(register), np.arange(len(live))[:, None]
-        base = sum((((live >> self.shifts[q]) & 1) << (k - 1 - i) for i, q in enumerate(register)
-                    if q not in self.present and q in self.shifts), np.zeros_like(live))
-        out = np.zeros((len(live), 2**k, self.cols.shape[-1]), dtype=complex)
+        k, rows = len(register), np.arange(len(codes))[:, None]
+        base = sum((((codes >> self.shifts[q]) & 1) << (k - 1 - i) for i, q in enumerate(register)
+                    if q not in self.present and q in self.shifts), np.zeros_like(codes))
+        out = np.zeros((len(codes), 2**k, self.cols.shape[-1]), dtype=complex)
         out[rows, base[:, None] + register_offsets(
             k, [register.index(q) for q in self.present])] = self.cols
         return out
-
-
-def _stack(cols: np.ndarray, codes: np.ndarray, dead: list[tuple[int, int]],
-           width: int, present: tuple[int, ...], shifts: dict[int, int]) -> _Stack:
-    lengths = np.full(len(codes), width, dtype=np.int8)
-    live = np.ones(len(codes), dtype=bool)
-    if dead:
-        codes = np.concatenate([codes, [code for code, _ in dead]])
-        lengths = np.concatenate([lengths, np.array([j for _, j in dead], dtype=np.int8)])
-        live = np.concatenate([live, np.zeros(len(dead), dtype=bool)])
-        order = np.argsort(codes, kind="stable")
-        codes, lengths, live = codes[order], lengths[order], live[order]
-    return _Stack(codes, lengths, live, cols, present, shifts)
 
 
 def _enumerate(c: Circuit, cols: np.ndarray,
@@ -252,19 +247,20 @@ def _enumerate(c: Circuit, cols: np.ndarray,
 
     A row holds the present qubits only, in qubit order: the 'active' ones
     before the op in `c.status.layout`; records follow `c.status.records`.
-    The stack starts as a copy of the one branch `cols`, a (2**k, m) block
-    over the k inputs; a repair writes its rows in place, and no yielded
-    stack is written again.  A gate applies to every row, or to the rows
-    whose record matches its condition, compiled to a (mask, value): Python
-    ints decide when the first and last records agree on every bit read.
-    A qubit a gate first touches joins at |0>, an inject's join in its
-    state.  A measurement splits each row into its two children, side by
-    side, without the measured axis.  A stack of more than one row whose
-    next op would pass `cap` amplitudes (its rows, twice that for a
-    measurement, over the layout after the op) splits first: the lower half
-    walks on, the upper half waits; a single row walks on whole.  Memory
-    follows the cap, not 2^m; the order and each row's arithmetic are
-    those of a depth-first walk of one branch."""
+    The stack starts as a complex copy of the one branch `cols`, a (2**k, m)
+    block over the k inputs; a repair writes its rows in place, and no
+    yielded stack is written again.  A gate applies to every row, or to the
+    rows whose record matches its condition, compiled to a (mask, value):
+    Python ints decide when the first and last records agree on every bit
+    read.  A dead branch stays a row of zeros that no gate touches.  A qubit
+    a gate first touches joins at |0>, an inject's join in its state.  A
+    measurement splits each live row into its two children, side by side,
+    without the measured axis.  A stack of more than one row whose next op
+    would pass `cap` amplitudes (its rows, twice that for a measurement,
+    over the layout after the op) splits first: the lower half walks on,
+    the upper half waits; a single row walks on whole.  Memory follows the
+    cap, not 2^m; the order and each row's arithmetic are those of a
+    depth-first walk of one branch."""
     records, layout = c.status.records, c.status.layout
     width, position = len(records), {op.cbit: p for p, op in enumerate(records)}
     shifts = {op.qubit: width - 1 - p for p, op in enumerate(records)}
@@ -277,20 +273,20 @@ def _enumerate(c: Circuit, cols: np.ndarray,
             # one cbit read as both 0 and 1 never fires: -1 matches no record
             value = sum(bit * v for bit, v in bits.items()) if len(bits) == len(read) else -1
             conditions[k] = sum(bits), value
-    # op index, record length, rows, live records, dead (padded record, length)
-    pending = [(0, 0, cols[None].copy(), np.zeros(1, dtype=np.int64), [])]
+    # op index, record length, rows, records, record length where each died (0: live)
+    pending = [(0, 0, cols[None].astype(complex), np.zeros(1, dtype=np.int64),
+                np.zeros(1, dtype=np.int8))]
     while pending:
-        k, j, cols, codes, dead = pending.pop()
-        while k < len(c.ops) and len(codes):
+        k, j, cols, codes, died = pending.pop()
+        dead = died.any()  # whether a gate must pass over dead rows
+        while k < len(c.ops):
             op, before, after = c.ops[k], layout[k], layout[k + 1]
             grow = 2 if isinstance(op, MeasureOp) else 1
             if len(codes) > 1 and (grow * len(codes) * cols.shape[-1] << len(after)) > cap:
                 half = len(codes) // 2
-                split = int(codes[half]) << (width - j)
-                pending.append((k, j, cols[half:].copy(), codes[half:],
-                                [d for d in dead if d[0] >= split]))
-                cols, codes = cols[:half], codes[:half]
-                dead = [d for d in dead if d[0] < split]
+                pending.append((k, j, cols[half:].copy(), codes[half:], died[half:]))
+                cols, codes, died = cols[:half], codes[:half], died[:half]
+                dead = died.any()
                 continue
             if isinstance(op, GateOp):
                 if before != after:
@@ -298,22 +294,21 @@ def _enumerate(c: Circuit, cols: np.ndarray,
                 targets = tuple(after.index(q) for q in op.targets)
                 mask, value = conditions.get(k, (0, 0))
                 lo, hi = (int(codes[0]), int(codes[-1])) if mask else (0, 0)
-                if not mask & ((1 << (lo ^ hi).bit_length()) - 1):  # codes are sorted
+                if not dead and not mask & ((1 << (lo ^ hi).bit_length()) - 1):  # codes are sorted
                     if lo & mask == value:
                         cols = _apply(cols, op.resolved_matrix(), targets, len(after))
-                elif (match := codes & mask == value).any():
+                elif (match := (codes & mask == value) & (died == 0) if dead
+                      else codes & mask == value).any():
                     cols[match] = _apply(cols[match], op.resolved_matrix(), targets, len(after))
             elif isinstance(op, InjectOp):
                 cols = _insert(cols, before, after, op.targets, op.amplitudes)
             elif isinstance(op, MeasureOp):
                 at = before.index(op.qubit) if op.qubit in before else None
-                cols, codes, died = _measure(cols, at, codes)
                 j += 1
-                dead += [(code << (width - j), j) for code in died]
+                cols, codes, died, dead = _measure(cols, at, codes, died, j)
             k += 1
-        if not len(codes):  # every row died: no rows, over the last layout
-            cols = np.zeros((0, 2 ** len(layout[-1]), cols.shape[-1]), dtype=complex)
-        yield _stack(cols, codes << (width - j), dead, width, layout[-1], shifts)
+        yield _Stack(codes << (width - j), np.where(died, died, j), died == 0,
+                     cols, layout[-1], shifts)
 
 
 def _bitstring(code: int, length: int, width: int) -> str:
@@ -414,18 +409,14 @@ def run_all_branches(c: Circuit, input_state: StateVector | None = None) -> list
     width, last = len(records), {op.qubit: p for p, op in enumerate(records)}
     branches = []
     for stack in _enumerate(c, _initial_columns(c, input_state)):
-        live = iter(stack.rows_over(range(c.n_qubits)))
-        mass = iter(_mass(stack.cols).tolist())
-        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
-                                       stack.live.tolist()):
+        for code, length, alive, mass, row in zip(
+                stack.codes.tolist(), stack.lengths.tolist(), stack.live.tolist(),
+                _mass(stack.cols).tolist(), stack.rows_over(range(c.n_qubits))):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
             cbits = {op.cbit: bit for op, bit in zip(records, bits)}
             values = {q: bits[p] for q, p in last.items() if p < length and q in measured}
-            if alive:
-                p, state = next(mass), StateVector(c.n_qubits, next(live)[:, 0])
-            else:
-                p, state = 0.0, None
-            branches.append(Branch(bits, p, state, cbits, values))
+            state = StateVector(c.n_qubits, row[:, 0]) if alive else None
+            branches.append(Branch(bits, mass, state, cbits, values))
     return branches
 
 
@@ -457,10 +448,10 @@ def equivalent_up_to_phase(a: StateVector, b: StateVector) -> tuple[bool, float]
 
 def branch_operators(c: Circuit, in_map, out_map) -> Iterator[tuple[_Stack, np.ndarray]]:
     """Evolve all computational-basis inputs at once (input qubit j on
-    circuit qubit in_map[j]) and yield each `_Stack` with its live rows'
-    branch operators times sqrt(branch probability): the amplitude blocks,
-    out_map rows by in_map columns, where every non-output qubit sits at
-    its measured value."""
+    circuit qubit in_map[j]) and yield each `_Stack` with its rows' branch
+    operators times sqrt(branch probability), zero for a dead branch: the
+    amplitude blocks, out_map rows by in_map columns, where every
+    non-output qubit sits at its measured value."""
     _admitted(c)
     in_map, out_map = tuple(in_map), tuple(out_map)
     if len(set(in_map)) != len(in_map) or len(set(out_map)) != len(out_map):
@@ -505,20 +496,19 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     u_conj = u.conj()
     for stack, blocks in branch_operators(c, in_map, out_map):
         rows = slice(end, end := end + len(stack.codes))
-        codes[rows], lengths[rows], here = stack.codes, stack.lengths, scored[rows]
+        codes[rows], lengths[rows] = stack.codes, stack.lengths
         total_mass = _mass(stack.cols)
-        ok = total_mass / dim >= ZERO
-        here[stack.live] = ok
+        scored[rows] = ok = total_mass / dim >= ZERO
         # tr(u†·block) / dim, summed entry by entry
         coeff = np.einsum("ij,rij->r", u_conj, blocks if ok.all() else blocks[ok]) / dim
-        coeffs[rows][here] = coeff  # the dead and unscored rows keep zeros
+        coeffs[rows][ok] = coeff  # the dead and unscored rows keep zeros
         if len(coeff):
             fidelity = np.abs(coeff) * dim / (sqrt_dim * np.sqrt(total_mass[ok]))
             i = int(fidelity.argmin())
             if fidelity[i] < worst:
                 worst = float(fidelity[i])
                 if worst < 1.0 - tol:
-                    failing = _bitstring(int(stack.codes[here][i]), width, width)
+                    failing = _bitstring(int(stack.codes[ok][i]), width, width)
     if end < len(codes):  # copy out the filled slots, freeing the rest
         codes, lengths, scored, coeffs = (a[:end].copy() for a in (codes, lengths, scored, coeffs))
     if not scored.any():
@@ -532,17 +522,15 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
 def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,
                     rng: np.random.Generator) -> dict[str, int]:
     """Monte-Carlo convenience: draw outcome paths from the walk's own
-    probabilities, each live row's `_mass` and 0 for a dead one, as
+    probabilities, each row's `_mass` (a dead row's is 0), as
     `run_all_branches` reports them, without building any branch's state.
     Not used by any verification."""
     width = len(_admitted(c).records)
     keys, probs = [], []
     for stack in _enumerate(c, _initial_columns(c, input_state)):
-        mass = iter(_mass(stack.cols).tolist())
-        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
-                                       stack.live.tolist()):
+        for code, length in zip(stack.codes.tolist(), stack.lengths.tolist()):
             keys.append(_bitstring(code, length, width))
-            probs.append(next(mass) if alive else 0.0)
+        probs += _mass(stack.cols).tolist()
     probs = np.array(probs)
     probs = probs / probs.sum()
     counts: dict[str, int] = {}

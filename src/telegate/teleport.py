@@ -150,12 +150,10 @@ def classify_correction(m: np.ndarray, k_hint: int, qubit: int,
         return Correction(qubit, m, "clifford", phase, canonical)
     peeled = peel_x_pattern(m, tol=max(tol, FLOOR))
     if peeled is not None:
-        _, diag = peeled
-        if hierarchy.is_diagonal_matrix(diag, tol=max(tol, FLOOR)):
-            verdict = hierarchy.hierarchy_level(diag, k_max=max(k_hint, 2), tol=tol)
-            if verdict.level is not None and verdict.level <= k_hint - 1:
-                return Correction(qubit, m, "diagonal-pauli", phase, canonical,
-                                  residue_level=verdict.level)
+        verdict = hierarchy.hierarchy_level(peeled[1], k_max=max(k_hint, 2), tol=tol)
+        if verdict.level is not None and verdict.level <= k_hint - 1:
+            return Correction(qubit, m, "diagonal-pauli", phase, canonical,
+                              residue_level=verdict.level)
     raise SynthesisRefusal(
         f"correction on qubit {qubit} is neither Pauli, Clifford, nor"
         f" diagonal-times-X within level {k_hint - 1}")

@@ -99,6 +99,8 @@ def _three_qubit_spec_whose_stabilizers_do_not_commute():
                  ValidationError, "initial state width mismatch", id="initial"),
     pytest.param(lambda: shortcut_preparation(derive_stabilizers(gates.T, ("H",)), 5),
                  ValidationError, "no stabilizer pair 5", id="shortcut"),
+    pytest.param(lambda: measure_operator(zero_state(2), gates.Z),
+                 ValidationError, "operator width does not match the state", id="measured width"),
 ])
 def test_each_refusal_names_its_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

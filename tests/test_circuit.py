@@ -1,6 +1,7 @@
 """Circuit IR: validation rules, serialization round-trips, rendering."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,10 @@ _INJECT_0 = InjectOp((0,), np.array([1, 0], dtype=complex))
 # One minimal circuit per violation, the message validate gives it, and the
 # error deserialize raises for its document (None: no document can say it).
 @pytest.mark.parametrize("c,message,load_error", [
+    (Circuit(1, -5, ("input",), ()), "counts: 1 qubits and -5 cbits; neither may be negative",
+     InvalidCircuitError),
+    (Circuit(-1, 0, (), ()), "counts: -1 qubits and 0 cbits; neither may be negative",
+     InvalidCircuitError),
     (Circuit(2, 0, ("input",), ()), "one tag per qubit", InvalidCircuitError),
     (Circuit(1, 0, ("bogus",), ()), "unknown tag 'bogus' on qubit 0", InvalidCircuitError),
     (Circuit(1, 0, ("input",), (GateOp((0,), name="BOGUS"),)),
@@ -373,6 +378,10 @@ _INJECT_0 = InjectOp((0,), np.array([1, 0], dtype=complex))
     (Circuit(1, 0, ("input",), ("H",)), "op 0: unknown op variant str", None),
     (Circuit(1, 0, ("input",), (_INJECT_0,)),
      "op 0: inject target 0 must be fixed-|0> or measured-and-retired", InvalidCircuitError),
+    (Circuit(2, 0, ("inject",) * 2, (InjectOp((0, 0), STATE_LABELS["epr"]),)),
+     "op 0: repeated targets (0, 0)", InvalidCircuitError),
+    (Circuit(1, 0, ("inject",), (InjectOp((3,), np.array([1, 0], dtype=complex)),)),
+     "op 0: qubit 3 out of range", InvalidCircuitError),
 ])
 def test_each_violation_is_reported(c, message, load_error):
     assert any(message in v for v in validate(c)), validate(c)
@@ -396,6 +405,48 @@ def test_malformed_fields_are_format_errors(field, value, where):
            "ops": [], field: value}
     with pytest.raises(CircuitFormatError, match=f"^{where} is malformed"):
         deserialize(json.dumps(doc))
+
+
+def _gate(**fields):
+    return {"op": "cgate", "name": "X", "targets": [0], "cond": {"cbits": [0], "equals": [1]},
+            **fields}
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("qubits", 2.9, "qubits"), ("qubits", True, "qubits"), ("qubits", "1", "qubits"),
+    ("cbits", 1.0, "cbits"), ("cbits", False, "cbits"),
+    ("ops", [{"op": "gate", "name": "H", "targets": [0.7]}], "targets"),
+    ("ops", [{"op": "gate", "name": "H", "targets": [True]}], "targets"),
+    ("ops", [{"op": "measure", "qubit": 0.0, "cbit": 0}], "qubit"),
+    ("ops", [{"op": "measure", "qubit": 0, "cbit": "0"}], "cbit"),
+    ("ops", [_gate(cond={"cbits": [0.0], "equals": [1]})], "cbits"),
+    ("ops", [_gate(cond={"cbits": [0], "equals": [True]})], "equals"),
+    ("ops", [{"op": "inject", "state": {"label": "T-ancilla"}, "targets": [1.5]}], "targets"),
+])
+def test_a_count_or_index_must_be_a_json_integer(field, value, name):
+    """A fractional, boolean or string count or index is refused, naming
+    its field; `int` would truncate 2.9 qubits and targets [0.7, 1.2] to a
+    2-qubit CNOT on [0, 1]."""
+    doc = {"format": "telegate-circuit/1", "qubits": 1, "cbits": 1, "inputs": ["input"],
+           "ops": [], field: value}
+    where = f"field '{field}'" if field != "ops" else "op 0"
+    with pytest.raises(CircuitFormatError,
+                       match=f"^{where} is malformed: '{name}' must be an integer, not "):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("qubits,cbits,inputs", [(1, -5, ["input"]), (-1, 0, [])])
+def test_a_negative_count_is_refused_before_anything_else(qubits, cbits, inputs):
+    """Refused by its own violation: unchecked, `"cbits": -5` loaded, wrote
+    itself back and verified, and `"qubits": -1` read as a missing input tag."""
+    message = f"counts: {qubits} qubits and {cbits} cbits; neither may be negative"
+    doc = {"format": "telegate-circuit/1", "qubits": qubits, "cbits": cbits,
+           "inputs": inputs, "ops": []}
+    with pytest.raises(InvalidCircuitError) as err:
+        deserialize(json.dumps(doc))
+    assert err.value.violations == [message]
+    with pytest.raises(InvalidCircuitError, match=f"^invalid circuit: {re.escape(message)}$"):
+        CircuitBuilder(qubits, cbits, inputs).build()
 
 
 @pytest.mark.parametrize("label", ["T-ancilla", "bogus"])

@@ -725,7 +725,8 @@ def test_cli_loads_numpy_on_one_blas_thread_unless_told(given, seen):
     assert proc.stdout.splitlines()[:2] == [seen, "level 3, diagonal, strict"]
 
 
-@pytest.mark.parametrize("ops", [[{"op": "gate", "name": "H", "targets": 0}], ["H"]])
+@pytest.mark.parametrize("ops", [[{"op": "gate", "name": "H", "targets": 0}], ["H"],
+                                 [{"op": "gate", "name": "CNOT", "targets": [0.7, 1.2]}]])
 def test_malformed_circuit_file_is_usage_error(capsys, tmp_path, ops):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "telegate-circuit/1", "qubits": 1, "cbits": 0,
@@ -733,6 +734,22 @@ def test_malformed_circuit_file_is_usage_error(capsys, tmp_path, ops):
     code, out, err = run(capsys, "verify", str(path), "--against", "I")
     assert code == 2 and out == ""
     assert err.startswith("error: op 0 is malformed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"qubits": 2.9, "cbits": 0, "inputs": ["input", "input"],
+      "ops": [{"op": "gate", "name": "CNOT", "targets": [0.7, 1.2]}]},
+     "field 'qubits' is malformed: 'qubits' must be an integer, not 2.9"),
+    ({"qubits": 1, "cbits": -5, "inputs": ["input"], "ops": []},
+     "invalid circuit: counts: 1 qubits and -5 cbits; neither may be negative"),
+], ids=["fractional", "negative"])
+def test_a_count_that_is_not_a_natural_number_is_usage_error(capsys, tmp_path, doc, message):
+    """Refused, where truncating the first read it as a 2-qubit CNOT on
+    [0, 1] that passed against CNOT, and the second passed against I."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "telegate-circuit/1", **doc}))
+    against = "CNOT" if doc["ops"] else "I"
+    assert run(capsys, "verify", str(path), "--against", against) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("op, message", [

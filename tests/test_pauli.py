@@ -60,6 +60,11 @@ def test_mul_width_mismatch():
         PauliOperator(2, (1,), (0, 0))
 
 
+def test_pauli_from_matrix_refuses_a_non_square_matrix():
+    with pytest.raises(ValidationError, match="^matrix must be square$"):
+        pauli_from_matrix(np.eye(2, 4))
+
+
 def test_mul_matches_dense_product(rng):
     for _ in range(100):
         n = int(rng.integers(1, 4))

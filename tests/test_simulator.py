@@ -47,6 +47,8 @@ def test_t_on_plus():
 def test_apply_gate_takes_a_gate_op_but_refuses_a_conditioned_one():
     out = apply_gate(zero_state(1), GateOp((0,), name="X"))
     assert np.allclose(out.amplitudes, [0, 1])
+    bare = apply_gate(zero_state(2), gates.CNOT @ gates.kron(gates.X, gates.I2), [0, 1])
+    assert np.array_equal(bare.amplitudes, [0, 0, 0, 1])
     conditioned = GateOp((0,), name="X", cond_cbits=(0,), cond_values=(1,))
     with pytest.raises(ValidationError, match="condition"):
         apply_gate(zero_state(1), conditioned)
@@ -409,27 +411,84 @@ def test_exact_monomial_gates_gather_the_products_bits():
 
 
 def test_a_measurement_decides_death_by_the_one_mass():
-    """A measurement keeps a child exactly when `_mass` puts it at ZERO or
-    above, also for children within rounding of ZERO, and each live
-    branch's probability is `_mass` of its row alone, bit for bit."""
+    """A measurement keeps a child live exactly when `_mass` puts it at ZERO
+    or above, also for children within rounding of ZERO; a dead child is a
+    row of zeros whose record ends there, and a dead row's next measurement
+    keeps its outcome-0 child alone.  Each branch's probability is `_mass`
+    of its row alone, bit for bit."""
     rng = np.random.default_rng(5)
     cols = rng.standard_normal((64, 8, 2)) + 1j * rng.standard_normal((64, 8, 2))
     scale = [1] * 40 + [1 - 1e-15, 1 + 1e-15, 1 - 1e-10, 1 + 1e-10, 0.5, 2, 0] * 2
     for r, s in enumerate(scale):  # each row's outcome-1 child, qubit 1 of 3
         child = cols[r].reshape(2, 2, 2, 2)[:, 1]
         child *= np.sqrt(ZERO * s / simulator._mass(child[None])[0])
-    children, codes, dead = simulator._measure(cols, 1, np.arange(len(cols)))
+    children, codes, died, dead = simulator._measure(cols, 1, np.arange(len(cols)),
+                                                     np.zeros(len(cols), dtype=np.int8), 3)
     split = cols.reshape(-1, 2, 2, 2, 2).swapaxes(1, 2).reshape(-1, 4, 2)
     alive = simulator._mass(split) >= ZERO
-    assert codes.tolist() == np.flatnonzero(alive).tolist()
-    assert dead == np.flatnonzero(~alive).tolist()
-    assert np.array_equal(children, split[alive])
+    assert dead and codes.tolist() == list(range(2 * len(cols)))
+    assert died.tolist() == np.where(alive, 0, 3).tolist()
+    assert np.array_equal(children[alive], split[alive]) and not children[~alive].any()
+    grand, codes, died, dead = simulator._measure(children, 0, codes, died, 4)
+    assert codes.tolist() == [code for code in range(4 * len(cols))
+                              if alive[code >> 1] or code % 2 == 0]
+    from_live = alive[codes >> 1]
+    assert (died[~from_live] == 3).all() and set(died[from_live].tolist()) <= {0, 4}
+    assert dead and not grand[died > 0].any()
+    assert not simulator._measure(cols, 0, np.arange(len(cols)),
+                                  np.zeros(len(cols), dtype=np.int8), 3)[3]
     c = recursive.synth_recursive(recursive.controlled_rotation_spec(1, 4)).flattened
     psi = random_state(len(c.symbolic_qubits), rng)
     rows = [row for stack in simulator._enumerate(c, simulator._initial_columns(c, psi))
             for row in stack.cols]
-    live = [b.probability for b in run_all_branches(c, psi) if b.state is not None]
-    assert len(live) > 1 and live == [simulator._mass(row[None])[0] for row in rows]
+    probs = [b.probability for b in run_all_branches(c, psi)]
+    assert len(probs) > 1 and probs == [simulator._mass(row[None])[0] for row in rows]
+
+
+@pytest.mark.parametrize("matrix,targets,message", [
+    (gates.CNOT, (0,), "gate matrix does not match target count"),
+    (gates.CNOT, (1, 1), r"bad targets \(1, 1\) for width 2"),
+    (gates.H, (2,), r"bad targets \(2,\) for width 2"),
+])
+def test_apply_to_columns_refuses_a_wrong_matrix_or_bad_targets(matrix, targets, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        apply_to_columns(np.eye(4, dtype=complex), matrix, targets, 2)
+
+
+@pytest.mark.parametrize("n,amps,error,message", [
+    (2, [1.0, 0.0], DimensionMismatch, r"amplitude count must be 2\*\*n"),
+    (1, [0.0, 0.0], ValidationError, "state has zero norm"),
+], ids=["count", "zero"])
+def test_a_state_refuses_a_wrong_count_or_a_zero_norm(n, amps, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        StateVector(n, amps)
+
+
+def _one_input():
+    return CircuitBuilder(2, 1, ["input", "zero"]).gate("CNOT", [0, 1]).measure(1, 0).build()
+
+
+@pytest.mark.parametrize("walk", [
+    run_all_branches,
+    lambda c, psi: simulator.sample_branches(c, psi, 4, np.random.default_rng(0)),
+], ids=["run_all_branches", "sample_branches"])
+@pytest.mark.parametrize("c,psi,message", [
+    (CircuitBuilder(1, 0, ["zero"]).gate("H", [0]).build(), zero_state(1),
+     "circuit has no symbolic inputs"),
+    (_one_input(), None, "input must cover the 1 symbolic-input qubits"),
+    (_one_input(), zero_state(2), "input must cover the 1 symbolic-input qubits"),
+], ids=["no inputs", "missing", "too wide"])
+def test_a_walk_refuses_an_input_that_does_not_fit(walk, c, psi, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        walk(c, psi)
+
+
+def test_a_dead_branch_has_no_register_state():
+    c = CircuitBuilder(2, 1, ["input", "zero"]).measure(1, 0).build()  # outcome 1 dies
+    live, dead = run_all_branches(c, zero_state(1))
+    assert live.state is not None and dead.state is None
+    with pytest.raises(ValidationError, match="^dead branches carry no state$"):
+        extract_register_state(dead, (0,))
 
 
 def test_state_from_refuses_a_non_power_of_two():
@@ -804,15 +863,17 @@ def _measurements(c):
 
 def _flat_stacks(c, cols, cap=MAX_STACK_AMPLITUDES):
     """Every branch the batched walk yields from a block over the symbolic
-    inputs: (outcome bits, columns over every qubit or None)."""
+    inputs, one row each: (outcome bits, columns over every qubit or None);
+    a dead branch's row must be zeros."""
     width = _measurements(c)
     out = []
     for stack in simulator._enumerate(c, cols, cap):
-        live = iter(stack.rows_over(range(c.n_qubits)))
-        for code, length, alive in zip(stack.codes.tolist(), stack.lengths.tolist(),
-                                       stack.live.tolist()):
+        for code, length, alive, row in zip(stack.codes.tolist(), stack.lengths.tolist(),
+                                            stack.live.tolist(),
+                                            stack.rows_over(range(c.n_qubits))):
             bits = tuple((code >> (width - 1 - p)) & 1 for p in range(length))
-            out.append((bits, next(live) if alive else None))
+            assert alive or not row.any(), bits
+            out.append((bits, row if alive else None))
     return out
 
 
@@ -915,8 +976,8 @@ def test_a_split_falls_before_a_measurement_of_an_untouched_qubit(monkeypatch):
     made = _record_stack_sizes(monkeypatch)
     stacks = list(simulator._enumerate(c, cols, 16))
     # H on one row of 16; qubit 0 measured into two rows of 8, at the cap;
-    # qubit 2 measured in each half alone, its outcome 1 dead
-    assert made == [(1, 1, 16), (1, 2, 8), (1, 1, 8), (1, 1, 8)]
+    # qubit 2 measured in each half alone, its outcome 1 a dead row of zeros
+    assert made == [(1, 1, 16), (1, 2, 8), (1, 2, 8), (1, 2, 8)]
     assert [stack.codes.tolist() for stack in stacks] == [[0b00, 0b01], [0b10, 0b11]]
     whole = list(simulator._enumerate(c, cols))
     assert len(whole) == 1
@@ -1021,8 +1082,9 @@ def test_edge_paths_match_the_depth_first_walk(name, rng):
 
 
 def test_rows_that_all_die_before_the_last_op_still_fold():
-    """The walk stops once every row is dead; the stack it yields still has
-    rows of the final width, so the fold and the listing go through."""
+    """Once every row is dead the walk carries zero rows to the end: the
+    stack it yields has rows of the final width, so the fold and the
+    listing go through."""
     c = Circuit(2, 1, ("input", "zero"), (_zeroed(GateOp((0,), matrix=gates.H)),
                                           MeasureOp(0, 0), GateOp((1,), name="H")))
     report = verify_gate_equivalence(c, gates.H, [0], [1])

@@ -17,8 +17,8 @@ from telegate.simulator import (equivalent_up_to_phase, extract_register_state,
                                 verify_gate_equivalence, zero_state)
 from telegate.teleport import (TeleportPlan, build_generalized_teleport,
                                build_one_bit_teleport, emit_teleport, plan_commutes,
-                               peel_x_pattern, plan_teleportation, synthesize_sandwiched,
-                               synthesize_teleported_gate)
+                               peel_x_pattern, plan_teleportation, split_phase,
+                               synthesize_sandwiched, synthesize_teleported_gate)
 
 from conjugation_oracle import (_perturbation, dense_commutator_max, dense_synthesis_repairs,
                                 loop_peel_x_pattern, verdict_sweep)
@@ -541,7 +541,8 @@ def test_one_bit_teleport_matches_hand_written_ops(kind, n):
     (lambda: TeleportPlan(("Y",)), "bad teleport kind 'Y'"),
     (lambda: build_one_bit_teleport("Y"), "teleport kind must be 'X' or 'Z', got 'Y'"),
     (lambda: build_one_bit_teleport("X", 0), "need at least one qubit"),
-], ids=["plan", "kind", "width"])
+    (lambda: split_phase(np.zeros((2, 2))), "zero matrix has no phase convention"),
+], ids=["plan", "kind", "width", "zero phase"])
 def test_a_teleport_outside_its_kinds_and_widths_is_refused(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call()
