@@ -393,7 +393,9 @@ def _op_from_doc(doc: dict, index: int) -> CircuitOp:
             name, matrix = None, matrix_from_doc(doc["matrix"])
         else:
             raise CircuitFormatError(f"op {index}: gate needs 'name' or 'matrix'")
-        cond = doc.get("cond", {}) if kind == "cgate" else {}
+        if kind == "gate" and "cond" in doc:  # else it would run unconditioned
+            raise InvalidCircuitError(["a 'gate' op carries no 'cond'; write a 'cgate'"])
+        cond = doc.get("cond", {})
         op = GateOp(_integers(doc["targets"], "targets"), name=name, matrix=matrix, role=role,
                     cond_cbits=_integers(cond.get("cbits", []), "cbits"),
                     cond_values=_integers(cond.get("equals", []), "equals"))

@@ -140,10 +140,12 @@ def cmd_verify(args) -> int:
                                  args.sample, np.random.default_rng(args.seed))
         print(f"sampled {args.sample} shots: "
               + " ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
-    weights = dict(report.branch_weights.items())
-    for bits, scalar in sorted(report.branch_scalars.items()):
-        weight = weights.get(bits, 0.0)
-        print(f"branch {bits}: p={weight:.6f} scalar={scalar:.6f}")
+    # Both maps run in walk order, the sorted key order; the weights also hold
+    # the unscored (dead) branches, whose weight is 0, skipped on the way.
+    scalars = iter(report.branch_scalars.values())
+    print("".join(f"branch {bits}: p={w:.6f} scalar={next(scalars):.6f}\n"
+                  for bits, w in report.branch_weights.items()
+                  if w or bits in report.branch_scalars), end="")
     print(f"worst fidelity: {report.worst_fidelity:.12f}")
     if report.passed:
         print("PASS")

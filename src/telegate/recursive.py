@@ -46,9 +46,10 @@ from .ancilla import emit_stabilizer_step
 from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import checked_unitary
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError, WidthOverflow
-from .limits import (MAX_HIERARCHY_LEVEL, MAX_RECURSION_LEVEL, MAX_RECURSION_WIDTH, TOL,
-                     VERIFY_TOL, ZERO, check_tolerance, width_of)
-from .simulator import StateVector, _bitstring, branch_operators, verify_gate_equivalence
+from .limits import (MAX_HIERARCHY_LEVEL, MAX_MEASUREMENTS, MAX_RECURSION_LEVEL,
+                     MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO, check_tolerance, width_of)
+from .simulator import (StateVector, _bitstring, _certified_states, _mass, branch_operators,
+                        verify_gate_equivalence)
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
 
 
@@ -310,53 +311,90 @@ def execute_tree(rc: RecursiveCircuit,
                  input_state: StateVector) -> list[tuple[str, float, StateVector | None]]:
     """Interpret the tree: a child runs only on paths where its condition
     bits all read 1.  Returns (bits, probability, state) with the state on
-    the logical register.  Every node's branch operators K_b are tabled
-    first, one walk per node; a path entering in state s goes on in K_b·s
-    normalized, with probability ‖K_b·s‖², or ends with no state below
-    ZERO.  Each K_b has probability 2^-n on every input, so no path dies for
-    one input only (one would keep its full record, where a walk of s cut it
-    short)."""
+    the logical register, in depth-first order.
+
+    Every node's branch operators K_b are tabled first, one walk per node,
+    beside each branch's bits, live flag and triggered children.  The tables
+    count the paths, and more than 2^MAX_MEASUREMENTS paths are refused
+    before any state is touched.  A node then takes every path prefix that
+    reaches it as one (k, d) block: one product gives K_b·s for every row
+    and branch, each goes on normalized with probability ‖K_b·s‖², and each
+    triggered child runs once on all of a branch's rows after the X half.
+    The states come back checked once, as read-only rows of one block.
+    Only a structurally dead K_b (a zero block) ends a path, with its short
+    record, passing its later children by.  Each live K_b has probability
+    2^-n on every input, so no path of a synthesized tree dies for one input
+    only; in a hand-edited tree such a path keeps its full record, with
+    probability 0.0 and no state."""
     if input_state.n != rc.n:
         raise DimensionMismatch(f"input must cover the {rc.n} logical qubits")
     if rc.root is None:
         out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
         return [("", 1.0, out)]
-    tables: dict[int, list] = {}  # id(node) -> [(bits, K_b, children it triggers)]
-    for node, _ in _nodes(rc.root):
+    tables: dict[int, tuple] = {}  # id(node) -> (bits, K^T, live, children each triggers)
+    counts: dict[int, tuple] = {}  # id(node) -> its paths that go on, and that ended
+    for node, _ in reversed(list(_nodes(rc.root))):  # each child before its parent
         c, n = node.circuit, node.n
         records = [op.cbit for op in c.status.records]
         out_reg = range(n, 2 * n) if node.mode == "teleport" else range(n)
-        tables[id(node)] = table = []
-        for stack, blocks in branch_operators(c, c.symbolic_qubits, out_reg):
-            for code, length, k_b in zip(stack.codes.tolist(), stack.lengths.tolist(), blocks):
-                bits = _bitstring(code, length, len(records))
-                cbits = dict(zip(records, map(int, bits)))
-                table.append((bits, k_b, [
-                    rep for rep in node.repairs if rep.child is not None and all(
-                        cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local,
-                                                             rep.cond_values))]))
+        bits, blocks, live, triggers = [], [], [], []
+        for stack, k in branch_operators(c, c.symbolic_qubits, out_reg):
+            blocks.append(k)
+            live += stack.live.tolist()
+            for code, length in zip(stack.codes.tolist(), stack.lengths.tolist()):
+                bits.append(_bitstring(code, length, len(records)))
+                cbits = dict(zip(records, map(int, bits[-1])))
+                triggers.append([rep for rep in node.repairs if rep.child is not None and all(
+                    cbits.get(cb) == v for cb, v in zip(rep.cond_cbits_local, rep.cond_values))])
+        tables[id(node)] = bits, np.concatenate(blocks).reshape(-1, 2**n).T, live, triggers
+        going = ended = 0
+        for alive, children in zip(live, triggers):
+            g, e = (1, 0) if alive else (0, 1)  # a dead branch's g of 0 passes its children by
+            for c_going, c_ended in (counts[id(rep.child)] for rep in children):
+                g, e = g * c_going, e + g * c_ended
+            going, ended = going + g, ended + e
+        counts[id(node)] = going, ended
+    if (paths := sum(counts[id(rc.root)])) > 2**MAX_MEASUREMENTS:
+        raise WidthOverflow(f"{paths} tree paths exceed the 2^{MAX_MEASUREMENTS}-path limit")
 
-    def run(node: RecursiveNode, s: np.ndarray) -> list:
-        paths = []
-        for bits, k_b, children in tables[id(node)]:
-            v = k_b @ s
-            p = np.vdot(v, v).real
-            paths += descend(children, bits, p, v / np.sqrt(p)) if p >= ZERO else [
-                (bits, 0.0, None)]
-        return paths
+    def run(node: RecursiveNode, s: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """The paths through `node` of each row of s, a (k, d) block: their
+        bits, whether each ended at a dead K_b, and per row their
+        probabilities (k, G) and states (k, G, d)."""
+        bits, k_t, live, triggers = tables[id(node)]
+        rows, d = s.shape
+        v = (s @ k_t).reshape(rows, len(bits), d)
+        p = _mass(v.reshape(-1, d)).reshape(rows, -1)
+        ok = p >= ZERO
+        v = np.divide(v, np.sqrt(p)[..., None], out=np.zeros_like(v), where=ok[..., None])
+        p = np.where(ok, p, 0.0)
+        out_bits, out_end, out_p, out_s = [], [], [], []
+        for b, (alive, children) in enumerate(zip(live, triggers)):
+            g_bits, g_end, g_p, g_s = [bits[b]], [not alive], p[:, b:b + 1], v[:, b:b + 1]
+            for rep in children if alive else ():
+                if (q := rep.pre_pauli_qubit) is not None:
+                    g_s = g_s.reshape(-1, 2**q, 2, d >> (q + 1))[:, :, ::-1]
+                c_bits, c_end, c_p, c_s = run(rep.child, g_s.reshape(-1, d))
+                m = len(c_bits)
+                g_p = (g_p[..., None] * c_p.reshape(rows, -1, m)).reshape(rows, -1)
+                g_s = c_s.reshape(rows, -1, d)
+                if any(g_end):  # an ended path (p 0, a zero row) keeps one zero copy
+                    grown = [(i, y, e) for g, (x, end) in enumerate(zip(g_bits, g_end))
+                             for i, y, e in ([(g * m, x, True)] if end else zip(
+                                 range(g * m, g * m + m), [x + z for z in c_bits], c_end))]
+                    take, g_bits, g_end = map(list, zip(*grown))
+                    g_p, g_s = g_p[:, take], g_s[:, take]
+                else:
+                    g_bits, g_end = [x + y for x in g_bits for y in c_bits], c_end * len(g_bits)
+            out_bits += g_bits
+            out_end += g_end
+            out_p.append(g_p)
+            out_s.append(g_s)
+        return out_bits, out_end, np.concatenate(out_p, axis=1), np.concatenate(out_s, axis=1)
 
-    def descend(children: list, bits: str, p: float, s: np.ndarray | None) -> list:
-        """The paths on through each triggered child in turn, after its X half."""
-        if s is None or not children:
-            return [(bits, p, s)]
-        rep = children[0]
-        if rep.pre_pauli_qubit is not None:
-            s = s.reshape(2**rep.pre_pauli_qubit, 2, -1)[:, ::-1].ravel()
-        return [path for bits2, p2, s2 in run(rep.child, s)
-                for path in descend(children[1:], bits + bits2, p * p2, s2)]
-
-    return [(bits, float(p), None if s is None else StateVector(rc.n, s))
-            for bits, p, s in run(rc.root, input_state.amplitudes)]
+    bits, _, p, s = run(rc.root, input_state.amplitudes[None])
+    states = iter(_certified_states(rc.n, s[0][p[0] > 0]))  # p is 0 just where a path died
+    return [(b, q, next(states) if q > 0 else None) for b, q in zip(bits, p[0].tolist())]
 
 
 def resource_report(rc: RecursiveCircuit) -> ResourceReport:

@@ -66,12 +66,38 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _certified_states(n: int, block: np.ndarray) -> list[StateVector]:
+    """Each row of a complex (G, 2**n) block as a `StateVector`: the block is
+    checked and normalized in one pass, and the states are read-only row
+    views of it.  A block with a non-finite or zero row goes row by row
+    through `StateVector`, which refuses it, or rescales a row whose squares
+    overflow."""
+    norms = np.sqrt(_mass(block))
+    if not (np.isfinite(norms) & (norms >= ZERO)).all():
+        return [StateVector(n, row) for row in block]
+    block = block / norms[:, None]
+    block.flags.writeable = False
+    states = [object.__new__(StateVector) for _ in block]  # no __post_init__: checked above
+    for state, row in zip(states, block):
+        fields = state.__dict__
+        fields["n"], fields["amplitudes"] = n, row
+    return states
+
+
 def state_from(amplitudes) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex).ravel()
     return StateVector(width_of(len(amps)), amps)
 
 
+def _state_width(n: int) -> int:
+    if n < 0:  # refused, like a width over MAX_QUBITS, before any array is sized
+        raise ValidationError(f"{n} qubits: a width cannot be negative")
+    return check_width(n)
+
+
 def basis_state(n: int, index: int) -> StateVector:
+    if not 0 <= index < 2 ** _state_width(n):
+        raise ValidationError(f"basis index {index} is not in range(2**{n})")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -82,7 +108,7 @@ def zero_state(n: int) -> StateVector:
 
 
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
-    re = rng.standard_normal(2**n)
+    re = rng.standard_normal(2 ** _state_width(n))
     im = rng.standard_normal(2**n)
     return state_from(re + 1j * im)
 

@@ -766,6 +766,65 @@ def test_an_op_missing_its_content_is_usage_error(capsys, tmp_path, op, message)
     assert run(capsys, "verify", str(path), "--against", "I") == (2, "", f"error: {message}\n")
 
 
+_COND = {"cbits": [0], "equals": [1]}
+
+
+@pytest.mark.parametrize("cond", [_COND, {"cbits": [], "equals": []}], ids=["bit", "empty"])
+def test_a_condition_on_a_gate_op_is_usage_error(capsys, tmp_path, cond):
+    """At the parent the condition was dropped: X ran unconditioned after a
+    measured |0>, and the file verified PASS against X."""
+    path = tmp_path / "gate_cond.json"
+    path.write_text(json.dumps({
+        "format": "telegate-circuit/1", "qubits": 2, "cbits": 1, "inputs": ["input", "zero"],
+        "ops": [{"op": "measure", "qubit": 1, "cbit": 0},
+                {"op": "gate", "name": "X", "targets": [0], "cond": cond}]}))
+    assert run(capsys, "verify", str(path), "--against", "X", "--out-map", "0") == (
+        2, "", "error: invalid circuit: op 1: a 'gate' op carries no 'cond'; write a 'cgate'\n")
+    path.write_text(path.read_text().replace('"gate"', '"cgate"'))
+    code, out, err = run(capsys, "verify", str(path), "--against", "X", "--out-map", "0")
+    assert (code, err) == ((1, "") if cond["cbits"] else (2, "error: invalid circuit: op 1:"
+                                                           " malformed classical condition\n"))
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["dead-first", "dead-last"])
+def test_verify_prints_the_scored_branches_with_their_weights(capsys, tmp_path, at_end):
+    """One line per scored branch in sorted key order, with its weight: the
+    dict-and-sort printing of the parent, on T's circuit with a measured |0>
+    qubit whose dead outcome 1 comes first (a one-bit record) or last
+    (interleaved with the live branches)."""
+    path = tmp_path / "t.json"
+    assert run(capsys, "synth", "T", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    extra = {"op": "measure", "qubit": doc["qubits"], "cbit": doc["cbits"]}
+    doc["ops"] = doc["ops"] + [extra] if at_end else [extra] + doc["ops"]
+    doc["qubits"], doc["cbits"], doc["inputs"] = (doc["qubits"] + 1, doc["cbits"] + 1,
+                                                  doc["inputs"] + ["zero"])
+    path.write_text(json.dumps(doc))
+    c = deserialize(path.read_text())
+    out_map = sorted(set(range(c.n_qubits)) - c.measured_qubits())
+    report = verify_gate_equivalence(c, gates.T, c.symbolic_qubits, out_map)
+    weights = dict(report.branch_weights.items())
+    want = [f"branch {bits}: p={weights.get(bits, 0.0):.6f} scalar={scalar:.6f}"
+            for bits, scalar in sorted(report.branch_scalars.items())]
+    assert len(weights) > len(want) > 1
+    code, out, err = run(capsys, "verify", str(path), "--against", "T")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want + ["worst fidelity: 1.000000000000", "PASS"]
+
+
+def test_verify_prints_a_scored_branch_of_weight_zero(capsys, tmp_path):
+    """X checked against I: live branch 0 has coefficient tr(X)/2 = 0, so
+    weight 0 like dead branch 1 beside it, but only branch 0 is scored."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({
+        "format": "telegate-circuit/1", "qubits": 2, "cbits": 1, "inputs": ["input", "zero"],
+        "ops": [{"op": "gate", "name": "X", "targets": [0]},
+                {"op": "measure", "qubit": 1, "cbit": 0}]}))
+    assert run(capsys, "verify", str(path), "--against", "I", "--out-map", "0") == (
+        1, "branch 0: p=0.000000 scalar=0.000000+0.000000j\n"
+           "worst fidelity: 0.000000000000\nFAIL at branch 0\n", "")
+
+
 def test_verify_checks_the_maps_before_sampling(capsys, tmp_path):
     path = str(tmp_path / "t.json")
     assert run(capsys, "synth", "T", "--out", path)[0] == 0

@@ -672,3 +672,69 @@ def test_x_and_pattern_repairs_are_the_dense_products_byte_for_byte(monkeypatch)
         assert raw(_x_repairs(g)) == raw(dense_x_repairs(g))
         for keep_phase in (False, True):
             assert raw(_pattern_repairs(g, keep_phase)) == raw(dense_pattern_repairs(g, keep_phase))
+
+
+def test_tree_execution_refuses_more_paths_than_the_limit(monkeypatch, rng):
+    """The tables count CCV4's 729 paths before any state is touched: over
+    2^9 they are refused with their count, under 2^10 they run."""
+    from telegate import recursive
+    rc = synth_recursive(controlled_rotation_spec(2, 4), flatten=False)
+    psi = random_state(rc.n, rng)
+    mass = recursive._mass
+    monkeypatch.setattr(recursive, "_mass", lambda rows: pytest.fail("a state was touched"))
+    monkeypatch.setattr(recursive, "MAX_MEASUREMENTS", 9)
+    with pytest.raises(WidthOverflow, match=r"^729 tree paths exceed the 2\^9-path limit$"):
+        execute_tree(rc, psi)
+    monkeypatch.setattr(recursive, "_mass", mass)
+    monkeypatch.setattr(recursive, "MAX_MEASUREMENTS", 10)
+    assert len(execute_tree(rc, psi)) == 729
+
+
+def _with_a_dead_branch(node, at_end):
+    """The node with one more qubit, at |0>, measured into one more cbit
+    first or last: its outcome 1 is a structurally dead branch, with a
+    record of one bit or a full one."""
+    c = node.circuit
+    measure = (MeasureOp(c.n_qubits, c.n_cbits),)
+    ops = c.ops + measure if at_end else measure + c.ops
+    return replace(node, circuit=replace(c, n_qubits=c.n_qubits + 1, n_cbits=c.n_cbits + 1,
+                                         inputs=c.inputs + ("zero",), ops=ops))
+
+
+@pytest.mark.parametrize("where", ["root", "first child"])
+@pytest.mark.parametrize("at_end", [False, True], ids=["short", "full"])
+def test_a_dead_branch_ends_its_path_as_the_per_branch_interpreter_ends_it(where, at_end,
+                                                                          rng):
+    """A dead K_b yields one path with no state and no descent; a path that
+    ended in the first child passes the later ones by, as the oracle's does."""
+    rc = synth_recursive(controlled_rotation_spec(2, 4), flatten=False)
+    if where == "root":
+        rc = replace(rc, root=_with_a_dead_branch(rc.root, at_end))
+    else:
+        i, rep = next((i, rep) for i, rep in enumerate(rc.root.repairs) if rep.child is not None)
+        repairs = list(rc.root.repairs)
+        repairs[i] = replace(rep, child=_with_a_dead_branch(rep.child, at_end))
+        rc = replace(rc, root=replace(rc.root, repairs=tuple(repairs)))
+    psi = random_state(rc.n, rng)
+    got, want = execute_tree(rc, psi), _oracle_execute_tree(rc, psi)
+    assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
+    dead = [(bits, p) for bits, p, s in got if s is None]
+    if not at_end:  # a one-bit record, and after root branch 111 the later children passed by
+        assert ("1", 0.0) in dead if where == "root" else ("1111", 0.0) in dead
+    assert len(dead) == {("root", False): 1, ("root", True): 8, ("first child", False): 4,
+                         ("first child", True): 32}[where, at_end]
+    for (_, p, s), (_, wp, ws) in zip(got, want):
+        assert abs(p - wp) < 1e-12
+        assert (s is None) == (ws is None)
+        if s is not None:
+            assert np.max(np.abs(s.amplitudes - ws.amplitudes)) < 1e-12
+
+
+def test_the_ccv5_tree_runs_its_195112_paths(rng):
+    rc = synth_recursive(controlled_rotation_spec(2, 5), flatten=False)
+    psi = random_state(rc.n, rng)
+    paths = execute_tree(rc, psi)
+    assert len(paths) == 195_112
+    assert abs(sum(p for _, p, _ in paths) - 1.0) < 1e-9
+    states = np.array([s.amplitudes for _, _, s in paths])
+    assert np.min(np.abs(states.conj() @ (rc.gate @ psi.amplitudes))) > 1 - 1e-9

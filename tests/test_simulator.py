@@ -523,6 +523,57 @@ def test_an_ordinary_state_keeps_numpys_norm(rng):
         assert np.array_equal(StateVector(3, amps).amplitudes, amps / np.linalg.norm(amps))
 
 
+@pytest.mark.parametrize("huge", [False, True], ids=["ordinary", "huge row"])
+def test_a_certified_block_gives_each_row_as_a_state(huge, rng):
+    """One check of the block, read-only rows, each `StateVector(n, row)`;
+    a row whose squares overflow is rescaled as the constructor rescales it."""
+    block = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    if huge:
+        block[2] *= 1e200
+    states = simulator._certified_states(3, block)
+    assert len(states) == 6
+    for row, state in zip(block, states):
+        assert type(state) is StateVector and state.n == 3
+        assert np.max(np.abs(state.amplitudes - StateVector(3, row).amplitudes)) < 1e-15
+        assert not state.amplitudes.flags.writeable
+    assert simulator._certified_states(3, block[:0]) == []
+
+
+@pytest.mark.parametrize("bad,message", [(np.nan, "state has non-finite amplitudes"),
+                                         (0.0, "state has zero norm")], ids=["nan", "zero"])
+def test_a_certified_block_refuses_what_a_state_refuses(bad, message, rng):
+    block = rng.standard_normal((3, 4)) + 0j
+    block[1] = [bad, 0.0, 0.0, 0.0]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        StateVector(2, block[1])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simulator._certified_states(2, block)
+
+
+class _NoDraws:
+    def standard_normal(self, size):
+        pytest.fail(f"drew {size} normals before the width check")
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: basis_state(-1, 0), ValidationError, "-1 qubits: a width cannot be negative"),
+    (lambda: zero_state(-1), ValidationError, "-1 qubits: a width cannot be negative"),
+    (lambda: random_state(-1, _NoDraws()), ValidationError,
+     "-1 qubits: a width cannot be negative"),
+    (lambda: basis_state(200, 0), WidthOverflow, "200 qubits exceeds the 12-qubit limit"),
+    (lambda: random_state(200, _NoDraws()), WidthOverflow,
+     "200 qubits exceeds the 12-qubit limit"),
+    (lambda: basis_state(1, -1), ValidationError, r"basis index -1 is not in range\(2\*\*1\)"),
+    (lambda: basis_state(1, 2), ValidationError, r"basis index 2 is not in range\(2\*\*1\)"),
+], ids=["basis-negative", "zero-negative", "random-negative", "basis-wide", "random-wide",
+        "index-negative", "index-past-the-end"])
+def test_a_state_constructor_checks_width_and_index_before_sizing(make, error, message):
+    """At the parent a negative width reached numpy as a bare TypeError, a
+    width of 200 as numpy's own refusal, and index -1 gave |1>."""
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
 def test_verification_streams_its_branches():
     """1,024 branches of a 6-qubit, 32-column verification: the walk
     yields each branch as it reaches it, so the traced peak stays near one
