@@ -17,14 +17,13 @@ from .clifford import CliffordFrame, clifford_from_matrix, tableau_from_gate
 from .hierarchy import HierarchyVerdict, hierarchy_level
 from .circuit import (Circuit, CircuitBuilder, deserialize, render, serialize,
                       validate)
-from .simulator import (Branch, EquivalenceReport, StateVector, apply_gate,
-                        equivalent_up_to_phase, run_all_branches,
-                        verify_gate_equivalence)
+from .simulator import (Branch, EquivalenceReport, StateVector, equivalent_up_to_phase,
+                        run_all_branches, verify_gate_equivalence)
 from .teleport import (SynthesisResult, TeleportPlan, build_generalized_teleport,
                        build_one_bit_teleport, plan_teleportation,
                        synthesize_sandwiched, synthesize_teleported_gate)
 from .ancilla import (PreparationScript, StabilizerSpec, build_preparation,
-                      derive_stabilizers, measure_operator, shortcut_preparation)
+                      derive_stabilizers, shortcut_preparation)
 from .recursive import (GateSpec, RecursiveCircuit, ResourceReport,
                         controlled_rotation_spec, recursive_ancilla_prep,
                         resource_report, rotation_spec, synth_recursive)
@@ -38,13 +37,13 @@ __all__ = [
     "CliffordFrame", "clifford_from_matrix", "tableau_from_gate",
     "HierarchyVerdict", "hierarchy_level",
     "Circuit", "CircuitBuilder", "deserialize", "render", "serialize", "validate",
-    "Branch", "EquivalenceReport", "StateVector", "apply_gate",
-    "equivalent_up_to_phase", "run_all_branches", "verify_gate_equivalence",
+    "Branch", "EquivalenceReport", "StateVector", "equivalent_up_to_phase",
+    "run_all_branches", "verify_gate_equivalence",
     "SynthesisResult", "TeleportPlan", "build_generalized_teleport",
     "build_one_bit_teleport", "plan_teleportation", "synthesize_sandwiched",
     "synthesize_teleported_gate",
     "PreparationScript", "StabilizerSpec", "build_preparation",
-    "derive_stabilizers", "measure_operator", "shortcut_preparation",
+    "derive_stabilizers", "shortcut_preparation",
     "GateSpec", "RecursiveCircuit", "ResourceReport", "controlled_rotation_spec",
     "recursive_ancilla_prep", "resource_report", "rotation_spec", "synth_recursive",
     "PartyLayout", "Protocol", "ProtocolTrace", "build_remote_cnot",

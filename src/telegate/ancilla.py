@@ -12,8 +12,8 @@ A script runs as a preparation from nothing on the simulator's branch walk
 (`script_circuit`): the initial state is injected on the register, and one
 control qubit, re-injected as |0> at each step, measures M through H,
 controlled-M, H, the step `emit_stabilizer_step` writes here and for the
-recursive preparation alike.  `measure_operator` keeps the projector
-arithmetic, (I±M)/2, as the reference the test suite checks that gadget against.
+recursive preparation alike.  The projector arithmetic, (I±M)/2, that the
+test suite checks that gadget against is the tests' `projector_oracle`.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from . import gates, hierarchy, pauli
 from .circuit import Circuit, CircuitBuilder, matrix_doc, state_doc
 from .clifford import checked_unitary
 from .errors import InternalConsistencyError, ValidationError
-from .limits import TOL, VERIFY_TOL, ZERO
+from .limits import TOL, VERIFY_TOL
 from .simulator import (Branch, StateVector, extract_register_state, run_all_branches,
                         verify_gate_equivalence, zero_state)
 
@@ -123,29 +123,6 @@ def derive_stabilizers(u: np.ndarray, a_ops, tol: float = TOL) -> StabilizerSpec
     images = np.concatenate(list(pauli.conjugated_generators(ua)))
     ms, qs = images[1::2], images[0::2]
     return make_stabilizer_spec(target, ms, qs, tol)
-
-
-def measure_operator(s: StateVector, m: np.ndarray) -> tuple[Branch, Branch]:
-    """Project onto the ±1 eigenspaces of an involution.
-
-    Outcome 0 is the +1 eigenspace; a vanishing branch is flagged with
-    probability zero and no state."""
-    m = np.asarray(m, dtype=complex)
-    dim = 2**s.n
-    if m.shape != (dim, dim):
-        raise ValidationError("operator width does not match the state")
-    if _norm(m @ m - np.eye(dim)) > TOL:
-        raise ValidationError("measured operator must square to the identity")
-    branches = []
-    for outcome, sign in ((0, 1.0), (1, -1.0)):
-        vec = (s.amplitudes + sign * (m @ s.amplitudes)) / 2.0
-        p = float(np.linalg.norm(vec) ** 2)
-        if p < ZERO:
-            branches.append(Branch((outcome,), 0.0, None, {0: outcome}, {}))
-        else:
-            branches.append(Branch((outcome,), p, StateVector(s.n, vec),
-                                   {0: outcome}, {}))
-    return branches[0], branches[1]
 
 
 def build_preparation(spec: StabilizerSpec,

@@ -28,8 +28,7 @@ from . import gates
 from .errors import DimensionMismatch, ValidationError
 from .limits import MAX_STACK_AMPLITUDES, TOL, check_tolerance, check_width, width_of
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+_BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -54,15 +53,6 @@ class PauliOperator:
             raise ValidationError(
                 f"phase_quarters must be an integer, got {self.phase_quarters!r}")
         object.__setattr__(self, "phase_quarters", int(self.phase_quarters) % 4)
-
-
-def single(n: int, qubit: int, letter: str) -> PauliOperator:
-    """Embed a single-qubit Pauli letter at the given position."""
-    x, z = _LETTER_TO_BITS[letter.upper()]
-    xs, zs = [0] * n, [0] * n
-    xs[qubit], zs[qubit] = x, z
-    phase = 1 if letter.upper() == "Y" else 0
-    return PauliOperator(n, tuple(xs), tuple(zs), phase)
 
 
 def pauli_to_matrix(p: PauliOperator) -> np.ndarray:

@@ -47,7 +47,8 @@ from .circuit import Circuit, CircuitBuilder, InjectOp, MeasureOp, to_document
 from .clifford import checked_unitary
 from .errors import DimensionMismatch, SynthesisRefusal, ValidationError, WidthOverflow
 from .limits import (MAX_HIERARCHY_LEVEL, MAX_MEASUREMENTS, MAX_RECURSION_LEVEL,
-                     MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO, check_tolerance, width_of)
+                     MAX_RECURSION_WIDTH, TOL, VERIFY_TOL, ZERO, check_tolerance, check_width,
+                     width_of)
 from .simulator import (StateVector, _bitstring, _certified_states, _mass, branch_operators,
                         verify_gate_equivalence)
 from .teleport import TeleportPlan, classify_correction, emit_teleport, verify_or_refuse
@@ -87,6 +88,7 @@ def controlled_rotation_spec(controls: int, level: int) -> GateSpec:
         raise ValidationError("need level > controls >= 1")
     if level > MAX_HIERARCHY_LEVEL:
         raise ValidationError(f"rotation level must be at most {MAX_HIERARCHY_LEVEL}, got {level}")
+    check_width(controls + 1)  # before the 2^(c+1)-square matrix is built
     base = np.diag([1.0, np.exp(2j * np.pi / 2 ** (level - controls))]).astype(complex)
     m = gates.controlled(base, n_controls=controls)
     return GateSpec(m, f"{'C' * controls}V{level}", level_param=level)
@@ -110,7 +112,6 @@ class Repair:
     residue_level: int
     pre_pauli_qubit: int | None = None
     canonical: np.ndarray | None = field(default=None, repr=False)
-    exact: np.ndarray | None = field(default=None, repr=False)
     klass: str | None = None
     child: "RecursiveNode | None" = None
 
@@ -130,7 +131,6 @@ class RecursiveNode:
     gate: np.ndarray = field(repr=False)
     level: int
     n: int
-    magic: StateVector
     circuit: Circuit
     repairs: tuple[Repair, ...]
 
@@ -161,12 +161,14 @@ def _plus_state(n: int) -> np.ndarray:
 
 def _checked_spec(spec: GateSpec, what: str) -> tuple[np.ndarray, int, int]:
     """The spec's matrix, width and level, refused unless a finite unitary
-    inside the recursion's width and depth limits."""
-    m = checked_unitary(spec.matrix)  # first: the checks below assume a square matrix
+    inside the recursion's width and depth limits.  A square matrix wider
+    than the width limit is refused before the unitarity product."""
+    shape = np.shape(spec.matrix)
+    if len(shape) == 2 and shape[0] == shape[1] > 2**MAX_RECURSION_WIDTH:
+        raise WidthOverflow(f"{what} is limited to {MAX_RECURSION_WIDTH} qubits")
+    m = checked_unitary(spec.matrix)  # the checks below assume a square matrix
     if not hierarchy.is_diagonal_matrix(m):
         raise ValidationError(f"{spec.label} is not diagonal")
-    if spec.n > MAX_RECURSION_WIDTH:
-        raise WidthOverflow(f"{what} is limited to {MAX_RECURSION_WIDTH} qubits")
     level = hierarchy.hierarchy_level(m, k_max=MAX_RECURSION_LEVEL).level
     if level is None:
         raise WidthOverflow(f"{spec.label} exceeds the depth limit {MAX_RECURSION_LEVEL}")
@@ -223,16 +225,15 @@ def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> Recursi
     or a child one level down on the residue, right after its X half."""
     n = width_of(gate.shape[0])
     data, live = list(range(n)), list(range(n, 2 * n))
-    magic = StateVector(n, gate @ _plus_state(n))
+    magic = StateVector(n, gate @ _plus_state(n)).amplitudes
     cbits = b.alloc_cbits(n)
     start = len(b.ops)
     if cond[0]:
-        emit_inject(b, magic.amplitudes, live, data, cbits, cond=cond)
+        emit_inject(b, magic, live, data, cbits, cond=cond)
         specs = ((tuple(range(n)), vals, w, w, None)
                  for vals, w in _pattern_repairs(gate, keep_phase=False))
     else:
-        emit_teleport(b, TeleportPlan(("X",) * n), data, live, cbits,
-                      ancilla=magic.amplitudes)
+        emit_teleport(b, TeleportPlan(("X",) * n), data, live, cbits, ancilla=magic)
         specs = (((i,), (1,), c_i, residue, i)
                  for i, (c_i, residue) in enumerate(_x_repairs(gate)))
     own = b.ops[start:]
@@ -244,7 +245,7 @@ def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> Recursi
             b.cgate(*bits, corr.canonical, live, role="D")
             own.append(b.ops[-1])
             repairs.append(Repair(local, vals, 1 if corr.klass == "pauli" else 2,
-                                  canonical=corr.canonical, exact=whole, klass=corr.klass))
+                                  canonical=corr.canonical, klass=corr.klass))
         else:
             # The X half stays attached to its residue: the pair D~_i·X_i
             # commutes with other repairs only as a block, so the X runs
@@ -255,7 +256,7 @@ def _emit_node(b: CircuitBuilder, gate: np.ndarray, level: int, cond) -> Recursi
             repairs.append(Repair(local, vals, corr.residue_level, pre_pauli_qubit=x_half,
                                   child=_emit_node(b, residue, corr.residue_level, bits)))
     mode, order = ("inject", live + data) if cond[0] else ("teleport", data + live)
-    return RecursiveNode(mode, gate, level, n, magic,
+    return RecursiveNode(mode, gate, level, n,
                          _relabel(own, order, cbits, len(cond[0])), tuple(repairs))
 
 
@@ -460,7 +461,6 @@ class PreparationStep:
 
 @dataclass(frozen=True)
 class RecursivePreparation:
-    gate: np.ndarray = field(repr=False)
     target: StateVector
     steps: tuple[PreparationStep, ...]
     circuit: Circuit
@@ -515,7 +515,7 @@ def recursive_ancilla_prep(spec: GateSpec) -> RecursivePreparation:
             return _realize_controlled(buf, kappa, register, spare, u_x)
         realization = emit_stabilizer_step(buf, kappa, controlled_m, "Z", [register[i]])
         steps.append(PreparationStep(m_i, u_x, realization))
-    return RecursivePreparation(u, target, tuple(steps), buf.build(), tuple(register))
+    return RecursivePreparation(target, tuple(steps), buf.build(), tuple(register))
 
 
 def verify_preparation(prep: RecursivePreparation,

@@ -39,7 +39,7 @@ import numpy as np
 from .circuit import Circuit, GateOp, InjectOp, MeasureOp, QubitStatus
 from .clifford import is_isometry
 from .errors import DimensionMismatch, ValidationError, WidthOverflow
-from .gates import apply_to_columns, matrix_of, monomial, scaled_norm, target_axes
+from .gates import apply_to_columns, monomial, scaled_norm, target_axes
 from .limits import (FLOOR, MAX_MEASUREMENTS, MAX_STACK_AMPLITUDES, VERIFY_TOL, ZERO,
                      check_tolerance, check_width, width_of)
 
@@ -142,26 +142,6 @@ class EquivalenceReport:
     failing_branch: str | None
     branch_scalars: Mapping[str, complex]
     branch_weights: Mapping[str, float]
-    tol: float
-
-
-def apply_matrix(state: StateVector, matrix: np.ndarray, targets) -> StateVector:
-    """Exact linear action on the target qubits, identity elsewhere."""
-    cols = state.amplitudes.reshape(-1, 1)
-    out = apply_to_columns(cols, np.asarray(matrix, dtype=complex),
-                           tuple(targets), state.n)
-    return StateVector(state.n, out.ravel())
-
-
-def apply_gate(state: StateVector, gate, targets=None) -> StateVector:
-    """Apply a named gate, unconditioned GateOp, or matrix to a state."""
-    if isinstance(gate, GateOp):
-        if gate.cond_cbits:
-            raise ValidationError("apply_gate has no classical bits to read a condition from")
-        return apply_matrix(state, gate.resolved_matrix(), gate.targets)
-    if isinstance(gate, str):
-        return apply_matrix(state, matrix_of(gate), targets)
-    return apply_matrix(state, gate, targets)
 
 
 def _mass(rows: np.ndarray) -> np.ndarray:
@@ -542,7 +522,7 @@ def verify_gate_equivalence(c: Circuit, u: np.ndarray, in_map, out_map,
     return EquivalenceReport(
         passed=worst >= 1.0 - tol, worst_fidelity=float(worst), failing_branch=failing,
         branch_scalars=BranchMap(codes, lengths, width, coeffs, _scalars, scored),
-        branch_weights=BranchMap(codes, lengths, width, coeffs, _weights), tol=tol)
+        branch_weights=BranchMap(codes, lengths, width, coeffs, _weights))
 
 
 def sample_branches(c: Circuit, input_state: StateVector | None, shots: int,

@@ -85,7 +85,6 @@ class SynthesisResult:
     corrections: tuple[Correction, ...]
     plan: TeleportPlan
     report: EquivalenceReport
-    gate: np.ndarray
 
     def sidecar(self) -> dict:
         return {
@@ -274,7 +273,7 @@ def _synthesize(u: np.ndarray, plan: TeleportPlan, v: np.ndarray,
     circuit = b.build()
 
     report = verify_or_refuse(circuit, u, list(range(n)), anc, tol=VERIFY_TOL)
-    return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report, u)
+    return SynthesisResult(circuit, ancilla, tuple(corrections), plan, report)
 
 
 def synthesize_teleported_gate(u: np.ndarray, plan: TeleportPlan | None = None,

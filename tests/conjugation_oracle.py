@@ -3,7 +3,8 @@ one (`pauli.conjugated_generators` and `pauli.strict_paulis`): each image is
 one dense `u @ P @ u†` product, recognized by one scalar Pauli test.  The
 dense repair products of the synthesis and the recursion, which those
 images and column gathers replaced, and the dense plan commutator, which
-the teleport plan's 2×2 block read replaced, are kept here too.
+the teleport plan's 2×2 block read replaced, are kept here too, and so is
+`single`, the one-letter Pauli embedding the dense generators are built from.
 
 `scalar_pauli_from_matrix` keeps the scalar test's one known fault: its
 `> tol` deviation check passes a NaN off the Pauli support.  Sweeps compare
@@ -14,7 +15,18 @@ from functools import lru_cache
 import numpy as np
 
 from telegate.limits import TOL, width_of
-from telegate.pauli import PauliOperator, pauli_to_matrix, single
+from telegate.pauli import PauliOperator, pauli_to_matrix
+
+_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def single(n, qubit, letter):
+    """Embed a single-qubit Pauli letter at the given position."""
+    x, z = _LETTER_TO_BITS[letter.upper()]
+    xs, zs = [0] * n, [0] * n
+    xs[qubit], zs[qubit] = x, z
+    phase = 1 if letter.upper() == "Y" else 0
+    return PauliOperator(n, tuple(xs), tuple(zs), phase)
 
 
 @lru_cache(maxsize=None)

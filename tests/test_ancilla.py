@@ -8,7 +8,7 @@ import pytest
 from telegate import gates
 from telegate.ancilla import (build_preparation, derive_stabilizers,
                               is_product_state, make_stabilizer_spec,
-                              measure_operator, product_factor_stabilizers,
+                              product_factor_stabilizers,
                               run_script, script_circuit, script_to_json,
                               shortcut_preparation, verify_script)
 from telegate.circuit import CircuitBuilder
@@ -16,6 +16,8 @@ from telegate.errors import InternalConsistencyError, ValidationError
 from telegate.limits import ZERO
 from telegate.simulator import (Branch, StateVector, random_state, run_all_branches,
                                 state_from, zero_state)
+
+from projector_oracle import measure_operator
 
 SQ2 = 1 / np.sqrt(2)
 I2 = np.eye(2)
@@ -221,6 +223,19 @@ def test_shortcut_intermediates_are_products(name, a_ops, index, factors):
     ok, worst = verify_script(script)
     assert ok and worst >= 1 - 1e-10
     assert len(script.steps) == 1
+
+
+def test_an_entangled_shortcut_intermediate_is_flagged_and_still_verifies():
+    """CS⊗T has the plan XXX; pair 2's shortcut starts from CS|++>⊗|0>,
+    which is entangled across the CS pair: the script says so, and the
+    one stabilizer measurement still reaches the target."""
+    spec = derive_stabilizers(gates.kron(gates.CS, gates.T), ("H", "H", "H"))
+    script = shortcut_preparation(spec, 2)
+    assert script.product_intermediate is False
+    assert script.warnings == ("shortcut intermediate for pair 2 is not a product state",)
+    assert product_factor_stabilizers(script.initial_state)[2] == "+Z"
+    ok, worst = verify_script(script)
+    assert ok and worst >= 1 - 1e-10
 
 
 def test_shortcut_t_gate():

@@ -17,6 +17,16 @@ from telegate.limits import TOL
 from telegate.simulator import verify_gate_equivalence
 
 
+def test_the_public_surface_resolves_and_keeps_no_test_only_helper():
+    for name in telegate.__all__:
+        assert getattr(telegate, name) is not None, name
+    from telegate import ancilla, pauli, simulator
+    for module, name in ((simulator, "apply_gate"), (simulator, "apply_matrix"),
+                         (ancilla, "measure_operator"), (pauli, "single")):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not {"apply_gate", "measure_operator"} & set(telegate.__all__)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -231,6 +241,26 @@ def test_recursive_refuses_a_gate_wider_than_its_limit(capsys, tmp_path):
         2, "", "error: recursive synthesis is limited to 3 qubits\n")
 
 
+@pytest.mark.parametrize("gate, k, built, message", [
+    pytest.param("CCCCCCCCCCCCV", "13", False, "13 qubits exceeds the 12-qubit limit", id="CV13"),
+    pytest.param("CCCV", "5", True, "recursive synthesis is limited to 3 qubits", id="CCCV5"),
+    pytest.param(None, None, True, "recursive synthesis is limited to 3 qubits",
+                 id="non-unitary-16x16-file"),
+])
+def test_recursive_refuses_an_over_wide_request_before_checking_it(capsys, tmp_path, monkeypatch,
+                                                                   gate, k, built, message):
+    """No width past the limit reaches the m†·m product, and none past
+    MAX_QUBITS has its matrix built; a non-unitary 16×16 file is refused
+    for its width."""
+    from telegate import recursive
+    monkeypatch.setattr(recursive, "checked_unitary", lambda *a: pytest.fail("matrix checked"))
+    if not built:
+        monkeypatch.setattr(gates, "controlled", lambda *a, **k: pytest.fail("matrix built"))
+    argv = (gate, "--k", k) if k else (str(tmp_path / "gate.json"),)
+    (tmp_path / "gate.json").write_text(json.dumps(matrix_doc(np.ones((16, 16)))))
+    assert run(capsys, "recursive", *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     pytest.param(("verify", "missing.json", "--against", "T"), None,
                  "error: [Errno 2] No such file or directory: 'missing.json'\n", id="missing"),
@@ -341,6 +371,21 @@ def test_ancilla_toffoli_shortcut_simulated(capsys, tmp_path):
     assert "PASS" in out
     doc = json.loads(out_file.read_text())
     assert len(doc["steps"]) == 1
+
+
+def test_ancilla_shortcut_from_an_entangled_intermediate(capsys, tmp_path):
+    """CS⊗T's third shortcut starts from an entangled state: the CLI prints
+    so, verifies every branch, and writes the warning into the script."""
+    gate, out_file = tmp_path / "cst.json", tmp_path / "cst.script.json"
+    gate.write_text(json.dumps(matrix_doc(gates.kron(gates.CS, gates.T))))
+    code, out, err = run(capsys, "ancilla", str(gate), "--shortcut", "3", "--simulate",
+                         "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert "product intermediate: False\n" in out
+    assert out.splitlines()[-2].endswith("-> PASS")
+    doc = json.loads(out_file.read_text())
+    assert (doc["shortcut_index"], doc["product_intermediate"]) == (2, False)
+    assert doc["warnings"] == ["shortcut intermediate for pair 2 is not a product state"]
 
 
 @pytest.mark.parametrize("argv, line", [

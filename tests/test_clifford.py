@@ -12,10 +12,9 @@ import pytest
 from telegate import gates
 from telegate.clifford import clifford_from_matrix, tableau_from_gate
 from telegate.errors import ClassificationError, ValidationError
-from telegate.pauli import (PauliOperator, pauli_from_matrix, pauli_to_matrix,
-                            single)
+from telegate.pauli import PauliOperator, pauli_from_matrix, pauli_to_matrix
 
-from conjugation_oracle import loop_is_clifford, verdict_sweep
+from conjugation_oracle import loop_is_clifford, single, verdict_sweep
 
 CLIFFORD_1Q = ("I", "X", "Y", "Z", "H", "S", "S†", "Q", "Q†")
 CLIFFORD_2Q = ("CNOT", "CZ", "SWAP")

@@ -9,9 +9,9 @@ from telegate.errors import ValidationError
 from telegate.hierarchy import (_diagonal_level, _member, _phase_coefficients,
                                 hierarchy_level, is_diagonal_matrix)
 from telegate.limits import TOL
-from telegate.pauli import pauli_to_matrix, single
+from telegate.pauli import pauli_to_matrix
 
-from conjugation_oracle import loop_level, verdict_sweep
+from conjugation_oracle import loop_level, single, verdict_sweep
 
 
 # --- independent oracle -----------------------------------------------------

@@ -11,9 +11,9 @@ from telegate import gates, pauli
 from telegate.errors import DimensionMismatch, ValidationError
 from telegate.limits import MAX_STACK_AMPLITUDES, TOL
 from telegate.pauli import (PauliOperator, conjugated_generators, format_literal,
-                            pauli_from_matrix, pauli_to_matrix, single, strict_paulis)
+                            pauli_from_matrix, pauli_to_matrix, strict_paulis)
 
-from conjugation_oracle import clifford_word, dense_images, scalar_pauli_from_matrix
+from conjugation_oracle import clifford_word, dense_images, scalar_pauli_from_matrix, single
 
 
 def all_phase_free(n):

@@ -15,7 +15,8 @@ from telegate.recursive import (RecursiveNode, controlled_rotation_spec, emit_in
                                 execute_tree, matrix_spec, recursive_ancilla_prep,
                                 resource_report, rotation_spec, synth_recursive,
                                 tree_to_json, verify_preparation)
-from telegate.simulator import (StateVector, apply_matrix, basis_state, branch_operators,
+from telegate.gates import apply_to_columns
+from telegate.simulator import (StateVector, basis_state, branch_operators,
                                 extract_register_state, random_state, run_all_branches,
                                 verify_gate_equivalence)
 from telegate.teleport import TeleportPlan, emit_teleport
@@ -104,8 +105,8 @@ def test_controlled_phase_expansion_no_recursion():
             gates.kron(gates.S, gates.X) @ gates.CZ)
     for repair, ref in zip(rc.root.repairs, refs):
         assert repair.child is None
-        fit = np.trace(ref.conj().T @ repair.exact) / 4
-        assert np.max(np.abs(repair.exact - fit * ref)) < 1e-10
+        fit = np.trace(ref.conj().T @ repair.canonical) / 4
+        assert np.max(np.abs(repair.canonical - fit * ref)) < 1e-10
 
 
 @pytest.mark.parametrize("spec,label", [
@@ -238,7 +239,8 @@ def test_flattened_and_tree_operator_sets_match(rng):
 
 def _hand_flatten(root):
     """Reference: the hand-written flattener synth_recursive used before one
-    node emitter wrote both the tree and the flattened circuit, kept verbatim."""
+    node emitter wrote both the tree and the flattened circuit, kept verbatim
+    but for reading each node's magic state off its own circuit's inject."""
     n = root.n
     b = CircuitBuilder(2 * n, 0, ["input"] * n + ["inject"] * n)
     data = list(range(n))
@@ -246,13 +248,13 @@ def _hand_flatten(root):
 
     def emit(node, is_root, cond_bits, cond_vals):
         cbits = b.alloc_cbits(n)
+        magic = next(op for op in node.circuit.ops if isinstance(op, InjectOp)).amplitudes
         if is_root:
-            emit_teleport(b, TeleportPlan(("X",) * n), data, anc, cbits,
-                          ancilla=node.magic.amplitudes)
+            emit_teleport(b, TeleportPlan(("X",) * n), data, anc, cbits, ancilla=magic)
         else:
             # Magic recycles the measured data qubits; the coupling fires
             # only when every ancestor condition bit is set.
-            b.inject(node.magic.amplitudes, data, role="ancilla-prep")
+            b.inject(magic, data, role="ancilla-prep")
             for j in range(n):
                 b.cgate(cond_bits, cond_vals, "CNOT", [anc[j], data[j]], role="E")
             for j in range(n):
@@ -458,6 +460,36 @@ def test_recursion_too_large_to_enumerate_is_refused():
         synth_recursive(controlled_rotation_spec(2, 5))
 
 
+@pytest.mark.parametrize("controls,level", [(12, 13), (19, 20)])
+def test_a_rotation_past_the_qubit_limit_is_refused_before_its_matrix_is_built(
+        monkeypatch, controls, level):
+    monkeypatch.setattr(gates, "controlled", lambda *a, **k: pytest.fail("matrix built"))
+    with pytest.raises(WidthOverflow, match=f"^{controls + 1} qubits exceeds the 12-qubit limit$"):
+        controlled_rotation_spec(controls, level)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(controlled_rotation_spec(3, 5), id="CCCV5"),
+    pytest.param(matrix_spec(np.ones((16, 16))), id="non-unitary"),
+    pytest.param(matrix_spec(np.eye(512)), id="9-qubit"),
+])
+def test_an_over_wide_spec_is_refused_before_the_unitarity_product(monkeypatch, spec):
+    from telegate import recursive
+    monkeypatch.setattr(recursive, "checked_unitary", lambda *a: pytest.fail("matrix checked"))
+    with pytest.raises(WidthOverflow, match="^recursive synthesis is limited to 3 qubits$"):
+        synth_recursive(spec)
+    with pytest.raises(WidthOverflow, match="^preparation is limited to 3 qubits$"):
+        recursive_ancilla_prep(spec)
+
+
+@pytest.mark.parametrize("matrix", [np.array(1.0), np.ones(16), np.ones((4, 4, 4)),
+                                    np.ones((16, 8))], ids=["0-d", "1-d", "3-d", "16x8"])
+def test_a_matrix_that_is_not_square_is_refused_as_not_unitary(matrix):
+    for build in (synth_recursive, recursive_ancilla_prep):
+        with pytest.raises(ValidationError, match="^input matrix is not unitary within tolerance$"):
+            build(matrix_spec(matrix))
+
+
 def test_preparation_refuses_a_gate_wider_than_its_limit():
     with pytest.raises(WidthOverflow, match="^preparation is limited to 3 qubits$"):
         recursive_ancilla_prep(matrix_spec(np.diag(np.exp(0.1j * np.arange(16)))))
@@ -526,7 +558,8 @@ def test_cv5_preparation_verifies_streaming_its_branches():
 
 def _oracle_execute_tree(rc, input_state):
     """Reference: the tree interpreter that re-ran a node's circuit for every
-    parent branch that triggered it, kept verbatim."""
+    parent branch that triggered it, kept verbatim but for applying the X
+    half with the gate kernel."""
     if rc.root is None:
         out = StateVector(rc.n, rc.gate @ input_state.amplitudes)
         return [("", 1.0, out)]
@@ -551,7 +584,8 @@ def _oracle_execute_tree(rc, input_state):
                         nxt.append((bits, p, s))
                         continue
                     if rep.pre_pauli_qubit is not None:
-                        s = apply_matrix(s, gates.X, [rep.pre_pauli_qubit])
+                        s = StateVector(s.n, apply_to_columns(
+                            s.amplitudes.reshape(-1, 1), gates.X, (rep.pre_pauli_qubit,), s.n))
                     for cbits2, cp, cs in exec_node(rep.child, s, False):
                         nxt.append((bits + cbits2, p * cp, cs))
                 cur = nxt

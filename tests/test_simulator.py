@@ -16,7 +16,7 @@ from telegate.errors import (DimensionMismatch, InvalidCircuitError, ValidationE
                              WidthOverflow)
 from telegate.gates import apply_to_columns
 from telegate.limits import MAX_QUBITS, MAX_STACK_AMPLITUDES, TOL, VERIFY_TOL, ZERO
-from telegate.simulator import (Branch, StateVector, apply_gate, basis_state,
+from telegate.simulator import (Branch, StateVector, basis_state,
                                 equivalent_up_to_phase, extract_register_state,
                                 random_state, register_offsets,
                                 run_all_branches, state_from,
@@ -28,38 +28,43 @@ EPS = np.finfo(float).eps
 
 
 def test_apply_hadamard():
-    out = apply_gate(zero_state(1), "H", [0])
-    assert np.allclose(out.amplitudes, [SQ2, SQ2])
+    out = gates.embed(gates.H, [0], 1) @ zero_state(1).amplitudes
+    assert np.allclose(out, [SQ2, SQ2])
 
 
 def test_bell_pair():
-    s = apply_gate(zero_state(2), "H", [0])
-    s = apply_gate(s, "CNOT", [0, 1])
-    assert np.allclose(s.amplitudes, [SQ2, 0, 0, SQ2])
+    s = gates.embed(gates.H, [0], 2) @ zero_state(2).amplitudes
+    s = gates.embed(gates.CNOT, [0, 1], 2) @ s
+    assert np.allclose(s, [SQ2, 0, 0, SQ2])
 
 
 def test_t_on_plus():
     plus = state_from([SQ2, SQ2])
-    out = apply_gate(plus, "T", [0])
-    assert np.allclose(out.amplitudes, [SQ2, SQ2 * np.exp(1j * np.pi / 4)])
+    out = gates.embed(gates.T, [0], 1) @ plus.amplitudes
+    assert np.allclose(out, [SQ2, SQ2 * np.exp(1j * np.pi / 4)])
 
 
-def test_apply_gate_takes_a_gate_op_but_refuses_a_conditioned_one():
-    out = apply_gate(zero_state(1), GateOp((0,), name="X"))
-    assert np.allclose(out.amplitudes, [0, 1])
-    bare = apply_gate(zero_state(2), gates.CNOT @ gates.kron(gates.X, gates.I2), [0, 1])
-    assert np.array_equal(bare.amplitudes, [0, 0, 0, 1])
+def test_a_gate_op_applies_its_matrix_and_a_conditioned_one_only_on_its_branch():
+    op = GateOp((0,), name="X")
+    out = gates.embed(op.resolved_matrix(), op.targets, 1) @ zero_state(1).amplitudes
+    assert np.allclose(out, [0, 1])
+    bare = gates.embed(gates.CNOT @ gates.kron(gates.X, gates.I2), [0, 1], 2)
+    assert np.array_equal(bare @ zero_state(2).amplitudes, [0, 0, 0, 1])
     conditioned = GateOp((0,), name="X", cond_cbits=(0,), cond_values=(1,))
-    with pytest.raises(ValidationError, match="condition"):
-        apply_gate(zero_state(1), conditioned)
+    b = CircuitBuilder(2, 1, ["zero", "zero"])
+    b.gate("H", [1])
+    b.measure(1, 0)
+    b.ops.append(conditioned)
+    got = {br.bitstring: br.state.amplitudes for br in run_all_branches(b.build())}
+    assert np.allclose(got["0"], [1, 0, 0, 0]) and np.allclose(got["1"], [0, 0, 0, 1])
 
 
 def test_gate_on_nonadjacent_targets(rng):
     # CNOT on (2, 0) of three qubits against the embedded dense matrix
     psi = random_state(3, rng)
-    got = apply_gate(psi, "CNOT", [2, 0])
+    got = apply_to_columns(psi.amplitudes.reshape(-1, 1), gates.CNOT, (2, 0), 3).ravel()
     want = gates.embed(gates.CNOT, (2, 0), 3) @ psi.amplitudes
-    assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_x_teleport_branches(rng):

@@ -378,7 +378,7 @@ def test_repairs_are_the_dense_products_byte_for_byte():
             res = synthesize_teleported_gate(gates.matrix_of(name))
         except SynthesisRefusal:
             continue
-        cases.append((res, dense_synthesis_repairs(res.gate, res.plan.d_ops)))
+        cases.append((res, dense_synthesis_repairs(gates.matrix_of(name), res.plan.d_ops)))
     assert len(cases) == 12
     h = tableau_from_gate("H")
     hth = (gates.H @ gates.T @ gates.H, (h, gates.T, h))
